@@ -12,8 +12,10 @@ shared virtual clock.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from . import workload as workload_mod
 from .errors import (
@@ -44,10 +46,15 @@ SESSION_MODES = ("timeloops", "unhardened", "hardened")
 
 
 # --- states, events, actions --------------------------------------------------
+#
+# Each carries the ``label`` that names it in the transition trace and in
+# session.json; an event's label includes its exit reason or outcome, and is
+# interned so that a long trace holds one copy of each distinct label.
 
 @dataclass(frozen=True)
 class ProductionRunning:
     epoch: int = 0
+    label: ClassVar[str] = "production_running"
 
 
 @dataclass(frozen=True)
@@ -56,11 +63,13 @@ class OracleRunning:
     # Stamped by the driver when the oracle container actually starts.
     oracle_started_ms: float = 0.0
     requests_served: int = 0
+    label: ClassVar[str] = "oracle_running"
 
 
 @dataclass(frozen=True)
 class Halted:
     reason: str = "shutdown"
+    label: ClassVar[str] = "halted"
 
 
 ControllerState = ProductionRunning | OracleRunning | Halted
@@ -70,20 +79,28 @@ ControllerState = ProductionRunning | OracleRunning | Halted
 class ProdExited:
     reason: ExitReason
 
+    @property
+    def label(self) -> str:
+        return sys.intern(f"prod_exited:{self.reason.label}")
+
 
 @dataclass(frozen=True)
 class OracleFinished:
     outcome: OracleOutcome
 
+    @property
+    def label(self) -> str:
+        return sys.intern(f"oracle_finished:{self.outcome.label}")
+
 
 @dataclass(frozen=True)
 class WatchdogFired:
-    pass
+    label: ClassVar[str] = "watchdog_fired"
 
 
 @dataclass(frozen=True)
 class Shutdown:
-    pass
+    label: ClassVar[str] = "shutdown"
 
 
 ControllerEvent = ProdExited | OracleFinished | WatchdogFired | Shutdown
@@ -91,12 +108,13 @@ ControllerEvent = ProdExited | OracleFinished | WatchdogFired | Shutdown
 
 @dataclass(frozen=True)
 class StartProduction:
-    pass
+    label: ClassVar[str] = "start_production"
 
 
 @dataclass(frozen=True)
 class StartOracle:
     watchdog_ms: float
+    label: ClassVar[str] = "start_oracle"
 
 
 @dataclass(frozen=True)
@@ -104,16 +122,19 @@ class UpdatePolicy:
     """Ensure the observed syscalls are allowed; extend() skips known ones."""
 
     new_syscalls: frozenset[str]
+    label: ClassVar[str] = "update_policy"
 
 
 @dataclass(frozen=True)
 class RaiseAlert:
     report: str
+    label: ClassVar[str] = "raise_alert"
 
 
 @dataclass(frozen=True)
 class LogEvent:
     text: str
+    label: ClassVar[str] = "log_event"
 
 
 ControllerAction = StartProduction | StartOracle | UpdatePolicy | RaiseAlert | LogEvent
@@ -129,8 +150,12 @@ class ControllerConfig:
     def __post_init__(self):
         if self.oracle_mode not in ORACLE_MODES:
             raise ConfigError(f"unknown oracle mode: {self.oracle_mode!r}")
-        if not self.watchdog_ms > 0:
-            raise ConfigError("watchdog_ms must be positive")
+        if not (math.isfinite(self.watchdog_ms) and self.watchdog_ms > 0):
+            raise ConfigError(f"watchdog_ms must be positive and finite, got {self.watchdog_ms!r}")
+
+
+# Served requests are the common case; actions are immutable, so share one.
+_SERVED = (LogEvent("production served request"),)
 
 
 def step(
@@ -143,7 +168,7 @@ def step(
     if isinstance(state, ProductionRunning) and isinstance(event, ProdExited):
         reason = event.reason
         if isinstance(reason, Completed):
-            return state, (LogEvent("production served request"),)
+            return state, _SERVED
         if isinstance(reason, PolicyViolation):
             return (
                 OracleRunning(epoch=state.epoch),
@@ -218,7 +243,8 @@ class SessionResult:
     consultations: int
     mode: str = "timeloops"
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """Every field of the document, with the transitions left empty."""
         return {
             "final_policy": {
                 "allow": sorted(self.final_policy.allow),
@@ -229,66 +255,64 @@ class SessionResult:
                 {"request": a.request, "report": a.report, "at_ms": a.at_ms}
                 for a in self.alerts
             ],
-            "transitions": [
-                {
-                    "at_ms": t.at_ms,
-                    "from": t.from_state,
-                    "event": t.event,
-                    "to": t.to_state,
-                    "actions": list(t.actions),
-                    "epoch": t.epoch,
-                }
-                for t in self.transition_trace
-            ],
+            "transitions": [],
             "consultations": self.consultations,
         }
 
+    def to_json_dict(self) -> dict:
+        doc = self._json_fields()
+        doc["transitions"] = [
+            {
+                "at_ms": t.at_ms,
+                "from": t.from_state,
+                "event": t.event,
+                "to": t.to_state,
+                "actions": list(t.actions),
+                "epoch": t.epoch,
+            }
+            for t in self.transition_trace
+        ]
+        return doc
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The session document; always equal to
+        ``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
+
+        ``indent`` makes ``json`` fall back to its pure-Python encoder, which
+        is too slow for a long transition trace. Everything but the
+        transitions is still rendered that way. Each transition row is then
+        built from a fragment rendered once per distinct (from, event, to,
+        actions) and cached for this call, so a row only formats its
+        ``at_ms`` and ``epoch``.
+        """
+        text = json.dumps(self._json_fields(), indent=2)
+        if not self.transition_trace:
+            return text
+        fragments: dict[tuple, str] = {}
+        rows = []
+        for t in self.transition_trace:
+            key = (t.from_state, t.event, t.to_state, t.actions)
+            middle = fragments.get(key)
+            if middle is None:
+                middle = fragments[key] = _transition_fragment(*key)
+            at = t.at_ms
+            # json spells the non-finite floats its own way.
+            at_text = repr(at) if math.isfinite(at) else json.dumps(at)
+            rows.append(f'    {{\n      "at_ms": {at_text}{middle}{t.epoch}\n    }}')
+        # A JSON string holds no raw newline, so this matches only the key.
+        return text.replace(
+            '\n  "transitions": []', '\n  "transitions": [\n' + ",\n".join(rows) + "\n  ]", 1
+        )
 
 
-def _state_label(state: ControllerState) -> str:
-    if isinstance(state, ProductionRunning):
-        return "production_running"
-    if isinstance(state, OracleRunning):
-        return "oracle_running"
-    return "halted"
-
-
-def _event_label(event: ControllerEvent) -> str:
-    if isinstance(event, ProdExited):
-        reason = event.reason
-        if isinstance(reason, Completed):
-            return "prod_exited:completed"
-        if isinstance(reason, PolicyViolation):
-            return f"prod_exited:policy_violation:{reason.syscall}"
-        if isinstance(reason, DeniedSyscallHit):
-            return f"prod_exited:denied_syscall:{reason.syscall}"
-        if isinstance(reason, ExploitDetected):
-            return "prod_exited:exploit_detected"
-        return "prod_exited:watchdog_timeout"
-    if isinstance(event, OracleFinished):
-        outcome = event.outcome
-        if isinstance(outcome, Benign):
-            return "oracle_finished:benign"
-        if isinstance(outcome, Malicious):
-            return "oracle_finished:malicious"
-        return "oracle_finished:watchdog_timeout"
-    if isinstance(event, WatchdogFired):
-        return "watchdog_fired"
-    return "shutdown"
-
-
-def _action_label(action: ControllerAction) -> str:
-    if isinstance(action, StartProduction):
-        return "start_production"
-    if isinstance(action, StartOracle):
-        return "start_oracle"
-    if isinstance(action, UpdatePolicy):
-        return "update_policy"
-    if isinstance(action, RaiseAlert):
-        return "raise_alert"
-    return "log_event"
+def _transition_fragment(from_state: str, event: str, to_state: str, actions: tuple) -> str:
+    """What an indented transition row holds between its at_ms and epoch values."""
+    body = json.dumps(
+        {"from": from_state, "event": event, "to": to_state, "actions": list(actions)}, indent=2
+    )
+    # Drop the braces and indent the members from depth 1 to depth 3.
+    members = body[1:-2].replace("\n", "\n    ")
+    return f',{members},\n      "epoch": '
 
 
 class SessionDriver:
@@ -367,10 +391,10 @@ class SessionDriver:
         self.transition_trace.append(
             Transition(
                 at_ms=self.now,
-                from_state=_state_label(before),
-                event=_event_label(event),
-                to_state=_state_label(self.state),
-                actions=tuple(_action_label(a) for a in actions),
+                from_state=before.label,
+                event=event.label,
+                to_state=self.state.label,
+                actions=tuple([a.label for a in actions]),
                 epoch=self.policy.epoch,
             )
         )

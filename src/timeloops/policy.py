@@ -9,6 +9,7 @@ policy change implies a container restart.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -174,6 +175,8 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
                 source=obj["source"],
                 timestamp_ms=float(obj["timestamp_ms"]),
             )
+            if not math.isfinite(entry.timestamp_ms):
+                raise ValueError(f"timestamp_ms must be finite, got {entry.timestamp_ms!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"policy log line {lineno}: {exc}") from exc
         entries.append(entry)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .catalog import SYSCALL_NAME_RE
 from .errors import ParseError, ScenarioError
@@ -48,6 +48,10 @@ class CostModel:
     restart_ms: float = 50.0
 
     def __post_init__(self):
+        for f in fields(self):
+            # NaN fails every comparison below, and would silently drop costs.
+            if not math.isfinite(getattr(self, f.name)):
+                raise ScenarioError(f"{f.name} must be finite")
         if self.base_request_ms < 0:
             raise ScenarioError("base_request_ms must be non-negative")
         if self.production_per_syscall_ms <= 0:
@@ -132,10 +136,14 @@ class ServiceSpec:
 
 
 # --- container exit encodings -------------------------------------------------
+#
+# Each exit reason and oracle outcome carries the ``label`` that names it in
+# the controller's transition trace.
 
 @dataclass(frozen=True)
 class Completed:
     response: str
+    label: ClassVar[str] = "completed"
 
 
 @dataclass(frozen=True)
@@ -143,10 +151,15 @@ class PolicyViolation:
     syscall: str
     at_index: int
 
+    @property
+    def label(self) -> str:
+        return f"policy_violation:{self.syscall}"
+
 
 @dataclass(frozen=True)
 class ExploitDetected:
     report: str
+    label: ClassVar[str] = "exploit_detected"
 
 
 @dataclass(frozen=True)
@@ -154,11 +167,16 @@ class WatchdogTimeout:
     """Oracle lifetime expired mid-run; carries syscalls observed so far."""
 
     observed: frozenset[str] = field(default_factory=frozenset)
+    label: ClassVar[str] = "watchdog_timeout"
 
 
 @dataclass(frozen=True)
 class DeniedSyscallHit:
     syscall: str
+
+    @property
+    def label(self) -> str:
+        return f"denied_syscall:{self.syscall}"
 
 
 ExitReason = Completed | PolicyViolation | ExploitDetected | WatchdogTimeout | DeniedSyscallHit
@@ -167,11 +185,13 @@ ExitReason = Completed | PolicyViolation | ExploitDetected | WatchdogTimeout | D
 @dataclass(frozen=True)
 class Benign:
     observed: frozenset[str]
+    label: ClassVar[str] = "benign"
 
 
 @dataclass(frozen=True)
 class Malicious:
     report: str
+    label: ClassVar[str] = "malicious"
 
 
 OracleOutcome = Benign | Malicious | WatchdogTimeout
@@ -185,16 +205,22 @@ def run_production(
     The walk stops at the first syscall outside the allow-list; nothing
     past that point executes. Production performs no exploit detection,
     so a hijacked run that stays within the allow-list completes normally.
+
+    The whole trace is first checked against the allow-list in one set
+    operation; the trace is walked for the violating syscall and its
+    ``at_index`` only when that check fails. The verdict and ``at_index``
+    are the same as a walk from the start would give.
     """
     cost = spec.cost_model
     behavior = spec.handlers.get(request)
     if behavior is None:
         return Completed(UNKNOWN_REQUEST_RESPONSE), cost.production_elapsed(0)
     trace = behavior.effective_trace()
-    for index, syscall in enumerate(trace):
-        if not policy.allows(syscall):
-            return PolicyViolation(syscall, index), cost.production_elapsed(index)
-    return Completed(behavior.response), cost.production_elapsed(len(trace))
+    allow = policy.allow
+    if allow.issuperset(trace):
+        return Completed(behavior.response), cost.production_elapsed(len(trace))
+    index = next(i for i, syscall in enumerate(trace) if syscall not in allow)
+    return PolicyViolation(trace[index], index), cost.production_elapsed(index)
 
 
 def run_oracle(

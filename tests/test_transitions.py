@@ -1,0 +1,196 @@
+"""The transition vocabulary of session.json, and the renderer that writes it."""
+
+import itertools
+import json
+import math
+
+import pytest
+from conftest import spec_workload_deny
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timeloops.controller import (
+    ORACLE_MODES,
+    ControllerConfig,
+    Halted,
+    OracleFinished,
+    OracleRunning,
+    ProdExited,
+    ProductionRunning,
+    SessionDriver,
+    SessionResult,
+    Shutdown,
+    Transition,
+    WatchdogFired,
+    run_session,
+    step,
+)
+from timeloops.errors import IllegalTransition
+from timeloops.policy import new_policy
+from timeloops.simruntime import (
+    Benign,
+    Completed,
+    CostModel,
+    DeniedSyscallHit,
+    ExploitDetected,
+    ExploitSpec,
+    Malicious,
+    PolicyViolation,
+    RequestBehavior,
+    ServiceSpec,
+    WatchdogTimeout,
+)
+from timeloops.workload import Request
+
+SINGLE = ControllerConfig()
+WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
+
+STATES = {
+    "production": ProductionRunning(epoch=1),
+    "oracle": OracleRunning(epoch=1),
+    "halted": Halted(),
+}
+EVENTS = {
+    "completed": ProdExited(Completed("ok")),
+    "violation": ProdExited(PolicyViolation("write", 0)),
+    "exploit": ProdExited(ExploitDetected("report")),
+    "prod_watchdog": ProdExited(WatchdogTimeout()),
+    "denied": ProdExited(DeniedSyscallHit("mount")),
+    "benign": OracleFinished(Benign(frozenset({"read"}))),
+    "malicious": OracleFinished(Malicious("report")),
+    "oracle_watchdog": OracleFinished(WatchdogTimeout()),
+    "watchdog_fired": WatchdogFired(),
+    "shutdown": Shutdown(),
+}
+
+# (state, event, config) -> (from, event, to, actions) as session.json spells them.
+VOCABULARY = {
+    ("production", "completed", "single"): (
+        "production_running", "prod_exited:completed", "production_running", ("log_event",)),
+    ("production", "violation", "single"): (
+        "production_running", "prod_exited:policy_violation:write", "oracle_running",
+        ("start_oracle",)),
+    ("production", "exploit", "single"): (
+        "production_running", "prod_exited:exploit_detected", "production_running",
+        ("raise_alert", "start_production")),
+    ("production", "denied", "single"): (
+        "production_running", "prod_exited:denied_syscall:mount", "production_running",
+        ("raise_alert", "start_production")),
+    ("oracle", "benign", "single"): (
+        "oracle_running", "oracle_finished:benign", "production_running",
+        ("update_policy", "start_production")),
+    ("oracle", "benign", "watchdog"): (
+        "oracle_running", "oracle_finished:benign", "oracle_running", ("update_policy",)),
+    ("oracle", "malicious", "single"): (
+        "oracle_running", "oracle_finished:malicious", "production_running",
+        ("raise_alert", "start_production")),
+    ("oracle", "oracle_watchdog", "single"): (
+        "oracle_running", "oracle_finished:watchdog_timeout", "production_running",
+        ("log_event", "start_production")),
+    ("oracle", "watchdog_fired", "single"): (
+        "oracle_running", "watchdog_fired", "production_running", ("start_production",)),
+    ("production", "shutdown", "single"): (
+        "production_running", "shutdown", "halted", ("log_event",)),
+    ("oracle", "shutdown", "single"): ("oracle_running", "shutdown", "halted", ("log_event",)),
+    ("halted", "shutdown", "single"): ("halted", "shutdown", "halted", ("log_event",)),
+}
+CONFIGS = {"single": SINGLE, "watchdog": WATCHDOG}
+
+
+def _spec(handlers, extra=()):
+    universe = set()
+    for behavior in handlers.values():
+        universe.update(behavior.trace)
+    return ServiceSpec(
+        name="svc",
+        handlers=handlers,
+        static_universe=frozenset(universe),
+        oracle_extra=frozenset(extra),
+        cost_model=CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
+                             oracle_slowdown_factor=2.0, restart_ms=5.0),
+    )
+
+
+def _requests(*keys):
+    return [Request(logical_id=i, key=k) for i, k in enumerate(keys)]
+
+
+def _assert_renders_like_json(result):
+    assert result.to_json() == json.dumps(result.to_json_dict(), indent=2)
+
+
+def test_vocabulary_covers_every_pair_step_accepts():
+    accepted = set()
+    for (state, event), mode in itertools.product(
+        itertools.product(STATES, EVENTS), CONFIGS
+    ):
+        try:
+            step(STATES[state], EVENTS[event], CONFIGS[mode])
+        except IllegalTransition:
+            continue
+        accepted.add((state, event, mode))
+    # The watchdog oracle mode changes only what a benign verdict does.
+    pinned = set(VOCABULARY) | {
+        (state, event, "watchdog") for state, event, mode in VOCABULARY
+        if (state, event) != ("oracle", "benign")
+    }
+    assert accepted == pinned
+
+
+@pytest.mark.parametrize("pair", sorted(VOCABULARY), ids="-".join)
+def test_transition_labels_are_pinned(pair):
+    state, event, mode = pair
+    driver = SessionDriver(_spec({}), CONFIGS[mode])
+    driver.state = STATES[state]
+    driver._transition(EVENTS[event])
+    t = driver.transition_trace[-1]
+    assert (t.from_state, t.event, t.to_state, t.actions) == VOCABULARY[pair]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=spec_workload_deny(), oracle_mode=st.sampled_from(ORACLE_MODES))
+def test_to_json_equals_the_indented_dump(bundle, oracle_mode):
+    spec, workload, deny = bundle
+    result = run_session(spec, workload, ControllerConfig(oracle_mode=oracle_mode, deny=deny))
+    assert result.transition_trace
+    _assert_renders_like_json(result)
+
+
+def test_unhardened_session_renders_an_empty_transition_list():
+    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    result = run_session(spec, _requests("r", "r"), mode="unhardened")
+    assert result.transition_trace == []
+    _assert_renders_like_json(result)
+    assert '\n  "transitions": [],\n' in result.to_json()
+
+
+def test_alerts_and_denied_syscall_events_render_like_json():
+    undetectable = ExploitSpec(kind="oracle_undetectable", corruption_index=1,
+                               injected=("mount",))
+    detectable = ExploitSpec(kind="oracle_detectable", corruption_index=1,
+                             injected=("ptrace",))
+    spec = _spec({
+        "good": RequestBehavior(trace=("read", "write")),
+        'deny "é"': RequestBehavior(trace=("read",), exploit=undetectable),
+        "evil\n": RequestBehavior(trace=("read", "write"), exploit=detectable),
+    })
+    result = run_session(spec, _requests("good", 'deny "é"', "evil\n", "good"),
+                         ControllerConfig(deny=frozenset({"mount"})))
+    assert len(result.alerts) == 2
+    assert any(t.event == "prod_exited:denied_syscall:mount" for t in result.transition_trace)
+    _assert_renders_like_json(result)
+
+
+@pytest.mark.parametrize("at_ms", [math.inf, -math.inf, math.nan, 1e300, 0.1])
+def test_transition_times_render_like_json(at_ms):
+    result = SessionResult(
+        final_policy=new_policy(), policy_log=[], latency_records=[], alerts=[],
+        transition_trace=[
+            Transition(at_ms=0.0, from_state="production_running", event="shutdown",
+                       to_state="halted", actions=("log_event",), epoch=0),
+            Transition(at_ms=at_ms, from_state="halted", event="shutdown",
+                       to_state="halted", actions=(), epoch=0),
+        ],
+        consultations=0,
+    )
+    _assert_renders_like_json(result)
