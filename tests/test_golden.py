@@ -26,7 +26,7 @@ def _argv(extra, out):
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_simulate_artifacts_match_golden(tmp_path, capsys, run):
+def test_simulate_artifacts_match_golden(tmp_path, run):
     assert main(_argv(RUNS[run], tmp_path)) == 0
     golden = GOLDEN_DIR / "simulate" / run
     assert sorted(p.name for p in golden.iterdir()) == sorted(ARTIFACTS)
