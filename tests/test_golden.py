@@ -12,22 +12,30 @@ from timeloops.cli import main
 
 ARTIFACTS = ("latency.csv", "cumulative.csv", "session.json", "policy.log", "profile.json")
 
+MIX = "home=8,search=1,upload=1"
+ATTACK_MIX = MIX + ",probe-cat1=1,probe-cat2=1,probe-cat3=1,probe-cat4=1"
+
+# run name -> (scenario file, mix, extra simulate flags)
 RUNS = {
-    "default": [],
-    "watchdog": ["--oracle-mode", "watchdog"],
-    "podman": ["--deny-preset", "podman"],
+    "default": ("staticsite.json", MIX, []),
+    "watchdog": ("staticsite.json", MIX, ["--oracle-mode", "watchdog"]),
+    "podman": ("staticsite.json", MIX, ["--deny-preset", "podman"]),
+    "hardened": ("staticsite.json", MIX, ["--mode", "hardened"]),
+    "unhardened": ("staticsite.json", MIX, ["--mode", "unhardened"]),
+    "pretrain": ("staticsite.json", MIX, ["--pretrain", "home,search"]),
+    "attacks": ("staticsite_attacks.json", ATTACK_MIX, ["--deny-preset", "podman"]),
 }
 
 
-def _argv(extra, out):
-    return ["simulate", "--scenario", str(SCENARIO_DIR / "staticsite.json"),
-            "--n", "300", "--seed", "7", "--mix", "home=8,search=1,upload=1",
-            *extra, "--out", str(out)]
+def _argv(run, out):
+    scenario, mix, extra = RUNS[run]
+    return ["simulate", "--scenario", str(SCENARIO_DIR / scenario),
+            "--n", "300", "--seed", "7", "--mix", mix, *extra, "--out", str(out)]
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_simulate_artifacts_match_golden(tmp_path, run):
-    assert main(_argv(RUNS[run], tmp_path)) == 0
+    assert main(_argv(run, tmp_path)) == 0
     golden = GOLDEN_DIR / "simulate" / run
     assert sorted(p.name for p in golden.iterdir()) == sorted(ARTIFACTS)
     for name in ARTIFACTS:
