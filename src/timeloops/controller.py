@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from . import workload as workload_mod
 from .errors import (
@@ -48,8 +49,9 @@ SESSION_MODES = ("timeloops", "unhardened", "hardened")
 # --- states, events, actions --------------------------------------------------
 #
 # Each carries the ``label`` that names it in the transition trace and in
-# session.json; an event's label includes its exit reason or outcome, and is
-# interned so that a long trace holds one copy of each distinct label.
+# session.json; an event's label includes its exit reason or outcome, is
+# computed once per event, and is interned so that a long trace holds one
+# copy of each distinct label.
 
 @dataclass(frozen=True)
 class ProductionRunning:
@@ -62,7 +64,6 @@ class OracleRunning:
     epoch: int = 0
     # Stamped by the driver when the oracle container actually starts.
     oracle_started_ms: float = 0.0
-    requests_served: int = 0
     label: ClassVar[str] = "oracle_running"
 
 
@@ -79,7 +80,7 @@ ControllerState = ProductionRunning | OracleRunning | Halted
 class ProdExited:
     reason: ExitReason
 
-    @property
+    @cached_property
     def label(self) -> str:
         return sys.intern(f"prod_exited:{self.reason.label}")
 
@@ -88,7 +89,7 @@ class ProdExited:
 class OracleFinished:
     outcome: OracleOutcome
 
-    @property
+    @cached_property
     def label(self) -> str:
         return sys.intern(f"oracle_finished:{self.outcome.label}")
 
@@ -154,8 +155,10 @@ class ControllerConfig:
             raise ConfigError(f"watchdog_ms must be positive and finite, got {self.watchdog_ms!r}")
 
 
-# Served requests are the common case; actions are immutable, so share one.
+# Served requests are the common case; actions are immutable, so share one
+# tuple, and label it once.
 _SERVED = (LogEvent("production served request"),)
+_SERVED_LABELS = tuple(a.label for a in _SERVED)
 
 
 def step(
@@ -188,10 +191,7 @@ def step(
         outcome = event.outcome
         if isinstance(outcome, Benign):
             if config.oracle_mode == "until_watchdog":
-                return (
-                    replace(state, requests_served=state.requests_served + 1),
-                    (UpdatePolicy(outcome.observed),),
-                )
+                return state, (UpdatePolicy(outcome.observed),)
             return (
                 ProductionRunning(epoch=state.epoch),
                 (UpdatePolicy(outcome.observed), StartProduction()),
@@ -223,8 +223,10 @@ class Alert:
     at_ms: float
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One row of the transition trace; tuple-backed, as a long session
+    records one per event."""
+
     at_ms: float
     from_state: str
     event: str
@@ -290,15 +292,14 @@ class SessionResult:
             return text
         fragments: dict[tuple, str] = {}
         rows = []
-        for t in self.transition_trace:
-            key = (t.from_state, t.event, t.to_state, t.actions)
+        for at, from_state, event, to_state, actions, epoch in self.transition_trace:
+            key = (from_state, event, to_state, actions)
             middle = fragments.get(key)
             if middle is None:
                 middle = fragments[key] = _transition_fragment(*key)
-            at = t.at_ms
             # json spells the non-finite floats its own way.
             at_text = repr(at) if math.isfinite(at) else json.dumps(at)
-            rows.append(f'    {{\n      "at_ms": {at_text}{middle}{t.epoch}\n    }}')
+            rows.append(f'    {{\n      "at_ms": {at_text}{middle}{epoch}\n    }}')
         # A JSON string holds no raw newline, so this matches only the key.
         return text.replace(
             '\n  "transitions": []', '\n  "transitions": [\n' + ",\n".join(rows) + "\n  ]", 1
@@ -347,6 +348,9 @@ class SessionDriver:
         self.transition_trace: list[Transition] = []
         self.consultations = 0
         self._current_request_id: int | None = None
+        # request key -> the event of its last completed production run; a
+        # handler's completions share one result, so they share one event.
+        self._completions: dict[str, ProdExited] = {}
 
     # -- plumbing
 
@@ -357,15 +361,13 @@ class SessionDriver:
     def _transition(self, event: ControllerEvent) -> bool:
         """Apply one event; returns True if the attempt was rejected by an alert."""
         before = self.state
-        after, actions = step(before, event, self.config)
-        self.state = after
+        state, actions = step(before, event, self.config)
         rejected = False
+        oracle_started_ms = None
         restart = self.spec.cost_model.restart_ms
         for action in actions:
             if isinstance(action, StartOracle):
-                started = self.now + restart
-                self.ready_at = started
-                self.state = replace(self.state, oracle_started_ms=started)
+                oracle_started_ms = self.ready_at = self.now + restart
             elif isinstance(action, StartProduction):
                 self.ready_at = self.now + restart
             elif isinstance(action, UpdatePolicy):
@@ -385,18 +387,19 @@ class SessionDriver:
             elif isinstance(action, RaiseAlert):
                 self._alert(action.report)
                 rejected = True
-        if isinstance(self.state, (ProductionRunning, OracleRunning)):
-            if self.state.epoch != self.policy.epoch:
-                self.state = replace(self.state, epoch=self.policy.epoch)
+        # The running state carries the current epoch, and an oracle state
+        # the time its container started.
+        epoch = self.policy.epoch
+        if isinstance(state, OracleRunning):
+            if oracle_started_ms is None:
+                oracle_started_ms = state.oracle_started_ms
+            state = OracleRunning(epoch=epoch, oracle_started_ms=oracle_started_ms)
+        elif isinstance(state, ProductionRunning) and state.epoch != epoch:
+            state = ProductionRunning(epoch=epoch)
+        self.state = state
+        labels = _SERVED_LABELS if actions is _SERVED else tuple([a.label for a in actions])
         self.transition_trace.append(
-            Transition(
-                at_ms=self.now,
-                from_state=before.label,
-                event=event.label,
-                to_state=self.state.label,
-                actions=tuple([a.label for a in actions]),
-                epoch=self.policy.epoch,
-            )
+            Transition(self.now, before.label, event.label, state.label, labels, epoch)
         )
         return rejected
 
@@ -409,13 +412,13 @@ class SessionDriver:
     def attempt(self, request: "workload_mod.Request") -> str:
         """Process one attempt; returns 'served', 'failed' or 'rejected'."""
         self._current_request_id = request.logical_id
-        if self.mode == "unhardened":
-            _, elapsed = run_unrestricted(self.spec, request.key)
-            self.now += elapsed
-            return "served"
+        if self.mode == "timeloops":
+            return self._attempt_timeloops(request)
         if self.mode == "hardened":
             return self._attempt_hardened(request)
-        return self._attempt_timeloops(request)
+        _, elapsed = run_unrestricted(self.spec, request.key)
+        self.now += elapsed
+        return "served"
 
     def _attempt_hardened(self, request: "workload_mod.Request") -> str:
         # Permanently instrumented deployment: every request pays the oracle
@@ -439,7 +442,10 @@ class SessionDriver:
             reason, elapsed = run_production(self.spec, self.policy, request.key)
             self.now += elapsed
             if isinstance(reason, Completed):
-                self._transition(ProdExited(reason))
+                event = self._completions.get(request.key)
+                if event is None or event.reason is not reason:
+                    event = self._completions[request.key] = ProdExited(reason)
+                self._transition(event)
                 return "served"
             # The audit log names the blocked syscall, so the controller can
             # spot a deny-list hit without consulting the oracle.

@@ -93,17 +93,24 @@ def extend(
     Idempotent: if every syscall is already allowed the policy is returned
     unchanged with no log entry. Raises :class:`DeniedSyscall` (leaving the
     policy untouched) if any requested syscall is on the deny-list.
+
+    Only names not yet allowed are validated. Every name this package puts
+    in an allow-list was validated on the way in: here, in the profile
+    loader, or as part of a scenario's static universe.
     """
-    new = frozenset(validate_syscall_name(s) for s in new)
+    allow = policy.allow
+    new = frozenset(
+        s if isinstance(s, str) and s in allow else validate_syscall_name(s) for s in new
+    )
     denied = new & policy.deny
     if denied:
         raise DeniedSyscall(denied)
-    fresh = new - policy.allow
+    fresh = new - allow
     if not fresh:
         return policy, None
     grown = SyscallPolicy(
         epoch=policy.epoch + 1,
-        allow=policy.allow | fresh,
+        allow=allow | fresh,
         deny=policy.deny,
     )
     entry = PolicyLogEntry(

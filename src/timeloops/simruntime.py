@@ -111,17 +111,31 @@ class RequestBehavior:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """A declared service: handlers, reachable-code universe, oracle extras."""
+    """A declared service: handlers, reachable-code universe, oracle extras.
+
+    The handlers are fixed at construction: each one's effective trace and
+    the result of a run that completes are computed once, into ``runs``.
+    """
 
     name: str
     handlers: Mapping[str, RequestBehavior]
     static_universe: frozenset[str] = field(default_factory=frozenset)
     oracle_extra: frozenset[str] = field(default_factory=frozenset)
     cost_model: CostModel = field(default_factory=CostModel)
+    #: request key -> (effective trace, the shared ``(Completed, elapsed)``
+    #: result of a run that completes it)
+    runs: Mapping[str, tuple[tuple[str, ...], tuple[Completed, float]]] = field(
+        init=False, repr=False, compare=False
+    )
+    #: the run of a request key with no declared handler
+    unknown_run: tuple[tuple[str, ...], tuple[Completed, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "static_universe", frozenset(_check_names(self.static_universe, "static universe")))
         object.__setattr__(self, "oracle_extra", frozenset(_check_names(self.oracle_extra, "oracle extra")))
+        runs = {}
         for key, behavior in self.handlers.items():
             injected = set(behavior.exploit.injected) if behavior.exploit else set()
             stray = set(behavior.trace) - self.static_universe - injected
@@ -130,6 +144,14 @@ class ServiceSpec:
                     f"handler {key!r} uses syscalls outside the static universe: "
                     + ", ".join(sorted(stray))
                 )
+            trace = behavior.effective_trace()
+            completed = Completed(behavior.response), self.cost_model.production_elapsed(len(trace))
+            runs[key] = trace, completed
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(
+            self, "unknown_run",
+            ((), (Completed(UNKNOWN_REQUEST_RESPONSE), self.cost_model.production_elapsed(0))),
+        )
 
     def benign_handlers(self) -> dict[str, RequestBehavior]:
         return {k: b for k, b in self.handlers.items() if b.exploit is None}
@@ -207,20 +229,17 @@ def run_production(
     so a hijacked run that stays within the allow-list completes normally.
 
     The whole trace is first checked against the allow-list in one set
-    operation; the trace is walked for the violating syscall and its
-    ``at_index`` only when that check fails. The verdict and ``at_index``
-    are the same as a walk from the start would give.
+    operation; a run that passes returns the handler's shared result, and
+    the trace is walked for the violating syscall and its ``at_index`` only
+    when the check fails. The verdict and ``at_index`` are the same as a
+    walk from the start would give.
     """
-    cost = spec.cost_model
-    behavior = spec.handlers.get(request)
-    if behavior is None:
-        return Completed(UNKNOWN_REQUEST_RESPONSE), cost.production_elapsed(0)
-    trace = behavior.effective_trace()
+    trace, completed = spec.runs.get(request, spec.unknown_run)
     allow = policy.allow
     if allow.issuperset(trace):
-        return Completed(behavior.response), cost.production_elapsed(len(trace))
+        return completed
     index = next(i for i, syscall in enumerate(trace) if syscall not in allow)
-    return PolicyViolation(trace[index], index), cost.production_elapsed(index)
+    return PolicyViolation(trace[index], index), spec.cost_model.production_elapsed(index)
 
 
 def run_oracle(
@@ -268,12 +287,7 @@ def run_oracle(
 
 def run_unrestricted(spec: ServiceSpec, request: str) -> tuple[Completed, float]:
     """Execute a request with no filter and no instrumentation (baseline cost)."""
-    cost = spec.cost_model
-    behavior = spec.handlers.get(request)
-    if behavior is None:
-        return Completed(UNKNOWN_REQUEST_RESPONSE), cost.production_elapsed(0)
-    trace = behavior.effective_trace()
-    return Completed(behavior.response), cost.production_elapsed(len(trace))
+    return spec.runs.get(request, spec.unknown_run)[1]
 
 
 def _corruption_report(request: str, index: int) -> str:

@@ -11,29 +11,35 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from .simruntime import ServiceSpec
 
 OUTCOMES = ("served", "rejected_malicious")
 
+# Attempt statuses that end a logical request, and the outcome each records.
+_OUTCOME_OF_STATUS = {"served": "served", "rejected": "rejected_malicious"}
+
 LATENCY_CSV_HEADER = "logical_id,key,attempts,first_attempt_ms,completion_ms,latency_ms,outcome"
 
 
-@dataclass(frozen=True)
-class Request:
+# Requests and latency records are tuple-backed: a long session makes one of
+# each per logical request, and a tuple is far cheaper to build than a frozen
+# dataclass.
+
+class Request(NamedTuple):
     logical_id: int
     key: str
 
 
-@dataclass(frozen=True)
-class LatencyRecord:
+class _LatencyFields(NamedTuple):
     logical_id: int
     key: str
     attempts: int
@@ -41,13 +47,21 @@ class LatencyRecord:
     completion_ms: float
     outcome: str
 
-    def __post_init__(self):
-        if self.attempts < 1:
+
+class LatencyRecord(_LatencyFields):
+    __slots__ = ()
+
+    def __new__(cls, logical_id: int, key: str, attempts: int,
+                first_attempt_ms: float, completion_ms: float, outcome: str):
+        if attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.completion_ms < self.first_attempt_ms:
+        if completion_ms < first_attempt_ms:
             raise ValueError("completion precedes first attempt")
-        if self.outcome not in OUTCOMES:
-            raise ValueError(f"unknown outcome: {self.outcome!r}")
+        if outcome not in OUTCOMES:
+            raise ValueError(f"unknown outcome: {outcome!r}")
+        return tuple.__new__(
+            cls, (logical_id, key, attempts, first_attempt_ms, completion_ms, outcome)
+        )
 
     @property
     def latency_ms(self) -> float:
@@ -72,28 +86,12 @@ def send_with_retry(request: Request, driver, max_attempts: int = 16) -> Latency
     """
     if max_attempts < 1:
         raise ConfigError("max_attempts must be >= 1")
-    first_attempt_ms: float | None = None
+    first_attempt_ms = driver.now
     for attempt in range(1, max_attempts + 1):
-        if first_attempt_ms is None:
-            first_attempt_ms = driver.now
-        status = driver.attempt(request)
-        if status == "served":
+        outcome = _OUTCOME_OF_STATUS.get(driver.attempt(request))
+        if outcome is not None:
             return LatencyRecord(
-                logical_id=request.logical_id,
-                key=request.key,
-                attempts=attempt,
-                first_attempt_ms=first_attempt_ms,
-                completion_ms=driver.now,
-                outcome="served",
-            )
-        if status == "rejected":
-            return LatencyRecord(
-                logical_id=request.logical_id,
-                key=request.key,
-                attempts=attempt,
-                first_attempt_ms=first_attempt_ms,
-                completion_ms=driver.now,
-                outcome="rejected_malicious",
+                request.logical_id, request.key, attempt, first_attempt_ms, driver.now, outcome
             )
     raise AttemptsExhausted(
         f"request {request.logical_id} ({request.key!r}) failed {max_attempts} attempts"
@@ -117,7 +115,30 @@ def generate_workload(
         raise ConfigError("mix keys without handlers: " + ", ".join(unknown))
     rng = random.Random(seed)
     chosen = rng.choices(keys, weights=weights, k=n) if n > 0 else []
-    return [Request(logical_id=i, key=k) for i, k in enumerate(chosen)]
+    return [Request(i, k) for i, k in enumerate(chosen)]
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of an ascending list, by linear interpolation
+    between order statistics (Hyndman and Fan's type 7).
+
+    The arithmetic is the reference one, to the bit: the virtual index is
+    ``(n - 1) * q``; at or past the last element both neighbours are the
+    last element, taken at index -1; and a weight of one half or more
+    interpolates down from the upper neighbour.
+    """
+    last = len(ordered) - 1
+    virtual = last * q
+    if virtual >= last:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    a, b = ordered[below], ordered[above]
+    t = virtual - below
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 def summarize(records: Sequence[LatencyRecord]) -> LatencyStats:
@@ -125,31 +146,47 @@ def summarize(records: Sequence[LatencyRecord]) -> LatencyStats:
     order statistics, so e.g. the p50 of [1, 2, 3, 4] is 2.5."""
     if not records:
         raise EmptyRecords("no latency records to summarize")
-    latencies = [r.latency_ms for r in records]
-    cumulative = []
-    total = 0.0
-    for value in latencies:
-        total += value
-        cumulative.append(total)
+    latencies = [r.completion_ms - r.first_attempt_ms for r in records]
+    ordered = sorted(latencies)
     return LatencyStats(
-        mean=float(np.mean(latencies)),
-        p50=float(np.percentile(latencies, 50)),
-        p99=float(np.percentile(latencies, 99)),
-        max=float(np.max(latencies)),
-        cumulative=tuple(cumulative),
+        mean=math.fsum(latencies) / len(latencies),
+        p50=_percentile(ordered, 0.5),
+        p99=_percentile(ordered, 0.99),
+        max=float(ordered[-1]),
+        cumulative=tuple(accumulate(latencies, initial=0.0))[1:],
     )
 
 
-def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it amid other fields of a row.
+
+    Written alone, an empty field would be quoted; the empty trailing field
+    keeps it from being alone.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LATENCY_CSV_HEADER.split(","))
-    for r in sorted(records, key=lambda r: r.logical_id):
-        writer.writerow(
-            [r.logical_id, r.key, r.attempts, r.first_attempt_ms, r.completion_ms,
-             r.latency_ms, r.outcome]
+    csv.writer(out, lineterminator="\n").writerow([value, ""])
+    return out.getvalue()[:-2]
+
+
+def _by_id(records: Sequence[LatencyRecord]) -> list[LatencyRecord]:
+    return sorted(records, key=itemgetter(0))
+
+
+def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
+    """The latency CSV, byte-identical to writing each row with ``csv.writer``.
+
+    Only the key can need quoting; each distinct key is quoted once.
+    """
+    keys: dict = {}
+    rows = [LATENCY_CSV_HEADER + "\n"]
+    for logical_id, key, attempts, first, completion, outcome in _by_id(records):
+        quoted = keys.get(key)
+        if quoted is None:
+            quoted = keys[key] = _csv_field(key)
+        rows.append(
+            f"{logical_id},{quoted},{attempts},{first},{completion},{completion - first},{outcome}\n"
         )
-    return out.getvalue()
+    return "".join(rows)
 
 
 def write_latency_csv(records: Sequence[LatencyRecord], path: str | Path) -> None:
@@ -158,15 +195,12 @@ def write_latency_csv(records: Sequence[LatencyRecord], path: str | Path) -> Non
 
 def render_cumulative_csv(records: Sequence[LatencyRecord]) -> str:
     """Running latency sum by request order: the convergence-plot series."""
-    ordered = sorted(records, key=lambda r: r.logical_id)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["logical_id", "cumulative_latency_ms"])
+    rows = ["logical_id,cumulative_latency_ms\n"]
     total = 0.0
-    for r in ordered:
-        total += r.latency_ms
-        writer.writerow([r.logical_id, total])
-    return out.getvalue()
+    for logical_id, _, _, first, completion, _ in _by_id(records):
+        total += completion - first
+        rows.append(f"{logical_id},{total}\n")
+    return "".join(rows)
 
 
 def write_cumulative_csv(records: Sequence[LatencyRecord], path: str | Path) -> None:

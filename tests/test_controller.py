@@ -93,9 +93,9 @@ def test_benign_outcome_updates_policy_and_restarts_production():
 
 def test_benign_outcome_keeps_oracle_alive_until_watchdog():
     observed = frozenset({"read"})
-    before = OracleRunning(epoch=0, oracle_started_ms=7.0, requests_served=2)
+    before = OracleRunning(epoch=0, oracle_started_ms=7.0)
     state, actions = step(before, OracleFinished(Benign(observed)), CFG_WATCHDOG)
-    assert state == OracleRunning(epoch=0, oracle_started_ms=7.0, requests_served=3)
+    assert state == OracleRunning(epoch=0, oracle_started_ms=7.0)
     assert actions == (UpdatePolicy(observed),)
 
 

@@ -74,6 +74,16 @@ def test_extend_denied_leaves_policy_unchanged():
     assert p.epoch == 0
 
 
+@pytest.mark.parametrize("allowed", [(), ("read", "write")])
+@pytest.mark.parametrize("bad", [7, None, ["read"], {"read"}, "Read", "", "read;"])
+def test_extend_rejects_a_bad_name_before_a_denied_one(allowed, bad):
+    policy, _ = extend(new_policy({"clock_settime"}), allowed)
+    with pytest.raises(ParseError):
+        extend(policy, ["clock_settime", *allowed, bad])
+    with pytest.raises(ParseError):
+        extend(policy, [bad, "clock_settime"])
+
+
 def test_allows_membership():
     p = new_policy()
     assert not p.allows("read")

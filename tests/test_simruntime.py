@@ -1,6 +1,8 @@
+import dataclasses
 import math
 
 import pytest
+from conftest import DENY_POOL, SYSCALL_POOL, service_specs
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from timeloops.policy import SyscallPolicy, new_policy
 from timeloops.simruntime import (
     Benign,
     Completed,
+    EXPLOIT_KINDS,
     CostModel,
     ExploitSpec,
     Malicious,
@@ -21,6 +24,7 @@ from timeloops.simruntime import (
     load_scenario,
     run_oracle,
     run_production,
+    run_unrestricted,
     static_universe_of,
 )
 
@@ -74,6 +78,57 @@ def test_production_unknown_request_completes_with_error_token():
     reason, elapsed = run_production(spec, new_policy(), "nope")
     assert reason == Completed(UNKNOWN_REQUEST_RESPONSE)
     assert elapsed == 1.0
+
+
+@st.composite
+def _specs_with_exploits(draw):
+    """Random services whose handlers may carry an exploit annotation."""
+    spec = draw(service_specs())
+    handlers = {}
+    for key, behavior in spec.handlers.items():
+        exploit = None
+        if draw(st.booleans()):
+            exploit = ExploitSpec(
+                kind=draw(st.sampled_from(EXPLOIT_KINDS)),
+                corruption_index=draw(st.integers(0, len(behavior.trace))),
+                injected=tuple(draw(st.lists(st.sampled_from(SYSCALL_POOL + DENY_POOL),
+                                             max_size=3))),
+            )
+        handlers[key] = dataclasses.replace(behavior, exploit=exploit)
+    return dataclasses.replace(spec, handlers=handlers)
+
+
+def _walk(spec, policy, request):
+    """Production run by a plain walk of the trace from its first syscall."""
+    cost = spec.cost_model
+    behavior = spec.handlers.get(request)
+    if behavior is None:
+        return Completed(UNKNOWN_REQUEST_RESPONSE), cost.production_elapsed(0)
+    trace = behavior.effective_trace()
+    for index, syscall in enumerate(trace):
+        if syscall not in policy.allow:
+            return PolicyViolation(syscall, index), cost.production_elapsed(index)
+    return Completed(behavior.response), cost.production_elapsed(len(trace))
+
+
+@given(spec=_specs_with_exploits(), data=st.data())
+def test_production_and_unrestricted_runs_match_a_trace_walk(spec, data):
+    allow = frozenset(data.draw(st.lists(st.sampled_from(SYSCALL_POOL + DENY_POOL))))
+    policy = SyscallPolicy(epoch=data.draw(st.integers(0, 9)), allow=allow)
+    request = data.draw(st.sampled_from(sorted(spec.handlers) + ["nope"]))
+    assert run_production(spec, policy, request) == _walk(spec, policy, request)
+    unrestricted = _walk(spec, SyscallPolicy(allow=frozenset(SYSCALL_POOL + DENY_POOL)), request)
+    assert run_unrestricted(spec, request) == unrestricted
+
+
+@given(spec=_specs_with_exploits(), data=st.data())
+def test_passing_runs_share_one_result(spec, data):
+    request = data.draw(st.sampled_from(sorted(spec.handlers) + ["nope"]))
+    everything = SyscallPolicy(allow=frozenset(SYSCALL_POOL + DENY_POOL))
+    first = run_production(spec, everything, request)
+    assert isinstance(first[0], Completed)
+    assert run_production(spec, SyscallPolicy(epoch=1, allow=everything.allow), request) is first
+    assert run_unrestricted(spec, request) is run_unrestricted(spec, request) is first
 
 
 def test_oracle_observes_trace_plus_instrumentation_extras():

@@ -1,11 +1,22 @@
+import csv
+import io
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import REPO_ROOT
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timeloops.controller import ControllerConfig, run_session
+from timeloops.controller import ControllerConfig, Transition, run_session
 from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from timeloops.simruntime import CostModel, RequestBehavior, ServiceSpec
 from timeloops.workload import (
+    LATENCY_CSV_HEADER,
+    OUTCOMES,
     LatencyRecord,
     Request,
     generate_workload,
@@ -30,6 +41,13 @@ def _spec(handlers, cost=None):
             oracle_slowdown_factor=2.0,
             restart_ms=5.0,
         ),
+    )
+
+
+def _timed_record(lid, first, completion, outcome="served", key="r"):
+    return LatencyRecord(
+        logical_id=lid, key=key, attempts=1,
+        first_attempt_ms=first, completion_ms=completion, outcome=outcome,
     )
 
 
@@ -146,6 +164,24 @@ def test_p50_linear_interpolation():
     assert stats.cumulative == (1.0, 3.0, 6.0, 10.0)
 
 
+@given(st.lists(st.tuples(st.floats(0.0, 1e9), st.floats(0.0, 1e9)), min_size=1, max_size=80))
+@settings(max_examples=200)
+def test_stats_match_numpy(times):
+    records = [_timed_record(i, first, first + latency) for i, (first, latency) in enumerate(times)]
+    latencies = [r.latency_ms for r in records]
+    stats = summarize(records)
+    assert stats.p50 == float(np.percentile(latencies, 50))
+    assert stats.p99 == float(np.percentile(latencies, 99))
+    assert stats.max == float(np.max(latencies))
+    assert math.isclose(stats.mean, float(np.mean(latencies)), rel_tol=1e-12)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, timeloops.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_empty_records_error():
     with pytest.raises(EmptyRecords):
         summarize([])
@@ -198,3 +234,87 @@ def test_record_invariants():
     with pytest.raises(ValueError):
         LatencyRecord(logical_id=0, key="r", attempts=1,
                       first_attempt_ms=0.0, completion_ms=1.0, outcome="dropped")
+
+
+# Both renderers must stay byte-identical to writing every row with csv.writer.
+
+def _reference_latency_csv(records):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LATENCY_CSV_HEADER.split(","))
+    for r in sorted(records, key=lambda r: r.logical_id):
+        writer.writerow([r.logical_id, r.key, r.attempts, r.first_attempt_ms,
+                         r.completion_ms, r.latency_ms, r.outcome])
+    return out.getvalue()
+
+
+def _reference_cumulative_csv(records):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["logical_id", "cumulative_latency_ms"])
+    total = 0.0
+    for r in sorted(records, key=lambda r: r.logical_id):
+        total += r.latency_ms
+        writer.writerow([r.logical_id, total])
+    return out.getvalue()
+
+
+_KEYS = st.one_of(
+    st.sampled_from(["", ",", '"', 'say "hi"', "a,b", "line\r\nbreak", "\r", "\n",
+                     " padded ", "clé", "日本語", "home"]),
+    st.text(max_size=8),
+)
+_TIMES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, 21.0]),
+    st.floats(),
+)
+
+
+@st.composite
+def _records(draw):
+    first, completion = draw(_TIMES), draw(_TIMES)
+    if completion < first:
+        first, completion = completion, first
+    return LatencyRecord(
+        logical_id=draw(st.integers(0, 30)),
+        key=draw(_KEYS),
+        attempts=draw(st.integers(1, 16)),
+        first_attempt_ms=first,
+        completion_ms=completion,
+        outcome=draw(st.sampled_from(OUTCOMES)),
+    )
+
+
+@given(st.lists(_records(), max_size=25))
+@example([_timed_record(0, 0.0, 1.0, key="")])
+@example([_timed_record(1, -0.0, 0.0, key="a,b"), _timed_record(0, 1e300, math.inf, key='"')])
+@settings(max_examples=300)
+def test_renderers_match_csv_writer(records):
+    assert render_latency_csv(records) == _reference_latency_csv(records)
+    assert render_cumulative_csv(records) == _reference_cumulative_csv(records)
+
+
+def test_records_keep_their_fields_and_reject_assignment():
+    request = Request(logical_id=3, key="home")
+    record = _record(3, 21.0, key="home")
+    row = Transition(at_ms=1.0, from_state="production_running", event="shutdown",
+                     to_state="halted", actions=("log_event",), epoch=2)
+    assert repr(request) == "Request(logical_id=3, key='home')"
+    assert repr(record) == ("LatencyRecord(logical_id=3, key='home', attempts=1, "
+                            "first_attempt_ms=0.0, completion_ms=21.0, outcome='served')")
+    assert record == LatencyRecord(3, "home", 1, 0.0, 21.0, "served")
+    assert Transition._fields == ("at_ms", "from_state", "event", "to_state", "actions", "epoch")
+    for value, field in ((request, "key"), (record, "key"), (record, "latency_ms"),
+                         (row, "epoch"), (request, "extra"), (record, "extra"), (row, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+@pytest.mark.parametrize("args", [
+    (0, "r", 0, 0.0, 1.0, "served"),
+    (0, "r", 1, 2.0, 1.0, "served"),
+    (0, "r", 1, 0.0, 1.0, "dropped"),
+])
+def test_record_invariants_hold_for_positional_construction(args):
+    with pytest.raises(ValueError):
+        LatencyRecord(*args)
