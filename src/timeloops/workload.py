@@ -63,6 +63,11 @@ class LatencyRecord(_LatencyFields):
             cls, (logical_id, key, attempts, first_attempt_ms, completion_ms, outcome)
         )
 
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
+
     @property
     def latency_ms(self) -> float:
         return self.completion_ms - self.first_attempt_ms

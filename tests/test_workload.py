@@ -315,6 +315,10 @@ def test_records_keep_their_fields_and_reject_assignment():
     (0, "r", 1, 2.0, 1.0, "served"),
     (0, "r", 1, 0.0, 1.0, "dropped"),
 ])
-def test_record_invariants_hold_for_positional_construction(args):
+def test_record_invariants_hold_for_every_construction(args):
     with pytest.raises(ValueError):
         LatencyRecord(*args)
+    with pytest.raises(ValueError):
+        LatencyRecord._make(args)
+    with pytest.raises(ValueError):
+        _record(0, 1.0)._replace(**dict(zip(LatencyRecord._fields, args)))
