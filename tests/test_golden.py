@@ -1,8 +1,9 @@
 """Byte-for-byte regression against committed ``simulate`` artifacts.
 
 Each directory under ``tests/golden/simulate`` holds the five artifacts of
-one fixed staticsite run. A change meant to alter them regenerates them
-with the command in ``_argv`` and says so.
+one fixed run, named in ``RUNS`` by its scenario, mix and flags. A change
+meant to alter them regenerates them with the command in ``_argv`` and
+says so.
 """
 
 import pytest
@@ -24,6 +25,11 @@ RUNS = {
     "unhardened": ("staticsite.json", MIX, ["--mode", "unhardened"]),
     "pretrain": ("staticsite.json", MIX, ["--pretrain", "home,search"]),
     "attacks": ("staticsite_attacks.json", ATTACK_MIX, ["--deny-preset", "podman"]),
+    "attacks_watchdog": ("staticsite_attacks.json", ATTACK_MIX,
+                         ["--oracle-mode", "watchdog", "--deny-preset", "podman"]),
+    "pretrain_watchdog": ("staticsite.json", MIX,
+                          ["--oracle-mode", "watchdog", "--watchdog-ms", "100",
+                           "--pretrain", "home"]),
 }
 
 
