@@ -10,7 +10,9 @@ learning system's cumulative curve drops below the hardened one.
 import argparse
 from pathlib import Path
 
+from timeloops.cli import _parse_mix
 from timeloops.controller import ControllerConfig, run_session
+from timeloops.errors import ConfigError
 from timeloops.simruntime import load_scenario, pick_service
 from timeloops.workload import (
     generate_workload,
@@ -33,10 +35,10 @@ def main():
     args = parser.parse_args()
 
     spec = pick_service(load_scenario(args.scenario), args.service)
-    mix = {}
-    for item in args.mix.split(","):
-        key, _, weight = item.partition("=")
-        mix[key] = float(weight)
+    try:
+        mix = _parse_mix(args.mix)
+    except ConfigError as exc:
+        parser.error(str(exc))
     workload = generate_workload(spec, args.n, args.seed, mix)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

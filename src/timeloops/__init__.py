@@ -16,8 +16,6 @@ from .analysis import (
 )
 from .catalog import (
     PolicyComparisonTable,
-    column_policy,
-    cve_for,
     load_default_fixture,
     load_fixture,
     podman_default_deny,
@@ -32,7 +30,6 @@ from .controller import (
 )
 from .policy import (
     SyscallPolicy,
-    allows,
     diff,
     export_seccomp,
     extend,

@@ -120,14 +120,6 @@ class PolicyComparisonTable:
         return None
 
 
-def column_policy(table: PolicyComparisonTable, column: str) -> frozenset[str]:
-    return table.column_policy(column)
-
-
-def cve_for(table: PolicyComparisonTable, syscall: str) -> str | None:
-    return table.cve_for(syscall)
-
-
 def _parse_cve_cell(syscall: str, cell: str) -> tuple[str | None, str | None]:
     cell = cell.strip()
     if not cell:

@@ -25,7 +25,7 @@ from .errors import (
     ExploitInPretrainSet,
     IllegalTransition,
 )
-from .policy import PolicyLogEntry, SyscallPolicy, extend, new_policy
+from .policy import PolicyLogEntry, SyscallPolicy, extend, growth_entry, new_policy
 from .simruntime import (
     Benign,
     Completed,
@@ -120,7 +120,7 @@ class StartOracle:
 
 @dataclass(frozen=True)
 class UpdatePolicy:
-    """Ensure the observed syscalls are allowed; extend() skips known ones."""
+    """Ensure the observed syscalls are allowed; known ones are skipped."""
 
     new_syscalls: frozenset[str]
     label: ClassVar[str] = "update_policy"
@@ -322,6 +322,12 @@ class SessionDriver:
     The driver owns the policy, the controller state and the virtual clock.
     ``attempt`` processes one client attempt, advancing the clock by run
     costs, restart costs and any queueing delay while a container starts.
+
+    The driver learns into a live allow-list: a benign oracle verdict adds
+    its new names in place and bumps the epoch. ``policy`` is the filter
+    installed in the production container, an immutable snapshot of the
+    live allow-list taken each time production starts, and rebuilt only if
+    the epoch has moved since the last one.
     """
 
     def __init__(
@@ -338,7 +344,9 @@ class SessionDriver:
         self.config = config
         self.mode = mode
         self.policy = initial_policy if initial_policy is not None else new_policy(config.deny)
-        self.state: ControllerState = ProductionRunning(epoch=self.policy.epoch)
+        self._allow = set(self.policy.allow)
+        self._epoch = self.policy.epoch
+        self.state: ControllerState = ProductionRunning(epoch=self._epoch)
         self.now = 0.0
         # Initial start is free; restart cost applies only to violation- and
         # oracle-triggered starts.
@@ -370,10 +378,12 @@ class SessionDriver:
                 oracle_started_ms = self.ready_at = self.now + restart
             elif isinstance(action, StartProduction):
                 self.ready_at = self.now + restart
+                self.policy = self.snapshot()
             elif isinstance(action, UpdatePolicy):
                 try:
-                    grown, entry = extend(
-                        self.policy, action.new_syscalls, "oracle", timestamp_ms=self.now
+                    entry = growth_entry(
+                        self._allow, self.policy.deny, self._epoch, action.new_syscalls,
+                        "oracle", self.now,
                     )
                 except DeniedSyscall as exc:
                     # Category-4 mitigation: the oracle observed a deny-listed
@@ -381,15 +391,16 @@ class SessionDriver:
                     self._alert(str(exc))
                     rejected = True
                 else:
-                    self.policy = grown
                     if entry is not None:
+                        self._allow.update(entry.added)
+                        self._epoch = entry.epoch
                         self.policy_log.append(entry)
             elif isinstance(action, RaiseAlert):
                 self._alert(action.report)
                 rejected = True
         # The running state carries the current epoch, and an oracle state
         # the time its container started.
-        epoch = self.policy.epoch
+        epoch = self._epoch
         if isinstance(state, OracleRunning):
             if oracle_started_ms is None:
                 oracle_started_ms = state.oracle_started_ms
@@ -402,6 +413,12 @@ class SessionDriver:
             Transition(self.now, before.label, event.label, state.label, labels, epoch)
         )
         return rejected
+
+    def snapshot(self) -> SyscallPolicy:
+        """The live allow-list as a policy value; ``policy`` if it is current."""
+        if self.policy.epoch == self._epoch:
+            return self.policy
+        return SyscallPolicy(epoch=self._epoch, allow=frozenset(self._allow), deny=self.policy.deny)
 
     def _wait_until_ready(self) -> None:
         if self.now < self.ready_at:
@@ -543,7 +560,8 @@ def run_session(
     ]
     driver.shutdown()
     return SessionResult(
-        final_policy=driver.policy,
+        # A session can end while the oracle runs, after the last snapshot.
+        final_policy=driver.snapshot(),
         policy_log=driver.policy_log,
         latency_records=records,
         alerts=driver.alerts,

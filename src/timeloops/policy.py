@@ -1,9 +1,12 @@
 """Syscall allow-list policies: monotone growth, deny-list, export, logging.
 
-A policy value is immutable; :func:`extend` returns a new value with the
-epoch bumped by one. This mirrors the enforcement reality that an installed
-seccomp filter cannot change while a container instance runs, so every
-policy change implies a container restart.
+A :class:`SyscallPolicy` value is immutable, like an installed seccomp
+filter, which cannot change while its container runs. :func:`extend`
+returns a new value with the epoch bumped by one. The session driver
+instead learns into one live allow-list and installs an immutable snapshot
+of it each time production starts. Both grow by the same rules, in
+:func:`growth_entry`: validate the new names, refuse deny-listed ones and
+log what was added.
 """
 
 from __future__ import annotations
@@ -78,8 +81,38 @@ def new_policy(deny: Iterable[str] = ()) -> SyscallPolicy:
     return SyscallPolicy(epoch=0, allow=frozenset(), deny=deny)
 
 
-def allows(policy: SyscallPolicy, syscall: str) -> bool:
-    return policy.allows(syscall)
+def growth_entry(
+    allow: frozenset[str] | set[str],
+    deny: frozenset[str],
+    epoch: int,
+    new: Iterable[str],
+    source: str = "oracle",
+    timestamp_ms: float = 0.0,
+) -> PolicyLogEntry | None:
+    """The log entry that grows ``allow`` at ``epoch`` by the new names in ``new``.
+
+    Returns None if every name is already allowed. Otherwise every name not
+    yet allowed is validated (raising :class:`ParseError`), then checked
+    against ``deny`` (raising :class:`DeniedSyscall`), and the entry adds
+    exactly those names at ``epoch + 1``. The caller applies the entry.
+
+    Only names not yet allowed are validated. Every name this package puts
+    in an allow-list was validated on the way in: here, in the profile
+    loader, or as part of a scenario's static universe.
+    """
+    fresh = [s for s in new if not isinstance(s, str) or s not in allow]
+    if not fresh:
+        return None
+    added = frozenset([validate_syscall_name(s) for s in fresh])
+    denied = added & deny
+    if denied:
+        raise DeniedSyscall(denied)
+    return PolicyLogEntry(
+        epoch=epoch + 1,
+        added=tuple(sorted(added)),
+        source=source,
+        timestamp_ms=timestamp_ms,
+    )
 
 
 def extend(
@@ -92,32 +125,16 @@ def extend(
 
     Idempotent: if every syscall is already allowed the policy is returned
     unchanged with no log entry. Raises :class:`DeniedSyscall` (leaving the
-    policy untouched) if any requested syscall is on the deny-list.
-
-    Only names not yet allowed are validated. Every name this package puts
-    in an allow-list was validated on the way in: here, in the profile
-    loader, or as part of a scenario's static universe.
+    policy untouched) if any requested syscall is on the deny-list. The
+    rules are those of :func:`growth_entry`.
     """
-    allow = policy.allow
-    new = frozenset(
-        s if isinstance(s, str) and s in allow else validate_syscall_name(s) for s in new
-    )
-    denied = new & policy.deny
-    if denied:
-        raise DeniedSyscall(denied)
-    fresh = new - allow
-    if not fresh:
+    entry = growth_entry(policy.allow, policy.deny, policy.epoch, new, source, timestamp_ms)
+    if entry is None:
         return policy, None
     grown = SyscallPolicy(
-        epoch=policy.epoch + 1,
-        allow=allow | fresh,
+        epoch=entry.epoch,
+        allow=policy.allow.union(entry.added),
         deny=policy.deny,
-    )
-    entry = PolicyLogEntry(
-        epoch=grown.epoch,
-        added=tuple(sorted(fresh)),
-        source=source,
-        timestamp_ms=timestamp_ms,
     )
     return grown, entry
 

@@ -1,8 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
-from conftest import GOLDEN_DIR, SCENARIO_DIR
+from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR
 
 from timeloops.catalog import PolicyComparisonTable, TableRow, load_default_fixture, save_fixture
 from timeloops.cli import main
@@ -169,6 +170,18 @@ def test_export_seccomp_empty_policy_via_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / "profile_empty.json").read_bytes()
+
+
+def test_latency_script_reports_a_malformed_mix(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_latency_comparison.py"),
+         "--mix", "home", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "malformed mix entry: 'home' (want key=weight)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_paper_reports_known_discrepancies(capsys):

@@ -3,8 +3,11 @@ import json
 import pytest
 from conftest import spec_workload_deny
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from timeloops import controller
 from timeloops.controller import (
+    ORACLE_MODES,
     ControllerConfig,
     Halted,
     LogEvent,
@@ -27,7 +30,7 @@ from timeloops.errors import (
     ExploitInPretrainSet,
     IllegalTransition,
 )
-from timeloops.policy import new_policy
+from timeloops.policy import new_policy, replay_log
 from timeloops.simruntime import (
     Benign,
     Completed,
@@ -418,3 +421,49 @@ def test_oracle_modes_converge_to_equal_policies(bundle):
         spec, workload, ControllerConfig(oracle_mode="until_watchdog", deny=deny)
     )
     assert single.final_policy.allow == watchdog.final_policy.allow
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bundle=spec_workload_deny(),
+    oracle_mode=st.sampled_from(ORACLE_MODES),
+    watchdog_ms=st.sampled_from([25.0, 60.0, 10_000.0]),
+    data=st.data(),
+)
+def test_production_runs_under_the_policy_the_log_replays_to(
+    bundle, oracle_mode, watchdog_ms, data
+):
+    spec, workload, deny = bundle
+    pretrain_requests = tuple(data.draw(st.lists(st.sampled_from(sorted(spec.handlers)))))
+    config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny,
+                              pretrain_requests=pretrain_requests)
+    drivers, initial, stale = [], [], []
+    real_run_production, real_pretrain = controller.run_production, controller._pretrain
+
+    class RecordingDriver(controller.SessionDriver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            drivers.append(self)
+
+    def checked_run_production(spec, policy, request):
+        expected = replay_log(drivers[-1].policy_log, deny)
+        if policy != expected:
+            stale.append((request, policy.epoch, expected.epoch))
+        return real_run_production(spec, policy, request)
+
+    def recorded_pretrain(*args):
+        policy, entries = real_pretrain(*args)
+        initial.append((policy, policy.epoch, sorted(policy.allow)))
+        return policy, entries
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "SessionDriver", RecordingDriver)
+        patch.setattr(controller, "run_production", checked_run_production)
+        patch.setattr(controller, "_pretrain", recorded_pretrain)
+        result = run_session(spec, workload, config)
+
+    assert stale == []
+    # Sessions may end while the oracle runs, after the last production start.
+    assert replay_log(result.policy_log, deny) == result.final_policy
+    for policy, epoch, allow in initial:
+        assert (policy.epoch, sorted(policy.allow)) == (epoch, allow)
