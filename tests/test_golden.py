@@ -27,6 +27,10 @@ RUNS = {
     "attacks": ("staticsite_attacks.json", ATTACK_MIX, ["--deny-preset", "podman"]),
     "attacks_watchdog": ("staticsite_attacks.json", ATTACK_MIX,
                          ["--oracle-mode", "watchdog", "--deny-preset", "podman"]),
+    "attacks_hardened": ("staticsite_attacks.json", ATTACK_MIX, ["--mode", "hardened"]),
+    "attacks_watchdog70": ("staticsite_attacks.json", ATTACK_MIX,
+                           ["--oracle-mode", "watchdog", "--watchdog-ms", "70",
+                            "--deny-preset", "podman"]),
     "pretrain_watchdog": ("staticsite.json", MIX,
                           ["--oracle-mode", "watchdog", "--watchdog-ms", "100",
                            "--pretrain", "home"]),
