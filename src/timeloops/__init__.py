@@ -47,7 +47,6 @@ from .simruntime import (
     load_scenario,
     run_oracle,
     run_production,
-    static_universe_of,
 )
 from .workload import (
     LatencyRecord,

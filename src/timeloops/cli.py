@@ -161,7 +161,10 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     workload.write_latency_csv(result.latency_records, out / "latency.csv")
     workload.write_cumulative_csv(result.latency_records, out / "cumulative.csv")
-    (out / "session.json").write_text(result.to_json() + "\n", encoding="utf-8")
+    with open(out / "session.json", "w", encoding="utf-8") as f:
+        # Two writes: concatenating would copy the whole document once more.
+        f.write(result.to_json())
+        f.write("\n")
     save_log(result.policy_log, out / "policy.log")
     (out / "profile.json").write_bytes(export_seccomp(result.final_policy))
 

@@ -290,8 +290,13 @@ class SessionResult:
         text = json.dumps(self._json_fields(), indent=2)
         if not self.transition_trace:
             return text
+        # A JSON string holds no raw newline, so this splits only at the key.
+        head, tail = text.split('\n  "transitions": []', 1)
+        # The document is assembled by one join: it runs to megabytes on a
+        # long session, and each intermediate copy would raise peak memory.
+        parts = [head, '\n  "transitions": [\n']
         fragments: dict[tuple, str] = {}
-        rows = []
+        separator = ""
         for at, from_state, event, to_state, actions, epoch in self.transition_trace:
             key = (from_state, event, to_state, actions)
             middle = fragments.get(key)
@@ -299,11 +304,11 @@ class SessionResult:
                 middle = fragments[key] = _transition_fragment(*key)
             # json spells the non-finite floats its own way.
             at_text = repr(at) if math.isfinite(at) else json.dumps(at)
-            rows.append(f'    {{\n      "at_ms": {at_text}{middle}{epoch}\n    }}')
-        # A JSON string holds no raw newline, so this matches only the key.
-        return text.replace(
-            '\n  "transitions": []', '\n  "transitions": [\n' + ",\n".join(rows) + "\n  ]", 1
-        )
+            parts.append(f'{separator}    {{\n      "at_ms": {at_text}{middle}{epoch}\n    }}')
+            separator = ",\n"
+        parts.append("\n  ]")
+        parts.append(tail)
+        return "".join(parts)
 
 
 def _transition_fragment(from_state: str, event: str, to_state: str, actions: tuple) -> str:
@@ -328,6 +333,14 @@ class SessionDriver:
     installed in the production container, an immutable snapshot of the
     live allow-list taken each time production starts, and rebuilt only if
     the epoch has moved since the last one.
+
+    The oracle's verdict on a request depends only on its handler and the
+    watchdog budget, so the driver consults it once per request key per
+    session: a verdict table maps each key to the ``(OracleFinished,
+    elapsed)`` of an oracle run with no watchdog, filled on first use.
+    Hardened requests and oracle runs whose elapsed time fits the remaining
+    watchdog budget read the table; a run the watchdog would cut short is
+    walked again with the budget. The table lives and dies with the session.
     """
 
     def __init__(
@@ -359,6 +372,8 @@ class SessionDriver:
         # request key -> the event of its last completed production run; a
         # handler's completions share one result, so they share one event.
         self._completions: dict[str, ProdExited] = {}
+        # request key -> the event and elapsed time of its unbounded oracle run
+        self._verdicts: dict[str, tuple[OracleFinished, float]] = {}
 
     # -- plumbing
 
@@ -420,6 +435,22 @@ class SessionDriver:
             return self.policy
         return SyscallPolicy(epoch=self._epoch, allow=frozenset(self._allow), deny=self.policy.deny)
 
+    def _consult(self, key: str, budget: float = math.inf) -> tuple[OracleFinished, float]:
+        """The oracle's verdict on ``key`` within ``budget`` ms, and its elapsed time.
+
+        A run whose unbounded elapsed time fits the budget is never cut short
+        (see ``run_oracle``), so it is read from the verdict table; only a run
+        the watchdog stops mid-request is walked again.
+        """
+        entry = self._verdicts.get(key)
+        if entry is None:
+            outcome, elapsed = run_oracle(self.spec, key)
+            entry = self._verdicts[key] = OracleFinished(outcome), elapsed
+        if entry[1] <= budget:
+            return entry
+        outcome, elapsed = run_oracle(self.spec, key, budget)
+        return OracleFinished(outcome), elapsed
+
     def _wait_until_ready(self) -> None:
         if self.now < self.ready_at:
             self.now = self.ready_at
@@ -440,10 +471,10 @@ class SessionDriver:
     def _attempt_hardened(self, request: "workload_mod.Request") -> str:
         # Permanently instrumented deployment: every request pays the oracle
         # cost, detectable exploits abort, and no syscall filter exists.
-        outcome, elapsed = run_oracle(self.spec, self.policy, request.key)
+        event, elapsed = self._consult(request.key)
         self.now += elapsed
-        if isinstance(outcome, Malicious):
-            self._alert(outcome.report)
+        if isinstance(event.outcome, Malicious):
+            self._alert(event.outcome.report)
             return "rejected"
         return "served"
 
@@ -474,10 +505,11 @@ class SessionDriver:
 
         if isinstance(self.state, OracleRunning):
             remaining = self.config.watchdog_ms - (self.now - self.state.oracle_started_ms)
-            outcome, elapsed = run_oracle(self.spec, self.policy, request.key, remaining)
+            event, elapsed = self._consult(request.key, remaining)
             self.now += elapsed
             self.consultations += 1
-            rejected = self._transition(OracleFinished(outcome))
+            rejected = self._transition(event)
+            outcome = event.outcome
             if isinstance(outcome, Benign):
                 return "rejected" if rejected else "served"
             if isinstance(outcome, Malicious):

@@ -243,19 +243,22 @@ def run_production(
 
 
 def run_oracle(
-    spec: ServiceSpec,
-    policy: SyscallPolicy,
-    request: str,
-    watchdog_ms: float = math.inf,
+    spec: ServiceSpec, request: str, watchdog_ms: float = math.inf
 ) -> tuple[OracleOutcome, float]:
     """Execute a request in the hardened replica.
 
-    The oracle observes in logging mode: syscalls outside the allow-list do
-    not kill the run, they are recorded, so a benign verdict reports every
-    syscall the request needed plus the instrumentation's own extras. A
-    detectable corruption aborts the run at the corruption point, before
-    any injected syscall executes. The watchdog budget is checked between
-    syscalls.
+    The oracle observes in logging mode: no syscall kills the run, each one
+    is recorded, so a benign verdict reports every syscall the request
+    needed plus the instrumentation's own extras. The verdict depends only
+    on the handler and the watchdog budget, never on a policy. A detectable
+    corruption aborts the run at the corruption point, before any injected
+    syscall executes. The watchdog budget is checked between syscalls.
+
+    The budget is compared with the elapsed time after each syscall, and
+    those times only grow. So a run whose unbounded elapsed time is within
+    ``watchdog_ms`` is never cut short: ``run_oracle(spec, request, w) ==
+    run_oracle(spec, request)`` whenever ``run_oracle(spec, request)[1] <=
+    w``, bit for bit.
     """
     cost = spec.cost_model
     behavior = spec.handlers.get(request)
@@ -292,11 +295,6 @@ def run_unrestricted(spec: ServiceSpec, request: str) -> tuple[Completed, float]
 
 def _corruption_report(request: str, index: int) -> str:
     return f"memory corruption detected in handler {request!r} at trace position {index}"
-
-
-def static_universe_of(spec: ServiceSpec) -> frozenset[str]:
-    """Every syscall reachable in the service's code, exercised or not."""
-    return spec.static_universe
 
 
 def benign_closure(spec: ServiceSpec) -> frozenset[str]:

@@ -1,7 +1,8 @@
 import json
+import math
 
 import pytest
-from conftest import spec_workload_deny
+from conftest import DENY_POOL, SYSCALL_POOL, spec_workload_deny
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -320,6 +321,77 @@ def test_hardened_mode_detects_exploits_and_pays_oracle_cost():
     assert hardened.latency_records[0].latency_ms == (
         unhardened.latency_records[0].latency_ms * slowdown
     )
+
+
+def test_hardened_session_consults_the_oracle_once_per_key(monkeypatch):
+    exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
+    spec = _spec({
+        "good": RequestBehavior(trace=("read", "write")),
+        "evil": RequestBehavior(trace=("read",), exploit=exploit),
+    })
+    calls = []
+    real_run_oracle = controller.run_oracle
+
+    def counted(spec, request, watchdog_ms=math.inf):
+        calls.append(request)
+        return real_run_oracle(spec, request, watchdog_ms)
+
+    monkeypatch.setattr(controller, "run_oracle", counted)
+    requests = _requests("good", "evil", "good", "nope", "evil", "good", "nope")
+    result = run_session(spec, requests, CFG, mode="hardened")
+    assert sorted(calls) == ["evil", "good", "nope"]
+    assert [r.outcome for r in result.latency_records].count("rejected_malicious") == 2
+    assert len(result.alerts) == 2
+    # The table does not outlive its session.
+    run_session(spec, requests, CFG, mode="hardened")
+    assert len(calls) == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bundle=spec_workload_deny(),
+    mode=st.sampled_from(["timeloops", "hardened"]),
+    oracle_mode=st.sampled_from(ORACLE_MODES),
+    # Each lets a fresh tenure finish any one request (at most 22.5 ms here),
+    # so every session ends, while a tenure's later requests may be cut.
+    watchdog_ms=st.sampled_from([25.0, 30.0, 60.0, 10_000.0]),
+    data=st.data(),
+)
+def test_verdict_table_matches_an_oracle_walk_per_consultation(
+    bundle, mode, oracle_mode, watchdog_ms, data
+):
+    spec, workload, deny = bundle
+    handlers = dict(spec.handlers)
+    for i in range(data.draw(st.integers(min_value=0, max_value=2))):
+        trace = tuple(data.draw(st.lists(st.sampled_from(SYSCALL_POOL), max_size=6)))
+        exploit = ExploitSpec(
+            kind=data.draw(st.sampled_from(["oracle_detectable", "oracle_undetectable"])),
+            corruption_index=data.draw(st.integers(min_value=0, max_value=len(trace))),
+            injected=tuple(data.draw(st.lists(st.sampled_from(SYSCALL_POOL + DENY_POOL),
+                                              max_size=2))),
+        )
+        handlers[f"exploit{i}"] = RequestBehavior(trace=trace, exploit=exploit)
+    spec = ServiceSpec(name=spec.name, handlers=handlers,
+                       static_universe=spec.static_universe | set(SYSCALL_POOL),
+                       oracle_extra=spec.oracle_extra, cost_model=spec.cost_model)
+    keys = sorted(handlers) + ["unknown"]
+    workload = workload + [
+        Request(logical_id=len(workload) + i, key=key)
+        for i, key in enumerate(data.draw(st.lists(st.sampled_from(keys), max_size=15)))
+    ]
+    config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny)
+    cached = run_session(spec, workload, config, mode=mode)
+
+    def walk_every_time(self, key, budget=math.inf):
+        outcome, elapsed = controller.run_oracle(self.spec, key, budget)
+        return OracleFinished(outcome), elapsed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller.SessionDriver, "_consult", walk_every_time)
+        walked = run_session(spec, workload, config, mode=mode)
+    assert cached.latency_records == walked.latency_records
+    assert cached.policy_log == walked.policy_log
+    assert cached.to_json() == walked.to_json()
 
 
 # --- pretraining ---------------------------------------------------------------

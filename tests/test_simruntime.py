@@ -25,7 +25,6 @@ from timeloops.simruntime import (
     run_oracle,
     run_production,
     run_unrestricted,
-    static_universe_of,
 )
 
 CHEAP = CostModel(base_request_ms=1.0, production_per_syscall_ms=2.0,
@@ -136,7 +135,7 @@ def test_oracle_observes_trace_plus_instrumentation_extras():
         {"r": RequestBehavior(trace=("read", "openat"), response="x")},
         extra={"sigaltstack"},
     )
-    outcome, elapsed = run_oracle(spec, new_policy(), "r")
+    outcome, elapsed = run_oracle(spec, "r")
     assert outcome == Benign(observed=frozenset({"read", "openat", "sigaltstack"}))
     assert elapsed == (1.0 + 2 * 2.0) * 3.0
 
@@ -144,7 +143,7 @@ def test_oracle_observes_trace_plus_instrumentation_extras():
 def test_oracle_detects_corruption_before_injected_syscall():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=0, injected=("ptrace",))
     spec = _spec({"r": RequestBehavior(trace=("read",), response="x", exploit=exploit)})
-    outcome, elapsed = run_oracle(spec, new_policy(), "r")
+    outcome, elapsed = run_oracle(spec, "r")
     assert isinstance(outcome, Malicious)
     assert "ptrace" not in outcome.report
     assert elapsed == 1.0 * 3.0  # nothing past the corruption point ran
@@ -153,7 +152,7 @@ def test_oracle_detects_corruption_before_injected_syscall():
 def test_oracle_absorbs_undetectable_injection():
     exploit = ExploitSpec(kind="oracle_undetectable", corruption_index=1, injected=("mount",))
     spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x", exploit=exploit)})
-    outcome, _ = run_oracle(spec, new_policy(), "r")
+    outcome, _ = run_oracle(spec, "r")
     assert isinstance(outcome, Benign)
     assert "mount" in outcome.observed
     # hijacked control flow never returns to the benign suffix
@@ -163,7 +162,7 @@ def test_oracle_absorbs_undetectable_injection():
 def test_oracle_watchdog_cuts_run_between_syscalls():
     spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"), response="x")})
     # budget covers base (3.0) plus one 6.0 syscall only
-    outcome, elapsed = run_oracle(spec, new_policy(), "r", watchdog_ms=10.0)
+    outcome, elapsed = run_oracle(spec, "r", watchdog_ms=10.0)
     assert outcome == WatchdogTimeout(observed=frozenset({"read"}))
     assert elapsed == 9.0
 
@@ -172,7 +171,7 @@ def test_oracle_cost_dominates_production_cost():
     spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x")})
     policy = _allow("read", "write")
     _, prod = run_production(spec, policy, "r")
-    outcome, oracle = run_oracle(spec, policy, "r")
+    outcome, oracle = run_oracle(spec, "r")
     assert isinstance(outcome, Benign)
     assert oracle > prod
 
@@ -181,7 +180,7 @@ def test_runs_are_deterministic():
     spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x")})
     policy = _allow("read")
     assert run_production(spec, policy, "r") == run_production(spec, policy, "r")
-    assert run_oracle(spec, policy, "r") == run_oracle(spec, policy, "r")
+    assert run_oracle(spec, "r") == run_oracle(spec, "r")
 
 
 @given(
@@ -198,7 +197,7 @@ def test_detection_precedence_over_random_exploits(trace, injected, detectable, 
         injected=tuple(injected),
     )
     spec = _spec({"r": RequestBehavior(trace=tuple(trace), response="x", exploit=exploit)})
-    outcome, _ = run_oracle(spec, new_policy(), "r", watchdog_ms=math.inf)
+    outcome, _ = run_oracle(spec, "r", watchdog_ms=math.inf)
     if detectable:
         assert isinstance(outcome, Malicious)
     else:
@@ -206,24 +205,67 @@ def test_detection_precedence_over_random_exploits(trace, injected, detectable, 
         assert set(injected) <= outcome.observed
 
 
+@st.composite
+def oracle_specs(draw):
+    """Random handlers under a random cost model: benign ones, exploits at
+    any corruption index (both ends included), and either exploit kind."""
+    handlers = {}
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        trace = tuple(draw(st.lists(st.sampled_from([f"c{j}" for j in range(6)]), max_size=6)))
+        kind = draw(st.sampled_from((None,) + EXPLOIT_KINDS))
+        exploit = None
+        if kind is not None:
+            index = draw(st.one_of(st.just(0), st.just(len(trace)),
+                                   st.integers(min_value=0, max_value=len(trace))))
+            injected = draw(st.lists(st.sampled_from(["x_attack", "y_attack"]), max_size=2))
+            exploit = ExploitSpec(kind=kind, corruption_index=index, injected=tuple(injected))
+        handlers[f"r{i}"] = RequestBehavior(trace=trace, exploit=exploit)
+    cost = CostModel(
+        base_request_ms=draw(st.floats(min_value=0.0, max_value=10.0)),
+        production_per_syscall_ms=draw(st.floats(min_value=0.01, max_value=10.0)),
+        oracle_slowdown_factor=draw(st.floats(min_value=1.01, max_value=20.0)),
+    )
+    extra = draw(st.lists(st.sampled_from(["sigaltstack", "rt_sigreturn"]), max_size=2))
+    return _spec(handlers, extra=extra, cost=cost)
+
+
+@given(spec=oracle_specs(), data=st.data())
+def test_oracle_run_within_its_budget_equals_the_unbounded_run(spec, data):
+    keys = sorted(spec.handlers) + ["unknown"]
+    # Budgets are the runs' own elapsed times, one ulp either side, and inf.
+    budgets = {math.inf}
+    for key in keys:
+        elapsed = run_oracle(spec, key)[1]
+        budgets.update((elapsed, math.nextafter(elapsed, -math.inf),
+                        math.nextafter(elapsed, math.inf)))
+    key = data.draw(st.sampled_from(keys))
+    watchdog_ms = data.draw(st.sampled_from(sorted(budgets)))
+    unbounded = run_oracle(spec, key)
+    bounded = run_oracle(spec, key, watchdog_ms)
+    if unbounded[1] <= watchdog_ms:
+        assert bounded == unbounded
+    else:
+        assert bounded[1] <= unbounded[1]
+
+
 def test_static_universe_is_declared_not_observed():
     spec = _spec(
         {"r": RequestBehavior(trace=("read", "write"))},
         universe={"read", "write", "mmap", "shmat"},
     )
-    assert static_universe_of(spec) == {"read", "write", "mmap", "shmat"}
+    assert spec.static_universe == {"read", "write", "mmap", "shmat"}
 
 
 def test_static_universe_covers_handler_traces(staticsite):
     union = set()
     for behavior in staticsite.benign_handlers().values():
         union.update(behavior.trace)
-    assert union <= static_universe_of(staticsite)
+    assert union <= staticsite.static_universe
 
 
 def test_empty_spec_has_empty_universe():
     spec = _spec({})
-    assert static_universe_of(spec) == frozenset()
+    assert spec.static_universe == frozenset()
 
 
 def test_trace_outside_universe_rejected():
