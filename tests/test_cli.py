@@ -111,6 +111,11 @@ def test_pretrain_conflicting_with_deny_exits_1(tmp_path):
                  "--pretrain", "r", "--out", str(tmp_path / "out")]) == 1
 
 
+def test_unknown_pretrain_key_exits_1_in_a_baseline_mode(tmp_path):
+    assert main(["simulate", "--scenario", ATTACKS, "--mode", "hardened",
+                 "--pretrain", "nosuch", "--out", str(tmp_path)]) == 1
+
+
 def test_simulate_missing_scenario_exits_2(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2

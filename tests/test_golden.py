@@ -34,6 +34,11 @@ RUNS = {
     "pretrain_watchdog": ("staticsite.json", MIX,
                           ["--oracle-mode", "watchdog", "--watchdog-ms", "100",
                            "--pretrain", "home"]),
+    "hardened_pretrain": ("staticsite_attacks.json", ATTACK_MIX,
+                          ["--mode", "hardened", "--pretrain", "home"]),
+    "unhardened_pretrain": ("staticsite.json", MIX,
+                            ["--mode", "unhardened", "--pretrain", "home,search",
+                             "--deny-preset", "podman"]),
 }
 
 
