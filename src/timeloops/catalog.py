@@ -135,8 +135,10 @@ def _parse_cve_cell(syscall: str, cell: str) -> tuple[str | None, str | None]:
 
 def load_fixture(path: str | Path) -> PolicyComparisonTable:
     """Load a comparison-table CSV (see the bundled fixture for the format)."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_fixture(text)
+    try:
+        return parse_fixture(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"fixture {path}: {exc}") from exc
 
 
 def parse_fixture(text: str) -> PolicyComparisonTable:

@@ -126,7 +126,8 @@ def _default_mix(spec: ServiceSpec) -> dict[str, float]:
 def _load_policy_file(path: str) -> SyscallPolicy:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # ValueError covers undecodable bytes and malformed JSON.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if isinstance(obj, dict) and "final_policy" in obj:
         obj = obj["final_policy"]
@@ -136,7 +137,7 @@ def _load_policy_file(path: str) -> SyscallPolicy:
         allow = frozenset(catalog.validate_syscall_name(s) for s in obj["allow"])
         deny = frozenset(catalog.validate_syscall_name(s) for s in obj.get("deny", ()))
         return SyscallPolicy(epoch=int(obj.get("epoch", 0)), allow=allow, deny=deny)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -1,12 +1,14 @@
-"""Controller state machine and session driver.
+"""Controller state machine, session driver and the two baseline deployments.
 
 The controller alternates two replicas of one service: a fast production
 container enforcing the current allow-list, and a hardened oracle replica
 consulted whenever production dies on a policy violation. A benign oracle
 verdict grows the policy and restarts production; a malicious verdict
 raises an alert and never touches the policy. ``step`` is the pure
-transition function; ``run_session`` drives it against a workload on a
-shared virtual clock.
+transition function, and ``SessionDriver`` applies it to a workload on a
+shared virtual clock. ``run_session`` also runs the two deployments the
+controller is compared with, unhardened and hardened; they have no
+controller, so each is one plain loop over the workload.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from .errors import (
     ExploitInPretrainSet,
     IllegalTransition,
 )
-from .policy import PolicyLogEntry, SyscallPolicy, extend, growth_entry, new_policy
+from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy, replay_log
+from .policy import extend  # noqa: F401  (unused; the bench tracer wraps it by this name)
 from .simruntime import (
     Benign,
     Completed,
     DeniedSyscallHit,
     ExitReason,
-    ExploitDetected,
     Malicious,
     OracleOutcome,
     PolicyViolation,
@@ -55,21 +57,16 @@ SESSION_MODES = ("timeloops", "unhardened", "hardened")
 
 @dataclass(frozen=True)
 class ProductionRunning:
-    epoch: int = 0
     label: ClassVar[str] = "production_running"
 
 
 @dataclass(frozen=True)
 class OracleRunning:
-    epoch: int = 0
-    # Stamped by the driver when the oracle container actually starts.
-    oracle_started_ms: float = 0.0
     label: ClassVar[str] = "oracle_running"
 
 
 @dataclass(frozen=True)
 class Halted:
-    reason: str = "shutdown"
     label: ClassVar[str] = "halted"
 
 
@@ -166,24 +163,19 @@ def step(
 ) -> tuple[ControllerState, tuple[ControllerAction, ...]]:
     """Pure transition function; raises IllegalTransition on state/event mismatch."""
     if isinstance(event, Shutdown):
-        return Halted("shutdown"), (LogEvent("controller shut down"),)
+        return Halted(), (LogEvent("controller shut down"),)
 
     if isinstance(state, ProductionRunning) and isinstance(event, ProdExited):
         reason = event.reason
         if isinstance(reason, Completed):
             return state, _SERVED
         if isinstance(reason, PolicyViolation):
-            return (
-                OracleRunning(epoch=state.epoch),
-                (StartOracle(watchdog_ms=config.watchdog_ms),),
-            )
+            return OracleRunning(), (StartOracle(watchdog_ms=config.watchdog_ms),)
         if isinstance(reason, DeniedSyscallHit):
             return state, (
                 RaiseAlert(f"deny-listed syscall {reason.syscall!r} requested"),
                 StartProduction(),
             )
-        if isinstance(reason, ExploitDetected):
-            return state, (RaiseAlert(reason.report), StartProduction())
         # WatchdogTimeout: production containers carry no watchdog.
         raise IllegalTransition(f"production exit reason not handled: {reason!r}")
 
@@ -192,24 +184,18 @@ def step(
         if isinstance(outcome, Benign):
             if config.oracle_mode == "until_watchdog":
                 return state, (UpdatePolicy(outcome.observed),)
-            return (
-                ProductionRunning(epoch=state.epoch),
-                (UpdatePolicy(outcome.observed), StartProduction()),
-            )
+            return ProductionRunning(), (UpdatePolicy(outcome.observed), StartProduction())
         if isinstance(outcome, Malicious):
-            return (
-                ProductionRunning(epoch=state.epoch),
-                (RaiseAlert(outcome.report), StartProduction()),
-            )
+            return ProductionRunning(), (RaiseAlert(outcome.report), StartProduction())
         if isinstance(outcome, WatchdogTimeout):
             return (
-                ProductionRunning(epoch=state.epoch),
+                ProductionRunning(),
                 (LogEvent("oracle watchdog expired mid-request"), StartProduction()),
             )
         raise IllegalTransition(f"oracle outcome not handled: {outcome!r}")
 
     if isinstance(state, OracleRunning) and isinstance(event, WatchdogFired):
-        return ProductionRunning(epoch=state.epoch), (StartProduction(),)
+        return ProductionRunning(), (StartProduction(),)
 
     raise IllegalTransition(f"event {type(event).__name__} not legal in state {type(state).__name__}")
 
@@ -243,7 +229,6 @@ class SessionResult:
     alerts: list[Alert]
     transition_trace: list[Transition]
     consultations: int
-    mode: str = "timeloops"
 
     def _json_fields(self) -> dict:
         """Every field of the document, with the transitions left empty."""
@@ -321,76 +306,88 @@ def _transition_fragment(from_state: str, event: str, to_state: str, actions: tu
     return f',{members},\n      "epoch": '
 
 
+def _consult(spec: ServiceSpec, verdicts: dict, key: str,
+             budget: float = math.inf) -> tuple[OracleFinished, float]:
+    """The oracle's verdict on ``key`` within ``budget`` ms, and its elapsed time.
+
+    The verdict depends only on the handler and the budget, so each session
+    consults the oracle once per request key: ``verdicts``, a table that
+    lives and dies with the session, maps each key to the ``(OracleFinished,
+    elapsed)`` of an oracle run with no watchdog, filled on first use. A run
+    whose unbounded elapsed time fits the budget is never cut short (see
+    ``run_oracle``), so it is read from the table; only a run the watchdog
+    stops mid-request is walked again.
+    """
+    entry = verdicts.get(key)
+    if entry is None:
+        outcome, elapsed = run_oracle(spec, key)
+        entry = verdicts[key] = OracleFinished(outcome), elapsed
+    if entry[1] <= budget:
+        return entry
+    outcome, elapsed = run_oracle(spec, key, budget)
+    return OracleFinished(outcome), elapsed
+
+
 class SessionDriver:
-    """Single-threaded event loop binding client, controller and containers.
+    """The Timeloops controller's event loop: client, controller and
+    containers on one virtual clock.
 
     The driver owns the policy, the controller state and the virtual clock.
     ``attempt`` processes one client attempt, advancing the clock by run
     costs, restart costs and any queueing delay while a container starts.
+    ``shutdown`` halts the controller at the end of the session.
 
-    The driver learns into a live allow-list: a benign oracle verdict adds
-    its new names in place and bumps the epoch. ``policy`` is the filter
-    installed in the production container, an immutable snapshot of the
-    live allow-list taken each time production starts, and rebuilt only if
-    the epoch has moved since the last one.
-
-    The oracle's verdict on a request depends only on its handler and the
-    watchdog budget, so the driver consults it once per request key per
-    session: a verdict table maps each key to the ``(OracleFinished,
-    elapsed)`` of an oracle run with no watchdog, filled on first use.
-    Hardened requests and oracle runs whose elapsed time fits the remaining
-    watchdog budget read the table; a run the watchdog would cut short is
-    walked again with the budget. The table lives and dies with the session.
+    The driver starts from the policy that ``initial_log`` replays to, and
+    learns into a live allow-list: a benign oracle verdict adds its new
+    names in place and bumps the epoch. ``policy`` is the filter installed
+    in the production container, an immutable snapshot of the live
+    allow-list taken each time production starts, and rebuilt only if the
+    epoch has moved since the last one.
     """
 
     def __init__(
         self,
         spec: ServiceSpec,
         config: ControllerConfig,
-        mode: str = "timeloops",
-        initial_policy: SyscallPolicy | None = None,
         initial_log: Sequence[PolicyLogEntry] = (),
     ):
-        if mode not in SESSION_MODES:
-            raise ConfigError(f"unknown session mode: {mode!r}")
         self.spec = spec
         self.config = config
-        self.mode = mode
-        self.policy = initial_policy if initial_policy is not None else new_policy(config.deny)
+        self.policy = replay_log(initial_log, config.deny)
         self._allow = set(self.policy.allow)
         self._epoch = self.policy.epoch
-        self.state: ControllerState = ProductionRunning(epoch=self._epoch)
+        self.state: ControllerState = ProductionRunning()
         self.now = 0.0
         # Initial start is free; restart cost applies only to violation- and
         # oracle-triggered starts.
         self.ready_at = 0.0
+        # When the running oracle container started; set by StartOracle.
+        self._oracle_started_ms = 0.0
         self.policy_log: list[PolicyLogEntry] = list(initial_log)
         self.alerts: list[Alert] = []
         self.transition_trace: list[Transition] = []
         self.consultations = 0
-        self._current_request_id: int | None = None
+        self._current_request_id = -1
         # request key -> the event of its last completed production run; a
         # handler's completions share one result, so they share one event.
         self._completions: dict[str, ProdExited] = {}
-        # request key -> the event and elapsed time of its unbounded oracle run
+        # the session's verdict table (see ``_consult``)
         self._verdicts: dict[str, tuple[OracleFinished, float]] = {}
 
     # -- plumbing
 
     def _alert(self, report: str) -> None:
-        request = self._current_request_id if self._current_request_id is not None else -1
-        self.alerts.append(Alert(request=request, report=report, at_ms=self.now))
+        self.alerts.append(Alert(request=self._current_request_id, report=report, at_ms=self.now))
 
     def _transition(self, event: ControllerEvent) -> bool:
         """Apply one event; returns True if the attempt was rejected by an alert."""
         before = self.state
-        state, actions = step(before, event, self.config)
+        self.state, actions = step(before, event, self.config)
         rejected = False
-        oracle_started_ms = None
         restart = self.spec.cost_model.restart_ms
         for action in actions:
             if isinstance(action, StartOracle):
-                oracle_started_ms = self.ready_at = self.now + restart
+                self._oracle_started_ms = self.ready_at = self.now + restart
             elif isinstance(action, StartProduction):
                 self.ready_at = self.now + restart
                 self.policy = self.snapshot()
@@ -413,19 +410,9 @@ class SessionDriver:
             elif isinstance(action, RaiseAlert):
                 self._alert(action.report)
                 rejected = True
-        # The running state carries the current epoch, and an oracle state
-        # the time its container started.
-        epoch = self._epoch
-        if isinstance(state, OracleRunning):
-            if oracle_started_ms is None:
-                oracle_started_ms = state.oracle_started_ms
-            state = OracleRunning(epoch=epoch, oracle_started_ms=oracle_started_ms)
-        elif isinstance(state, ProductionRunning) and state.epoch != epoch:
-            state = ProductionRunning(epoch=epoch)
-        self.state = state
         labels = _SERVED_LABELS if actions is _SERVED else tuple([a.label for a in actions])
         self.transition_trace.append(
-            Transition(self.now, before.label, event.label, state.label, labels, epoch)
+            Transition(self.now, before.label, event.label, self.state.label, labels, self._epoch)
         )
         return rejected
 
@@ -434,22 +421,6 @@ class SessionDriver:
         if self.policy.epoch == self._epoch:
             return self.policy
         return SyscallPolicy(epoch=self._epoch, allow=frozenset(self._allow), deny=self.policy.deny)
-
-    def _consult(self, key: str, budget: float = math.inf) -> tuple[OracleFinished, float]:
-        """The oracle's verdict on ``key`` within ``budget`` ms, and its elapsed time.
-
-        A run whose unbounded elapsed time fits the budget is never cut short
-        (see ``run_oracle``), so it is read from the verdict table; only a run
-        the watchdog stops mid-request is walked again.
-        """
-        entry = self._verdicts.get(key)
-        if entry is None:
-            outcome, elapsed = run_oracle(self.spec, key)
-            entry = self._verdicts[key] = OracleFinished(outcome), elapsed
-        if entry[1] <= budget:
-            return entry
-        outcome, elapsed = run_oracle(self.spec, key, budget)
-        return OracleFinished(outcome), elapsed
 
     def _wait_until_ready(self) -> None:
         if self.now < self.ready_at:
@@ -460,28 +431,9 @@ class SessionDriver:
     def attempt(self, request: "workload_mod.Request") -> str:
         """Process one attempt; returns 'served', 'failed' or 'rejected'."""
         self._current_request_id = request.logical_id
-        if self.mode == "timeloops":
-            return self._attempt_timeloops(request)
-        if self.mode == "hardened":
-            return self._attempt_hardened(request)
-        _, elapsed = run_unrestricted(self.spec, request.key)
-        self.now += elapsed
-        return "served"
-
-    def _attempt_hardened(self, request: "workload_mod.Request") -> str:
-        # Permanently instrumented deployment: every request pays the oracle
-        # cost, detectable exploits abort, and no syscall filter exists.
-        event, elapsed = self._consult(request.key)
-        self.now += elapsed
-        if isinstance(event.outcome, Malicious):
-            self._alert(event.outcome.report)
-            return "rejected"
-        return "served"
-
-    def _attempt_timeloops(self, request: "workload_mod.Request") -> str:
         self._wait_until_ready()
         if isinstance(self.state, OracleRunning):
-            tenure = self.now - self.state.oracle_started_ms
+            tenure = self.now - self._oracle_started_ms
             if tenure >= self.config.watchdog_ms:
                 self._transition(WatchdogFired())
                 self._wait_until_ready()
@@ -504,8 +456,8 @@ class SessionDriver:
             return "failed"
 
         if isinstance(self.state, OracleRunning):
-            remaining = self.config.watchdog_ms - (self.now - self.state.oracle_started_ms)
-            event, elapsed = self._consult(request.key, remaining)
+            remaining = self.config.watchdog_ms - (self.now - self._oracle_started_ms)
+            event, elapsed = _consult(self.spec, self._verdicts, request.key, remaining)
             self.now += elapsed
             self.consultations += 1
             rejected = self._transition(event)
@@ -519,43 +471,68 @@ class SessionDriver:
         raise IllegalTransition("session driver reached a halted controller")
 
     def shutdown(self) -> None:
-        if self.mode == "timeloops":
-            self._transition(Shutdown())
+        self._transition(Shutdown())
 
 
-def _pretrain(
+def pretrain(
     spec: ServiceSpec, requests: Iterable[str], config: ControllerConfig
-) -> tuple[SyscallPolicy, list[PolicyLogEntry]]:
-    policy = new_policy(config.deny)
-    entries: list[PolicyLogEntry] = []
+) -> list[PolicyLogEntry]:
+    """Learn offline from known-safe requests; returns the policy log.
+
+    Each request grows the allow-list by what the oracle observes on it,
+    by the rules a session learns by, so ``replay_log`` turns the log into
+    exactly the policy a fresh session would learn from the same requests.
+    Entries have source "pretrain". Pretraining does not need to be
+    exhaustive: the session keeps learning afterwards.
+    """
+    deny = new_policy(config.deny).deny
+    allow: set[str] = set()
+    log: list[PolicyLogEntry] = []
     for key in requests:
         behavior = spec.handlers.get(key)
         if behavior is None:
             raise ConfigError(f"pretrain request {key!r} has no handler")
         if behavior.exploit is not None:
             raise ExploitInPretrainSet(f"pretrain request {key!r} is exploit-annotated")
-        policy, entry = extend(
-            policy,
-            frozenset(behavior.trace) | spec.oracle_extra,
-            source="pretrain",
-            timestamp_ms=0.0,
+        # Each entry bumps the epoch by one, from 0.
+        entry = growth_entry(
+            allow, deny, len(log), frozenset(behavior.trace) | spec.oracle_extra, "pretrain"
         )
         if entry is not None:
-            entries.append(entry)
-    return policy, entries
+            allow.update(entry.added)
+            log.append(entry)
+    return log
 
 
-def pretrain(
-    spec: ServiceSpec, requests: Iterable[str], config: ControllerConfig
-) -> SyscallPolicy:
-    """Learn a starting policy offline from known-safe requests.
+def _run_baseline(
+    spec: ServiceSpec, workload: Sequence["workload_mod.Request"], mode: str
+) -> tuple[list["workload_mod.LatencyRecord"], list[Alert]]:
+    """The records and alerts of a deployment without the controller.
 
-    Produces exactly the policy a fresh session would learn from the same
-    requests; log entries are tagged with source "pretrain". Pretraining
-    does not need to be exhaustive: the session keeps learning afterwards.
+    Each request runs once, with no filter. Unhardened runs it as is;
+    hardened runs it in the oracle, so every request pays the oracle's cost
+    and a detected exploit is rejected with an alert.
     """
-    policy, _ = _pretrain(spec, requests, config)
-    return policy
+    records = []
+    alerts: list[Alert] = []
+    verdicts: dict[str, tuple[OracleFinished, float]] = {}
+    now = 0.0
+    for logical_id, key in workload:
+        first_attempt_ms = now
+        outcome = "served"
+        if mode == "hardened":
+            event, elapsed = _consult(spec, verdicts, key)
+            now += elapsed
+            if isinstance(event.outcome, Malicious):
+                alerts.append(Alert(request=logical_id, report=event.outcome.report, at_ms=now))
+                outcome = "rejected_malicious"
+        else:
+            _, elapsed = run_unrestricted(spec, key)
+            now += elapsed
+        records.append(
+            workload_mod.LatencyRecord(logical_id, key, 1, first_attempt_ms, now, outcome)
+        )
+    return records, alerts
 
 
 def run_session(
@@ -565,13 +542,18 @@ def run_session(
     mode: str = "timeloops",
     max_attempts: int = 16,
 ) -> SessionResult:
-    """Drive a workload to completion under retry semantics.
+    """Run a workload to completion in one of ``SESSION_MODES``.
 
-    Every logical request is retried until served, rejected by an alert, or
-    the attempt budget is exhausted. Fully deterministic for a given
-    (spec, workload, config, mode).
+    Under the controller, every logical request is retried until served,
+    rejected by an alert, or the attempt budget is exhausted; the baseline
+    modes run each request once. Every mode starts from the pretrained
+    policy. Fully deterministic for a given (spec, workload, config, mode).
     """
     config = config if config is not None else ControllerConfig()
+    if mode not in SESSION_MODES:
+        raise ConfigError(f"unknown session mode: {mode!r}")
+    if max_attempts < 1:
+        raise ConfigError("max_attempts must be >= 1")
     if not workload:
         raise ConfigError("workload must not be empty")
     conflict = spec.oracle_extra & config.deny
@@ -579,13 +561,14 @@ def run_session(
         raise ConfigError(
             "oracle instrumentation syscalls are deny-listed: " + ", ".join(sorted(conflict))
         )
-    initial_policy = None
-    initial_log: list[PolicyLogEntry] = []
-    if config.pretrain_requests:
-        initial_policy, initial_log = _pretrain(spec, config.pretrain_requests, config)
-    driver = SessionDriver(
-        spec, config, mode=mode, initial_policy=initial_policy, initial_log=initial_log
-    )
+    log = pretrain(spec, config.pretrain_requests, config)
+    if mode != "timeloops":
+        # Nothing is learned: the policy stays the pretrained one.
+        records, alerts = _run_baseline(spec, workload, mode)
+        return SessionResult(final_policy=replay_log(log, config.deny), policy_log=log,
+                             latency_records=records, alerts=alerts, transition_trace=[],
+                             consultations=0)
+    driver = SessionDriver(spec, config, log)
     records = [
         workload_mod.send_with_retry(request, driver, max_attempts=max_attempts)
         for request in workload
@@ -599,5 +582,4 @@ def run_session(
         alerts=driver.alerts,
         transition_trace=driver.transition_trace,
         consultations=driver.consultations,
-        mode=mode,
     )

@@ -42,9 +42,6 @@ class SyscallPolicy:
         if overlap:
             raise ValueError("allow and deny overlap: " + ", ".join(sorted(overlap)))
 
-    def allows(self, syscall: str) -> bool:
-        return syscall in self.allow
-
     def size(self) -> int:
         """Policy size metric: number of allowed syscalls (deny not counted)."""
         return len(self.allow)
@@ -187,8 +184,12 @@ def save_log(entries: Iterable[PolicyLogEntry], path: str | Path) -> None:
 
 
 def load_log(path: str | Path) -> list[PolicyLogEntry]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"policy log {path}: {exc}") from exc
     entries: list[PolicyLogEntry] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -201,7 +202,7 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
             )
             if not math.isfinite(entry.timestamp_ms):
                 raise ValueError(f"timestamp_ms must be finite, got {entry.timestamp_ms!r}")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ParseError(f"policy log line {lineno}: {exc}") from exc
         entries.append(entry)
     epochs = [e.epoch for e in entries]

@@ -179,12 +179,6 @@ class PolicyViolation:
 
 
 @dataclass(frozen=True)
-class ExploitDetected:
-    report: str
-    label: ClassVar[str] = "exploit_detected"
-
-
-@dataclass(frozen=True)
 class WatchdogTimeout:
     """Oracle lifetime expired mid-run; carries syscalls observed so far."""
 
@@ -201,7 +195,7 @@ class DeniedSyscallHit:
         return f"denied_syscall:{self.syscall}"
 
 
-ExitReason = Completed | PolicyViolation | ExploitDetected | WatchdogTimeout | DeniedSyscallHit
+ExitReason = Completed | PolicyViolation | WatchdogTimeout | DeniedSyscallHit
 
 
 @dataclass(frozen=True)
@@ -252,18 +246,24 @@ def run_oracle(
     needed plus the instrumentation's own extras. The verdict depends only
     on the handler and the watchdog budget, never on a policy. A detectable
     corruption aborts the run at the corruption point, before any injected
-    syscall executes. The watchdog budget is checked between syscalls.
+    syscall executes.
 
-    The budget is compared with the elapsed time after each syscall, and
-    those times only grow. So a run whose unbounded elapsed time is within
-    ``watchdog_ms`` is never cut short: ``run_oracle(spec, request, w) ==
-    run_oracle(spec, request)`` whenever ``run_oracle(spec, request)[1] <=
-    w``, bit for bit.
+    The watchdog budget is checked before the request's base cost and
+    before each syscall, so no run's elapsed time exceeds ``watchdog_ms``.
+    A run the watchdog stops ends in ``WatchdogTimeout`` with the syscalls
+    observed so far; the controller never learns from such a partial
+    observation. The budget is compared with elapsed times that only grow,
+    so a run whose unbounded elapsed time is within ``watchdog_ms`` is never
+    cut short: ``run_oracle(spec, request, w) == run_oracle(spec, request)``
+    whenever ``run_oracle(spec, request)[1] <= w``, bit for bit.
     """
     cost = spec.cost_model
+    elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
+    if elapsed > watchdog_ms:
+        return WatchdogTimeout(frozenset()), 0.0
     behavior = spec.handlers.get(request)
     if behavior is None:
-        return Benign(frozenset(spec.oracle_extra)), cost.oracle_elapsed(0)
+        return Benign(frozenset(spec.oracle_extra)), elapsed
     exploit = behavior.exploit
     trace = behavior.effective_trace()
     detectable_at = (
@@ -271,7 +271,6 @@ def run_oracle(
         if exploit is not None and exploit.kind == "oracle_detectable"
         else None
     )
-    elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
     per = cost.production_per_syscall_ms * cost.oracle_slowdown_factor
     observed: set[str] = set()
     for index, syscall in enumerate(trace):
@@ -351,7 +350,7 @@ def parse_service(obj: dict) -> ServiceSpec:
         raise ScenarioError("unknown cost_model fields: " + ", ".join(sorted(unknown_cost)))
     try:
         cost = CostModel(**{k: float(v) for k, v in cost_obj.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed cost_model: {exc}") from exc
     handlers: dict[str, RequestBehavior] = {}
     if not isinstance(handlers_obj, dict):
@@ -368,18 +367,19 @@ def parse_service(obj: dict) -> ServiceSpec:
                     corruption_index=int(e["corruption_index"]),
                     injected=_name_array(e, "injected", f"handler {key!r} exploit"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioError(f"handler {key!r}: malformed exploit: {exc}") from exc
         handlers[key] = RequestBehavior(
             trace=_name_array(h, "trace", f"handler {key!r}"),
             response=str(h.get("response", "ok")),
             exploit=exploit,
         )
+    # ServiceSpec checks the names before it freezes them into sets.
     return ServiceSpec(
         name=name,
         handlers=handlers,
-        static_universe=frozenset(_name_array(obj, "static_universe", f"service {name!r}")),
-        oracle_extra=frozenset(_name_array(obj, "oracle_extra", f"service {name!r}")),
+        static_universe=_name_array(obj, "static_universe", f"service {name!r}"),
+        oracle_extra=_name_array(obj, "oracle_extra", f"service {name!r}"),
         cost_model=cost,
     )
 
@@ -388,7 +388,8 @@ def load_scenario(path: str | Path) -> list[ServiceSpec]:
     """Load and validate a scenario file (one or more service definitions)."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # ValueError covers undecodable bytes and malformed JSON.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"scenario {path}: {exc}") from exc
     if not isinstance(obj, dict) or "services" not in obj:
         raise ScenarioError(f"scenario {path}: top-level object must contain 'services'")

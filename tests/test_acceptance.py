@@ -32,7 +32,6 @@ from timeloops.errors import IllegalTransition
 from timeloops.simruntime import (
     Completed,
     DeniedSyscallHit,
-    ExploitDetected,
     Malicious,
     PolicyViolation,
     WatchdogTimeout,
@@ -265,11 +264,10 @@ def test_criterion_7_determinism_and_formats(tmp_path):
 def test_criterion_8_state_machine_safety():
     started = time.monotonic()
     config = ControllerConfig()
-    states = [ProductionRunning(epoch=1), OracleRunning(epoch=1), Halted()]
+    states = [ProductionRunning(), OracleRunning(), Halted()]
     events = [
         ProdExited(Completed("ok")),
         ProdExited(PolicyViolation("write", 0)),
-        ProdExited(ExploitDetected("report")),
         ProdExited(WatchdogTimeout()),
         ProdExited(DeniedSyscallHit("mount")),
         OracleFinished(Benign(frozenset({"read"}))),
@@ -284,7 +282,6 @@ def test_criterion_8_state_machine_safety():
     legal |= {
         ("ProductionRunning", "ProdExited:Completed"),
         ("ProductionRunning", "ProdExited:PolicyViolation"),
-        ("ProductionRunning", "ProdExited:ExploitDetected"),
         ("ProductionRunning", "ProdExited:DeniedSyscallHit"),
         ("OracleRunning", "OracleFinished:Benign"),
         ("OracleRunning", "OracleFinished:Malicious"),

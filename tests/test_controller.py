@@ -37,7 +37,6 @@ from timeloops.simruntime import (
     Completed,
     CostModel,
     DeniedSyscallHit,
-    ExploitDetected,
     ExploitSpec,
     Malicious,
     PolicyViolation,
@@ -77,49 +76,49 @@ def _requests(*keys):
 # --- step: the pure transition function ---------------------------------------
 
 def test_violation_starts_oracle():
-    state, actions = step(ProductionRunning(epoch=2), ProdExited(PolicyViolation("write", 1)), CFG)
-    assert state == OracleRunning(epoch=2)
+    state, actions = step(ProductionRunning(), ProdExited(PolicyViolation("write", 1)), CFG)
+    assert state == OracleRunning()
     assert actions == (StartOracle(watchdog_ms=CFG.watchdog_ms),)
 
 
 def test_completed_request_needs_no_restart():
-    state, actions = step(ProductionRunning(epoch=1), ProdExited(Completed("ok")), CFG)
-    assert state == ProductionRunning(epoch=1)
+    state, actions = step(ProductionRunning(), ProdExited(Completed("ok")), CFG)
+    assert state == ProductionRunning()
     assert actions == (LogEvent("production served request"),)
 
 
 def test_benign_outcome_updates_policy_and_restarts_production():
     observed = frozenset({"read", "write"})
-    state, actions = step(OracleRunning(epoch=0), OracleFinished(Benign(observed)), CFG)
-    assert state == ProductionRunning(epoch=0)
+    state, actions = step(OracleRunning(), OracleFinished(Benign(observed)), CFG)
+    assert state == ProductionRunning()
     assert actions == (UpdatePolicy(observed), StartProduction())
 
 
 def test_benign_outcome_keeps_oracle_alive_until_watchdog():
     observed = frozenset({"read"})
-    before = OracleRunning(epoch=0, oracle_started_ms=7.0)
+    before = OracleRunning()
     state, actions = step(before, OracleFinished(Benign(observed)), CFG_WATCHDOG)
-    assert state == OracleRunning(epoch=0, oracle_started_ms=7.0)
+    assert state == OracleRunning()
     assert actions == (UpdatePolicy(observed),)
 
 
 def test_malicious_outcome_alerts_without_policy_update():
-    state, actions = step(OracleRunning(epoch=3), OracleFinished(Malicious("corruption")), CFG)
-    assert state == ProductionRunning(epoch=3)
+    state, actions = step(OracleRunning(), OracleFinished(Malicious("corruption")), CFG)
+    assert state == ProductionRunning()
     assert actions == (RaiseAlert("corruption"), StartProduction())
     assert not any(isinstance(a, UpdatePolicy) for a in actions)
 
 
 def test_watchdog_fired_switches_back_to_production():
-    state, actions = step(OracleRunning(epoch=1), WatchdogFired(), CFG)
-    assert state == ProductionRunning(epoch=1)
+    state, actions = step(OracleRunning(), WatchdogFired(), CFG)
+    assert state == ProductionRunning()
     assert actions == (StartProduction(),)
 
 
 def test_shutdown_halts_from_any_state():
     for state in (ProductionRunning(), OracleRunning(), Halted()):
         after, _ = step(state, Shutdown(), CFG)
-        assert after == Halted("shutdown")
+        assert after == Halted()
 
 
 def test_illegal_transitions_raise():
@@ -140,12 +139,6 @@ def test_denied_syscall_hit_alerts_and_restarts():
     assert state == ProductionRunning()
     assert isinstance(actions[0], RaiseAlert)
     assert actions[1] == StartProduction()
-
-
-def test_exploit_detected_alerts_and_restarts():
-    state, actions = step(ProductionRunning(), ProdExited(ExploitDetected("asan")), CFG)
-    assert state == ProductionRunning()
-    assert actions == (RaiseAlert("asan"), StartProduction())
 
 
 # --- run_session ---------------------------------------------------------------
@@ -389,12 +382,12 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
     config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny)
     cached = run_session(spec, workload, config, mode=mode)
 
-    def walk_every_time(self, key, budget=math.inf):
-        outcome, elapsed = controller.run_oracle(self.spec, key, budget)
+    def walk_every_time(spec, verdicts, key, budget=math.inf):
+        outcome, elapsed = controller.run_oracle(spec, key, budget)
         return OracleFinished(outcome), elapsed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(controller.SessionDriver, "_consult", walk_every_time)
+        patch.setattr(controller, "_consult", walk_every_time)
         walked = run_session(spec, workload, config, mode=mode)
     assert cached.latency_records == walked.latency_records
     assert cached.policy_log == walked.policy_log
@@ -405,7 +398,9 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
 
 def test_pretrain_empty_equals_new_policy():
     spec = _spec({"r": RequestBehavior(trace=("read",))})
-    assert pretrain(spec, [], CFG) == new_policy()
+    log = pretrain(spec, [], CFG)
+    assert log == []
+    assert replay_log(log) == new_policy()
 
 
 def test_pretrain_rejects_exploit_requests():
@@ -431,14 +426,12 @@ def test_pretrain_over_all_handlers_matches_full_session_policy():
         "a": RequestBehavior(trace=("read", "write"), response="a"),
         "b": RequestBehavior(trace=("openat",), response="b"),
     }, extra={"sigaltstack"})
-    trained = pretrain(spec, sorted(spec.handlers), CFG)
+    trained = replay_log(pretrain(spec, sorted(spec.handlers), CFG))
     session = run_session(spec, _requests("a", "b"), CFG)
     assert trained.allow == session.final_policy.allow
 
 
 def test_pretrain_log_replays_to_final_policy():
-    from timeloops.policy import replay_log
-
     spec = _spec({
         "a": RequestBehavior(trace=("read", "write"), response="a"),
         "b": RequestBehavior(trace=("openat",), response="b"),
@@ -516,13 +509,14 @@ def test_production_runs_under_the_policy_the_log_replays_to(
     pretrain_requests = tuple(data.draw(st.lists(st.sampled_from(sorted(spec.handlers)))))
     config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny,
                               pretrain_requests=pretrain_requests)
-    drivers, initial, stale = [], [], []
-    real_run_production, real_pretrain = controller.run_production, controller._pretrain
+    drivers, initial, logs, stale = [], [], [], []
+    real_run_production, real_pretrain = controller.run_production, controller.pretrain
 
     class RecordingDriver(controller.SessionDriver):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             drivers.append(self)
+            initial.append((self.policy, self.policy.epoch, sorted(self.policy.allow)))
 
     def checked_run_production(spec, policy, request):
         expected = replay_log(drivers[-1].policy_log, deny)
@@ -531,14 +525,14 @@ def test_production_runs_under_the_policy_the_log_replays_to(
         return real_run_production(spec, policy, request)
 
     def recorded_pretrain(*args):
-        policy, entries = real_pretrain(*args)
-        initial.append((policy, policy.epoch, sorted(policy.allow)))
-        return policy, entries
+        log = real_pretrain(*args)
+        logs.append((log, list(log)))
+        return log
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "SessionDriver", RecordingDriver)
         patch.setattr(controller, "run_production", checked_run_production)
-        patch.setattr(controller, "_pretrain", recorded_pretrain)
+        patch.setattr(controller, "pretrain", recorded_pretrain)
         result = run_session(spec, workload, config)
 
     assert stale == []
@@ -546,3 +540,6 @@ def test_production_runs_under_the_policy_the_log_replays_to(
     assert replay_log(result.policy_log, deny) == result.final_policy
     for policy, epoch, allow in initial:
         assert (policy.epoch, sorted(policy.allow)) == (epoch, allow)
+    assert len(logs) == 1
+    for log, entries in logs:
+        assert log == entries

@@ -27,9 +27,9 @@ def test_new_policy_empty():
 
 def test_new_policy_denied_syscall_never_allowed():
     p = new_policy({"clock_settime"})
-    assert not p.allows("clock_settime")
+    assert "clock_settime" not in p.allow
     p, _ = extend(p, {"read", "write"})
-    assert not p.allows("clock_settime")
+    assert "clock_settime" not in p.allow
     with pytest.raises(DeniedSyscall):
         extend(p, {"clock_settime"})
 
@@ -39,7 +39,7 @@ def test_podman_style_deny_from_fixture(table):
 
     p = new_policy(podman_default_deny(table))
     assert p.deny == {"clock_settime"}
-    assert not p.allows("clock_settime")
+    assert "clock_settime" not in p.allow
 
 
 def test_extend_disjoint_union():
@@ -86,10 +86,10 @@ def test_extend_rejects_a_bad_name_before_a_denied_one(allowed, bad):
 
 def test_allows_membership():
     p = new_policy()
-    assert not p.allows("read")
+    assert "read" not in p.allow
     p, _ = extend(p, {"read"})
-    assert p.allows("read")
-    assert not p.allows("write")
+    assert "read" in p.allow
+    assert "write" not in p.allow
 
 
 def test_allow_deny_overlap_rejected():
@@ -113,7 +113,7 @@ def test_extend_sequences_monotone_and_deny_stable(batches, deny):
         assert previous.allow <= p.allow
         assert p.deny == frozenset(deny)
         for syscall in deny:
-            assert not p.allows(syscall)
+            assert syscall not in p.allow
         if entry is None:
             assert p.allow == previous.allow
             assert p.epoch == previous.epoch

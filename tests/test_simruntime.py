@@ -248,6 +248,15 @@ def test_oracle_run_within_its_budget_equals_the_unbounded_run(spec, data):
         assert bounded[1] <= unbounded[1]
 
 
+@given(spec=oracle_specs(), data=st.data())
+def test_no_oracle_run_overruns_a_finite_budget(spec, data):
+    spec = dataclasses.replace(spec, handlers={**spec.handlers, "empty": RequestBehavior()})
+    key = data.draw(st.sampled_from(sorted(spec.handlers) + ["unknown"]))
+    watchdog_ms = data.draw(st.floats(min_value=0.0, max_value=run_oracle(spec, key)[1]))
+    _, elapsed = run_oracle(spec, key, watchdog_ms)
+    assert elapsed <= watchdog_ms
+
+
 def test_static_universe_is_declared_not_observed():
     spec = _spec(
         {"r": RequestBehavior(trace=("read", "write"))},

@@ -32,7 +32,6 @@ from timeloops.simruntime import (
     Completed,
     CostModel,
     DeniedSyscallHit,
-    ExploitDetected,
     ExploitSpec,
     Malicious,
     PolicyViolation,
@@ -46,14 +45,13 @@ SINGLE = ControllerConfig()
 WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
 
 STATES = {
-    "production": ProductionRunning(epoch=1),
-    "oracle": OracleRunning(epoch=1),
+    "production": ProductionRunning(),
+    "oracle": OracleRunning(),
     "halted": Halted(),
 }
 EVENTS = {
     "completed": ProdExited(Completed("ok")),
     "violation": ProdExited(PolicyViolation("write", 0)),
-    "exploit": ProdExited(ExploitDetected("report")),
     "prod_watchdog": ProdExited(WatchdogTimeout()),
     "denied": ProdExited(DeniedSyscallHit("mount")),
     "benign": OracleFinished(Benign(frozenset({"read"}))),
@@ -70,9 +68,6 @@ VOCABULARY = {
     ("production", "violation", "single"): (
         "production_running", "prod_exited:policy_violation:write", "oracle_running",
         ("start_oracle",)),
-    ("production", "exploit", "single"): (
-        "production_running", "prod_exited:exploit_detected", "production_running",
-        ("raise_alert", "start_production")),
     ("production", "denied", "single"): (
         "production_running", "prod_exited:denied_syscall:mount", "production_running",
         ("raise_alert", "start_production")),
