@@ -39,6 +39,10 @@ RUNS = {
     "unhardened_pretrain": ("staticsite.json", MIX,
                             ["--mode", "unhardened", "--pretrain", "home,search",
                              "--deny-preset", "podman"]),
+    "attacks_pretrain_watchdog70": ("staticsite_attacks.json", ATTACK_MIX,
+                                    ["--oracle-mode", "watchdog", "--watchdog-ms", "70",
+                                     "--deny-preset", "podman",
+                                     "--pretrain", "home,search,home"]),
 }
 
 
