@@ -24,7 +24,6 @@ from .catalog import (
 from .controller import (
     ControllerConfig,
     SessionResult,
-    pretrain,
     run_session,
     step,
 )

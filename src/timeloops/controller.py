@@ -6,9 +6,11 @@ consulted whenever production dies on a policy violation. A benign oracle
 verdict grows the policy and restarts production; a malicious verdict
 raises an alert and never touches the policy. ``step`` is the pure
 transition function, and ``SessionDriver`` applies it to a workload on a
-shared virtual clock. ``run_session`` also runs the two deployments the
-controller is compared with, unhardened and hardened; they have no
-controller, so each is one plain loop over the workload.
+shared virtual clock; it pretrains by learning the oracle's verdicts on
+known-safe requests as it learns any benign verdict. ``run_session`` also
+runs the two deployments the controller is compared with, unhardened and
+hardened; they have no controller, so each is one plain loop over the
+workload.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 from . import workload as workload_mod
 from .errors import (
@@ -27,7 +29,7 @@ from .errors import (
     ExploitInPretrainSet,
     IllegalTransition,
 )
-from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy, replay_log
+from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy
 from .policy import extend  # noqa: F401  (unused; the bench tracer wraps it by this name)
 from .simruntime import (
     Benign,
@@ -337,25 +339,24 @@ class SessionDriver:
     costs, restart costs and any queueing delay while a container starts.
     ``shutdown`` halts the controller at the end of the session.
 
-    The driver starts from the policy that ``initial_log`` replays to, and
-    learns into a live allow-list: a benign oracle verdict adds its new
-    names in place and bumps the epoch. ``policy`` is the filter installed
-    in the production container, an immutable snapshot of the live
-    allow-list taken each time production starts, and rebuilt only if the
-    epoch has moved since the last one.
+    The driver learns into a live allow-list: ``_learn`` adds the new names
+    of a benign oracle verdict in place and logs them, and the epoch is the
+    length of ``policy_log``. ``policy`` is the filter installed in the
+    production container, an immutable snapshot of the live allow-list
+    taken each time production starts, and rebuilt only if the epoch has
+    moved since the last one.
+
+    The driver starts pretrained: each of ``config.pretrain_requests`` runs
+    in the oracle before the clock starts, and ``_learn`` takes its verdict
+    with source "pretrain", counting no consultation and writing no
+    transition. A deny-listed name raises :class:`DeniedSyscall`.
     """
 
-    def __init__(
-        self,
-        spec: ServiceSpec,
-        config: ControllerConfig,
-        initial_log: Sequence[PolicyLogEntry] = (),
-    ):
+    def __init__(self, spec: ServiceSpec, config: ControllerConfig):
         self.spec = spec
         self.config = config
-        self.policy = replay_log(initial_log, config.deny)
-        self._allow = set(self.policy.allow)
-        self._epoch = self.policy.epoch
+        self.policy = new_policy(config.deny)
+        self._allow: set[str] = set()
         self.state: ControllerState = ProductionRunning()
         self.now = 0.0
         # Initial start is free; restart cost applies only to violation- and
@@ -363,7 +364,7 @@ class SessionDriver:
         self.ready_at = 0.0
         # When the running oracle container started; set by StartOracle.
         self._oracle_started_ms = 0.0
-        self.policy_log: list[PolicyLogEntry] = list(initial_log)
+        self.policy_log: list[PolicyLogEntry] = []
         self.alerts: list[Alert] = []
         self.transition_trace: list[Transition] = []
         self.consultations = 0
@@ -373,8 +374,27 @@ class SessionDriver:
         self._completions: dict[str, ProdExited] = {}
         # the session's verdict table (see ``_consult``)
         self._verdicts: dict[str, tuple[OracleFinished, float]] = {}
+        for key in config.pretrain_requests:
+            behavior = spec.handlers.get(key)
+            if behavior is None:
+                raise ConfigError(f"pretrain request {key!r} has no handler")
+            if behavior.exploit is not None:
+                raise ExploitInPretrainSet(f"pretrain request {key!r} is exploit-annotated")
+            self._learn(_consult(spec, self._verdicts, key)[0].outcome.observed, "pretrain")
+        self.policy = self.snapshot()
 
     # -- plumbing
+
+    def _learn(self, new: frozenset[str], source: str) -> None:
+        """Allow the names in ``new`` not yet allowed, and log them as one
+        entry at the next epoch; raises :class:`DeniedSyscall`, learning
+        nothing, if any of them is deny-listed."""
+        entry = growth_entry(
+            self._allow, self.policy.deny, len(self.policy_log), new, source, self.now
+        )
+        if entry is not None:
+            self._allow.update(entry.added)
+            self.policy_log.append(entry)
 
     def _alert(self, report: str) -> None:
         self.alerts.append(Alert(request=self._current_request_id, report=report, at_ms=self.now))
@@ -393,34 +413,28 @@ class SessionDriver:
                 self.policy = self.snapshot()
             elif isinstance(action, UpdatePolicy):
                 try:
-                    entry = growth_entry(
-                        self._allow, self.policy.deny, self._epoch, action.new_syscalls,
-                        "oracle", self.now,
-                    )
+                    self._learn(action.new_syscalls, "oracle")
                 except DeniedSyscall as exc:
                     # Category-4 mitigation: the oracle observed a deny-listed
                     # syscall, so the request is rejected and nothing is learned.
                     self._alert(str(exc))
                     rejected = True
-                else:
-                    if entry is not None:
-                        self._allow.update(entry.added)
-                        self._epoch = entry.epoch
-                        self.policy_log.append(entry)
             elif isinstance(action, RaiseAlert):
                 self._alert(action.report)
                 rejected = True
         labels = _SERVED_LABELS if actions is _SERVED else tuple([a.label for a in actions])
         self.transition_trace.append(
-            Transition(self.now, before.label, event.label, self.state.label, labels, self._epoch)
+            Transition(self.now, before.label, event.label, self.state.label, labels,
+                       len(self.policy_log))
         )
         return rejected
 
     def snapshot(self) -> SyscallPolicy:
         """The live allow-list as a policy value; ``policy`` if it is current."""
-        if self.policy.epoch == self._epoch:
+        epoch = len(self.policy_log)
+        if self.policy.epoch == epoch:
             return self.policy
-        return SyscallPolicy(epoch=self._epoch, allow=frozenset(self._allow), deny=self.policy.deny)
+        return SyscallPolicy(epoch=epoch, allow=frozenset(self._allow), deny=self.policy.deny)
 
     def _wait_until_ready(self) -> None:
         if self.now < self.ready_at:
@@ -472,36 +486,6 @@ class SessionDriver:
 
     def shutdown(self) -> None:
         self._transition(Shutdown())
-
-
-def pretrain(
-    spec: ServiceSpec, requests: Iterable[str], config: ControllerConfig
-) -> list[PolicyLogEntry]:
-    """Learn offline from known-safe requests; returns the policy log.
-
-    Each request grows the allow-list by what the oracle observes on it,
-    by the rules a session learns by, so ``replay_log`` turns the log into
-    exactly the policy a fresh session would learn from the same requests.
-    Entries have source "pretrain". Pretraining does not need to be
-    exhaustive: the session keeps learning afterwards.
-    """
-    deny = new_policy(config.deny).deny
-    allow: set[str] = set()
-    log: list[PolicyLogEntry] = []
-    for key in requests:
-        behavior = spec.handlers.get(key)
-        if behavior is None:
-            raise ConfigError(f"pretrain request {key!r} has no handler")
-        if behavior.exploit is not None:
-            raise ExploitInPretrainSet(f"pretrain request {key!r} is exploit-annotated")
-        # Each entry bumps the epoch by one, from 0.
-        entry = growth_entry(
-            allow, deny, len(log), frozenset(behavior.trace) | spec.oracle_extra, "pretrain"
-        )
-        if entry is not None:
-            allow.update(entry.added)
-            log.append(entry)
-    return log
 
 
 def _run_baseline(
@@ -561,14 +545,13 @@ def run_session(
         raise ConfigError(
             "oracle instrumentation syscalls are deny-listed: " + ", ".join(sorted(conflict))
         )
-    log = pretrain(spec, config.pretrain_requests, config)
+    driver = SessionDriver(spec, config)
     if mode != "timeloops":
         # Nothing is learned: the policy stays the pretrained one.
         records, alerts = _run_baseline(spec, workload, mode)
-        return SessionResult(final_policy=replay_log(log, config.deny), policy_log=log,
+        return SessionResult(final_policy=driver.policy, policy_log=driver.policy_log,
                              latency_records=records, alerts=alerts, transition_trace=[],
                              consultations=0)
-    driver = SessionDriver(spec, config, log)
     records = [
         workload_mod.send_with_retry(request, driver, max_attempts=max_attempts)
         for request in workload

@@ -21,8 +21,8 @@ from timeloops.controller import (
     StartOracle,
     StartProduction,
     UpdatePolicy,
+    SessionDriver,
     WatchdogFired,
-    pretrain,
     run_session,
     step,
 )
@@ -398,16 +398,16 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
 
 def test_pretrain_empty_equals_new_policy():
     spec = _spec({"r": RequestBehavior(trace=("read",))})
-    log = pretrain(spec, [], CFG)
-    assert log == []
-    assert replay_log(log) == new_policy()
+    driver = SessionDriver(spec, ControllerConfig(pretrain_requests=()))
+    assert driver.policy_log == []
+    assert driver.policy == new_policy()
 
 
 def test_pretrain_rejects_exploit_requests():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=0, injected=("ptrace",))
     spec = _spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
     with pytest.raises(ExploitInPretrainSet):
-        pretrain(spec, ["evil"], CFG)
+        SessionDriver(spec, ControllerConfig(pretrain_requests=("evil",)))
 
 
 def test_pretrained_session_replays_without_consultation():
@@ -426,9 +426,9 @@ def test_pretrain_over_all_handlers_matches_full_session_policy():
         "a": RequestBehavior(trace=("read", "write"), response="a"),
         "b": RequestBehavior(trace=("openat",), response="b"),
     }, extra={"sigaltstack"})
-    trained = replay_log(pretrain(spec, sorted(spec.handlers), CFG))
+    trained = SessionDriver(spec, ControllerConfig(pretrain_requests=tuple(sorted(spec.handlers))))
     session = run_session(spec, _requests("a", "b"), CFG)
-    assert trained.allow == session.final_policy.allow
+    assert trained.policy.allow == session.final_policy.allow
 
 
 def test_pretrain_log_replays_to_final_policy():
@@ -509,8 +509,8 @@ def test_production_runs_under_the_policy_the_log_replays_to(
     pretrain_requests = tuple(data.draw(st.lists(st.sampled_from(sorted(spec.handlers)))))
     config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny,
                               pretrain_requests=pretrain_requests)
-    drivers, initial, logs, stale = [], [], [], []
-    real_run_production, real_pretrain = controller.run_production, controller.pretrain
+    drivers, initial, stale = [], [], []
+    real_run_production = controller.run_production
 
     class RecordingDriver(controller.SessionDriver):
         def __init__(self, *args, **kwargs):
@@ -524,15 +524,9 @@ def test_production_runs_under_the_policy_the_log_replays_to(
             stale.append((request, policy.epoch, expected.epoch))
         return real_run_production(spec, policy, request)
 
-    def recorded_pretrain(*args):
-        log = real_pretrain(*args)
-        logs.append((log, list(log)))
-        return log
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "SessionDriver", RecordingDriver)
         patch.setattr(controller, "run_production", checked_run_production)
-        patch.setattr(controller, "pretrain", recorded_pretrain)
         result = run_session(spec, workload, config)
 
     assert stale == []
@@ -540,6 +534,3 @@ def test_production_runs_under_the_policy_the_log_replays_to(
     assert replay_log(result.policy_log, deny) == result.final_policy
     for policy, epoch, allow in initial:
         assert (policy.epoch, sorted(policy.allow)) == (epoch, allow)
-    assert len(logs) == 1
-    for log, entries in logs:
-        assert log == entries
