@@ -85,9 +85,6 @@ class ComparisonReport:
             ]
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     def to_text(self) -> str:
         lines = []
         for e in self.entries:

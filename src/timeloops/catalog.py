@@ -44,6 +44,14 @@ def validate_syscall_name(name: str) -> str:
     return name
 
 
+def validate_name_list(value, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple of syscall names, if it is a list of valid ones."""
+    # A bare string would otherwise be taken character by character.
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array of syscall names, got {type(value).__name__}")
+    return tuple([validate_syscall_name(s) for s in value])
+
+
 @dataclass(frozen=True)
 class SyscallAnnotation:
     """A syscall together with an optionally associated CVE identifier."""

@@ -44,6 +44,7 @@ _DATA_ERRORS = (
     EmptyRecords,
     FileNotFoundError,
     IsADirectoryError,
+    NotADirectoryError,
 )
 
 
@@ -134,10 +135,10 @@ def _load_policy_file(path: str) -> SyscallPolicy:
     if not isinstance(obj, dict) or "allow" not in obj:
         raise ParseError(f"{path}: expected an object with an 'allow' list")
     try:
-        allow = frozenset(catalog.validate_syscall_name(s) for s in obj["allow"])
-        deny = frozenset(catalog.validate_syscall_name(s) for s in obj.get("deny", ()))
+        allow = frozenset(catalog.validate_name_list(obj["allow"], "allow"))
+        deny = frozenset(catalog.validate_name_list(obj.get("deny", []), "deny"))
         return SyscallPolicy(epoch=int(obj.get("epoch", 0)), allow=allow, deny=deny)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ParseError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -159,7 +160,10 @@ def cmd_simulate(args) -> int:
     result = run_session(spec, requests, config, mode=args.mode)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     workload.write_latency_csv(result.latency_records, out / "latency.csv")
     workload.write_cumulative_csv(result.latency_records, out / "cumulative.csv")
     with open(out / "session.json", "w", encoding="utf-8") as f:

@@ -423,9 +423,12 @@ class SessionDriver:
                 self._alert(action.report)
                 rejected = True
         labels = _SERVED_LABELS if actions is _SERVED else tuple([a.label for a in actions])
+        # len(policy_log) would make a new int per row past epoch 256; the
+        # last entry's epoch is the same value, shared across the trace.
+        log = self.policy_log
         self.transition_trace.append(
             Transition(self.now, before.label, event.label, self.state.label, labels,
-                       len(self.policy_log))
+                       log[-1].epoch if log else 0)
         )
         return rejected
 

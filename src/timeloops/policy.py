@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .catalog import validate_syscall_name
+from .catalog import validate_name_list, validate_syscall_name
 from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
@@ -196,13 +196,14 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
             obj = json.loads(line)
             entry = PolicyLogEntry(
                 epoch=int(obj["epoch"]),
-                added=tuple(obj["added"]),
+                added=validate_name_list(obj["added"], "added"),
                 source=obj["source"],
                 timestamp_ms=float(obj["timestamp_ms"]),
             )
             if not math.isfinite(entry.timestamp_ms):
                 raise ValueError(f"timestamp_ms must be finite, got {entry.timestamp_ms!r}")
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except (ParseError, ValueError, KeyError, TypeError, OverflowError,
+                RecursionError) as exc:
             raise ParseError(f"policy log line {lineno}: {exc}") from exc
         entries.append(entry)
     epochs = [e.epoch for e in entries]

@@ -111,8 +111,9 @@ def generate_workload(
         raise EmptyMix("workload mix is empty")
     keys = sorted(mix)
     weights = [float(mix[k]) for k in keys]
-    if any(w < 0 for w in weights):
-        raise ConfigError("mix weights must be non-negative")
+    bad = [k for k, w in zip(keys, weights) if not (math.isfinite(w) and w >= 0)]
+    if bad:
+        raise ConfigError("mix weights must be finite and non-negative: " + ", ".join(bad))
     if not any(w > 0 for w in weights):
         raise EmptyMix("workload mix has no positive weight")
     unknown = [k for k in keys if k not in spec.handlers]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR
 
 from timeloops.catalog import PolicyComparisonTable, TableRow, load_default_fixture, save_fixture
@@ -114,6 +115,31 @@ def test_pretrain_conflicting_with_deny_exits_1(tmp_path):
 def test_unknown_pretrain_key_exits_1_in_a_baseline_mode(tmp_path):
     assert main(["simulate", "--scenario", ATTACKS, "--mode", "hardened",
                  "--pretrain", "nosuch", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_simulate_out_that_cannot_be_created_exits_1(tmp_path, capsys, under):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    out = taken / "out" if under else taken
+    assert _simulate(out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "diff", "export-seccomp"])
+def test_input_path_under_a_regular_file_exits_2(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / "file" / "input.json")
+    argv = {
+        "simulate": ["simulate", "--scenario", bad, "--out", str(tmp_path / "out")],
+        "diff": ["diff", bad, bad],
+        "export-seccomp": ["export-seccomp", bad],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_simulate_missing_scenario_exits_2(tmp_path):

@@ -72,3 +72,12 @@ def test_simulate_with_infinite_watchdog_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "watchdog_ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mix, key", [("home=1,search=nan", "search"), ("home=inf", "home")])
+def test_non_finite_mix_weight_is_config_error(tmp_path, capsys, mix, key):
+    code = main(["simulate", "--scenario", str(SCENARIO_DIR / "staticsite.json"),
+                 "--n", "20", "--mix", mix, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mix weights must be finite") and key in err

@@ -11,12 +11,18 @@ from hypothesis import strategies as st
 from timeloops import catalog, cli
 from timeloops.cli import main
 from timeloops.errors import ParseError, TimeloopsError
-from timeloops.policy import load_log
+from timeloops.policy import load_log, replay_log
 from timeloops.simruntime import load_scenario
+
+
+def _load_and_replay_log(path):
+    """A log that loads either replays or raises a package error."""
+    return replay_log(load_log(path))
+
 
 LOADERS = {
     "scenario": load_scenario,
-    "log": load_log,
+    "log": _load_and_replay_log,
     "policy": cli._load_policy_file,
     "fixture": catalog.load_fixture,
 }
@@ -47,6 +53,9 @@ KNOWN_BAD = {
     "deep": b"[" * 100_000,
     "long_field": b'"' + b"a" * 200_000,
 }
+# None is an array of valid syscall names; a string was once taken as its
+# characters and a map as its keys.
+NOT_NAME_LISTS = ["adr", [[1]], [1], ["Read"], {"read": 1}, None]
 
 
 def _rendered(kind):
@@ -121,4 +130,22 @@ def test_simulate_exits_2_on_bad_bytes(tmp_path, capsys, bad):
     path = tmp_path / "scenario.json"
     path.write_bytes(KNOWN_BAD[bad])
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", NOT_NAME_LISTS, ids=repr)
+def test_log_entry_adds_only_an_array_of_names(tmp_path, names):
+    path = tmp_path / "policy.log"
+    path.write_text(json.dumps(
+        {"epoch": 1, "added": names, "source": "oracle", "timestamp_ms": 0.0}))
+    with pytest.raises(ParseError, match="line 1"):
+        load_log(path)
+
+
+@pytest.mark.parametrize("field", ["allow", "deny"])
+@pytest.mark.parametrize("names", NOT_NAME_LISTS, ids=repr)
+def test_export_seccomp_exits_2_unless_a_policy_lists_names(tmp_path, capsys, field, names):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"allow": ["read"], field: names}))
+    assert main(["export-seccomp", str(path)]) == 2
     assert "input error" in capsys.readouterr().err

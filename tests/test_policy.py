@@ -242,6 +242,12 @@ def test_replay_readded_syscall_is_replay_error():
         replay_log(entries)
 
 
+def test_replay_of_a_denied_syscall_is_replay_error():
+    entries = [PolicyLogEntry(epoch=1, added=("mount", "read"), source="oracle")]
+    with pytest.raises(ReplayError, match="adds denied syscalls: denied syscalls: mount"):
+        replay_log(entries, deny={"mount"})
+
+
 def test_malformed_log_line_is_parse_error(tmp_path):
     path = tmp_path / "policy.log"
     path.write_text('{"epoch":1,"added":["read"]}\n')
