@@ -164,14 +164,18 @@ def cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    workload.write_latency_csv(result.latency_records, out / "latency.csv")
-    workload.write_cumulative_csv(result.latency_records, out / "cumulative.csv")
-    with open(out / "session.json", "w", encoding="utf-8") as f:
-        # Two writes: concatenating would copy the whole document once more.
-        f.write(result.to_json())
-        f.write("\n")
-    save_log(result.policy_log, out / "policy.log")
-    (out / "profile.json").write_bytes(export_seccomp(result.final_policy))
+    try:
+        workload.write_latency_csv(result.latency_records, out / "latency.csv")
+        workload.write_cumulative_csv(result.latency_records, out / "cumulative.csv")
+        with open(out / "session.json", "w", encoding="utf-8") as f:
+            # Two writes: concatenating would copy the whole document once more.
+            f.write(result.to_json())
+            f.write("\n")
+        save_log(result.policy_log, out / "policy.log")
+        (out / "profile.json").write_bytes(export_seccomp(result.final_policy))
+    except OSError as exc:
+        # An output problem, not malformed input: the inputs were all read.
+        raise ConfigError(f"cannot write artifact {exc.filename or out}: {exc.strerror}") from exc
 
     served = [r for r in result.latency_records if r.outcome == "served"]
     print(f"mode={args.mode} service={spec.name} requests={len(requests)} "

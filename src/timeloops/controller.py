@@ -5,21 +5,21 @@ container enforcing the current allow-list, and a hardened oracle replica
 consulted whenever production dies on a policy violation. A benign oracle
 verdict grows the policy and restarts production; a malicious verdict
 raises an alert and never touches the policy. ``step`` is the pure
-transition function, and ``SessionDriver`` applies it to a workload on a
-shared virtual clock; it pretrains by learning the oracle's verdicts on
-known-safe requests as it learns any benign verdict. ``run_session`` also
-runs the two deployments the controller is compared with, unhardened and
-hardened; they have no controller, so each is one plain loop over the
-workload.
+transition function. Its events are a production run's exit reason and an
+oracle run's outcome, as ``simruntime`` returns them, plus the watchdog and
+shutdown; each event's ``label`` names it in the transition trace.
+``SessionDriver`` applies it to a workload on a shared virtual clock; it
+pretrains by learning the oracle's verdicts on known-safe requests as it
+learns any benign verdict. ``run_session`` also runs the two deployments
+the controller is compared with, unhardened and hardened; they have no
+controller, so each is one plain loop over the workload.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import ClassVar, NamedTuple, Sequence
 
 from . import workload as workload_mod
@@ -53,9 +53,8 @@ SESSION_MODES = ("timeloops", "unhardened", "hardened")
 # --- states, events, actions --------------------------------------------------
 #
 # Each carries the ``label`` that names it in the transition trace and in
-# session.json; an event's label includes its exit reason or outcome, is
-# computed once per event, and is interned so that a long trace holds one
-# copy of each distinct label.
+# session.json. A production exit reason or an oracle outcome from
+# ``simruntime`` is an event as it is, and carries its own label.
 
 @dataclass(frozen=True)
 class ProductionRunning:
@@ -76,24 +75,6 @@ ControllerState = ProductionRunning | OracleRunning | Halted
 
 
 @dataclass(frozen=True)
-class ProdExited:
-    reason: ExitReason
-
-    @cached_property
-    def label(self) -> str:
-        return sys.intern(f"prod_exited:{self.reason.label}")
-
-
-@dataclass(frozen=True)
-class OracleFinished:
-    outcome: OracleOutcome
-
-    @cached_property
-    def label(self) -> str:
-        return sys.intern(f"oracle_finished:{self.outcome.label}")
-
-
-@dataclass(frozen=True)
 class WatchdogFired:
     label: ClassVar[str] = "watchdog_fired"
 
@@ -103,7 +84,7 @@ class Shutdown:
     label: ClassVar[str] = "shutdown"
 
 
-ControllerEvent = ProdExited | OracleFinished | WatchdogFired | Shutdown
+ControllerEvent = ExitReason | OracleOutcome | WatchdogFired | Shutdown
 
 
 @dataclass(frozen=True)
@@ -113,7 +94,6 @@ class StartProduction:
 
 @dataclass(frozen=True)
 class StartOracle:
-    watchdog_ms: float
     label: ClassVar[str] = "start_oracle"
 
 
@@ -167,37 +147,30 @@ def step(
     if isinstance(event, Shutdown):
         return Halted(), (LogEvent("controller shut down"),)
 
-    if isinstance(state, ProductionRunning) and isinstance(event, ProdExited):
-        reason = event.reason
-        if isinstance(reason, Completed):
+    if isinstance(state, ProductionRunning):
+        if isinstance(event, Completed):
             return state, _SERVED
-        if isinstance(reason, PolicyViolation):
-            return OracleRunning(), (StartOracle(watchdog_ms=config.watchdog_ms),)
-        if isinstance(reason, DeniedSyscallHit):
+        if isinstance(event, PolicyViolation):
+            return OracleRunning(), (StartOracle(),)
+        if isinstance(event, DeniedSyscallHit):
             return state, (
-                RaiseAlert(f"deny-listed syscall {reason.syscall!r} requested"),
+                RaiseAlert(f"deny-listed syscall {event.syscall!r} requested"),
                 StartProduction(),
             )
-        # WatchdogTimeout: production containers carry no watchdog.
-        raise IllegalTransition(f"production exit reason not handled: {reason!r}")
-
-    if isinstance(state, OracleRunning) and isinstance(event, OracleFinished):
-        outcome = event.outcome
-        if isinstance(outcome, Benign):
+    elif isinstance(state, OracleRunning):
+        if isinstance(event, Benign):
             if config.oracle_mode == "until_watchdog":
-                return state, (UpdatePolicy(outcome.observed),)
-            return ProductionRunning(), (UpdatePolicy(outcome.observed), StartProduction())
-        if isinstance(outcome, Malicious):
-            return ProductionRunning(), (RaiseAlert(outcome.report), StartProduction())
-        if isinstance(outcome, WatchdogTimeout):
+                return state, (UpdatePolicy(event.observed),)
+            return ProductionRunning(), (UpdatePolicy(event.observed), StartProduction())
+        if isinstance(event, Malicious):
+            return ProductionRunning(), (RaiseAlert(event.report), StartProduction())
+        if isinstance(event, WatchdogTimeout):
             return (
                 ProductionRunning(),
                 (LogEvent("oracle watchdog expired mid-request"), StartProduction()),
             )
-        raise IllegalTransition(f"oracle outcome not handled: {outcome!r}")
-
-    if isinstance(state, OracleRunning) and isinstance(event, WatchdogFired):
-        return ProductionRunning(), (StartProduction(),)
+        if isinstance(event, WatchdogFired):
+            return ProductionRunning(), (StartProduction(),)
 
     raise IllegalTransition(f"event {type(event).__name__} not legal in state {type(state).__name__}")
 
@@ -309,12 +282,12 @@ def _transition_fragment(from_state: str, event: str, to_state: str, actions: tu
 
 
 def _consult(spec: ServiceSpec, verdicts: dict, key: str,
-             budget: float = math.inf) -> tuple[OracleFinished, float]:
+             budget: float = math.inf) -> tuple[OracleOutcome, float]:
     """The oracle's verdict on ``key`` within ``budget`` ms, and its elapsed time.
 
     The verdict depends only on the handler and the budget, so each session
     consults the oracle once per request key: ``verdicts``, a table that
-    lives and dies with the session, maps each key to the ``(OracleFinished,
+    lives and dies with the session, maps each key to the ``(outcome,
     elapsed)`` of an oracle run with no watchdog, filled on first use. A run
     whose unbounded elapsed time fits the budget is never cut short (see
     ``run_oracle``), so it is read from the table; only a run the watchdog
@@ -322,12 +295,10 @@ def _consult(spec: ServiceSpec, verdicts: dict, key: str,
     """
     entry = verdicts.get(key)
     if entry is None:
-        outcome, elapsed = run_oracle(spec, key)
-        entry = verdicts[key] = OracleFinished(outcome), elapsed
+        entry = verdicts[key] = run_oracle(spec, key)
     if entry[1] <= budget:
         return entry
-    outcome, elapsed = run_oracle(spec, key, budget)
-    return OracleFinished(outcome), elapsed
+    return run_oracle(spec, key, budget)
 
 
 class SessionDriver:
@@ -369,18 +340,15 @@ class SessionDriver:
         self.transition_trace: list[Transition] = []
         self.consultations = 0
         self._current_request_id = -1
-        # request key -> the event of its last completed production run; a
-        # handler's completions share one result, so they share one event.
-        self._completions: dict[str, ProdExited] = {}
         # the session's verdict table (see ``_consult``)
-        self._verdicts: dict[str, tuple[OracleFinished, float]] = {}
+        self._verdicts: dict[str, tuple[OracleOutcome, float]] = {}
         for key in config.pretrain_requests:
             behavior = spec.handlers.get(key)
             if behavior is None:
                 raise ConfigError(f"pretrain request {key!r} has no handler")
             if behavior.exploit is not None:
                 raise ExploitInPretrainSet(f"pretrain request {key!r} is exploit-annotated")
-            self._learn(_consult(spec, self._verdicts, key)[0].outcome.observed, "pretrain")
+            self._learn(_consult(spec, self._verdicts, key)[0].observed, "pretrain")
         self.policy = self.snapshot()
 
     # -- plumbing
@@ -456,62 +424,47 @@ class SessionDriver:
                 self._wait_until_ready()
 
         if isinstance(self.state, ProductionRunning):
-            reason, elapsed = run_production(self.spec, self.policy, request.key)
-            self.now += elapsed
-            if isinstance(reason, Completed):
-                event = self._completions.get(request.key)
-                if event is None or event.reason is not reason:
-                    event = self._completions[request.key] = ProdExited(reason)
-                self._transition(event)
-                return "served"
+            event, elapsed = run_production(self.spec, self.policy, request.key)
             # The audit log names the blocked syscall, so the controller can
             # spot a deny-list hit without consulting the oracle.
-            if reason.syscall in self.policy.deny:
-                self._transition(ProdExited(DeniedSyscallHit(reason.syscall)))
-                return "rejected"
-            self._transition(ProdExited(reason))
-            return "failed"
-
-        if isinstance(self.state, OracleRunning):
+            if isinstance(event, PolicyViolation) and event.syscall in self.policy.deny:
+                event = DeniedSyscallHit(event.syscall)
+        elif isinstance(self.state, OracleRunning):
             remaining = self.config.watchdog_ms - (self.now - self._oracle_started_ms)
             event, elapsed = _consult(self.spec, self._verdicts, request.key, remaining)
-            self.now += elapsed
             self.consultations += 1
-            rejected = self._transition(event)
-            outcome = event.outcome
-            if isinstance(outcome, Benign):
-                return "rejected" if rejected else "served"
-            if isinstance(outcome, Malicious):
-                return "rejected"
-            return "failed"
-
-        raise IllegalTransition("session driver reached a halted controller")
+        else:
+            raise IllegalTransition("session driver reached a halted controller")
+        self.now += elapsed
+        if self._transition(event):
+            return "rejected"
+        return "served" if isinstance(event, (Completed, Benign)) else "failed"
 
     def shutdown(self) -> None:
         self._transition(Shutdown())
 
 
 def _run_baseline(
-    spec: ServiceSpec, workload: Sequence["workload_mod.Request"], mode: str
+    spec: ServiceSpec, workload: Sequence["workload_mod.Request"], mode: str, verdicts: dict
 ) -> tuple[list["workload_mod.LatencyRecord"], list[Alert]]:
     """The records and alerts of a deployment without the controller.
 
     Each request runs once, with no filter. Unhardened runs it as is;
-    hardened runs it in the oracle, so every request pays the oracle's cost
-    and a detected exploit is rejected with an alert.
+    hardened runs it in the oracle, consulted through the session's
+    ``verdicts`` table (see ``_consult``), so every request pays the
+    oracle's cost and a detected exploit is rejected with an alert.
     """
     records = []
     alerts: list[Alert] = []
-    verdicts: dict[str, tuple[OracleFinished, float]] = {}
     now = 0.0
     for logical_id, key in workload:
         first_attempt_ms = now
         outcome = "served"
         if mode == "hardened":
-            event, elapsed = _consult(spec, verdicts, key)
+            verdict, elapsed = _consult(spec, verdicts, key)
             now += elapsed
-            if isinstance(event.outcome, Malicious):
-                alerts.append(Alert(request=logical_id, report=event.outcome.report, at_ms=now))
+            if isinstance(verdict, Malicious):
+                alerts.append(Alert(request=logical_id, report=verdict.report, at_ms=now))
                 outcome = "rejected_malicious"
         else:
             _, elapsed = run_unrestricted(spec, key)
@@ -551,7 +504,7 @@ def run_session(
     driver = SessionDriver(spec, config)
     if mode != "timeloops":
         # Nothing is learned: the policy stays the pretrained one.
-        records, alerts = _run_baseline(spec, workload, mode)
+        records, alerts = _run_baseline(spec, workload, mode, driver._verdicts)
         return SessionResult(final_policy=driver.policy, policy_log=driver.policy_log,
                              latency_records=records, alerts=alerts, transition_trace=[],
                              consultations=0)

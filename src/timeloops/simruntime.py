@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping
 
@@ -157,15 +159,18 @@ class ServiceSpec:
         return {k: b for k, b in self.handlers.items() if b.exploit is None}
 
 
-# --- container exit encodings -------------------------------------------------
+# --- exit reasons and oracle outcomes -----------------------------------------
 #
-# Each exit reason and oracle outcome carries the ``label`` that names it in
-# the controller's transition trace.
+# A production run's exit reason and an oracle run's outcome are the
+# controller's events as they are. Each carries the ``label`` that names it
+# in the transition trace; a label that includes a syscall name is computed
+# once per value and interned, so that a long trace holds one copy of each
+# distinct label.
 
 @dataclass(frozen=True)
 class Completed:
     response: str
-    label: ClassVar[str] = "completed"
+    label: ClassVar[str] = "prod_exited:completed"
 
 
 @dataclass(frozen=True)
@@ -173,9 +178,33 @@ class PolicyViolation:
     syscall: str
     at_index: int
 
-    @property
+    @cached_property
     def label(self) -> str:
-        return f"policy_violation:{self.syscall}"
+        return sys.intern(f"prod_exited:policy_violation:{self.syscall}")
+
+
+@dataclass(frozen=True)
+class DeniedSyscallHit:
+    syscall: str
+
+    @cached_property
+    def label(self) -> str:
+        return sys.intern(f"prod_exited:denied_syscall:{self.syscall}")
+
+
+ExitReason = Completed | PolicyViolation | DeniedSyscallHit
+
+
+@dataclass(frozen=True)
+class Benign:
+    observed: frozenset[str]
+    label: ClassVar[str] = "oracle_finished:benign"
+
+
+@dataclass(frozen=True)
+class Malicious:
+    report: str
+    label: ClassVar[str] = "oracle_finished:malicious"
 
 
 @dataclass(frozen=True)
@@ -183,31 +212,7 @@ class WatchdogTimeout:
     """Oracle lifetime expired mid-run; carries syscalls observed so far."""
 
     observed: frozenset[str] = field(default_factory=frozenset)
-    label: ClassVar[str] = "watchdog_timeout"
-
-
-@dataclass(frozen=True)
-class DeniedSyscallHit:
-    syscall: str
-
-    @property
-    def label(self) -> str:
-        return f"denied_syscall:{self.syscall}"
-
-
-ExitReason = Completed | PolicyViolation | WatchdogTimeout | DeniedSyscallHit
-
-
-@dataclass(frozen=True)
-class Benign:
-    observed: frozenset[str]
-    label: ClassVar[str] = "benign"
-
-
-@dataclass(frozen=True)
-class Malicious:
-    report: str
-    label: ClassVar[str] = "malicious"
+    label: ClassVar[str] = "oracle_finished:watchdog_timeout"
 
 
 OracleOutcome = Benign | Malicious | WatchdogTimeout

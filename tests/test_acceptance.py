@@ -18,9 +18,7 @@ from timeloops.controller import (
     Benign,
     ControllerConfig,
     Halted,
-    OracleFinished,
     OracleRunning,
-    ProdExited,
     ProductionRunning,
     Shutdown,
     UpdatePolicy,
@@ -266,13 +264,12 @@ def test_criterion_8_state_machine_safety():
     config = ControllerConfig()
     states = [ProductionRunning(), OracleRunning(), Halted()]
     events = [
-        ProdExited(Completed("ok")),
-        ProdExited(PolicyViolation("write", 0)),
-        ProdExited(WatchdogTimeout()),
-        ProdExited(DeniedSyscallHit("mount")),
-        OracleFinished(Benign(frozenset({"read"}))),
-        OracleFinished(Malicious("report")),
-        OracleFinished(WatchdogTimeout()),
+        Completed("ok"),
+        PolicyViolation("write", 0),
+        DeniedSyscallHit("mount"),
+        Benign(frozenset({"read"})),
+        Malicious("report"),
+        WatchdogTimeout(),
         WatchdogFired(),
         Shutdown(),
     ]
@@ -280,26 +277,19 @@ def test_criterion_8_state_machine_safety():
     for state in states:
         legal.add((type(state).__name__, "Shutdown"))
     legal |= {
-        ("ProductionRunning", "ProdExited:Completed"),
-        ("ProductionRunning", "ProdExited:PolicyViolation"),
-        ("ProductionRunning", "ProdExited:DeniedSyscallHit"),
-        ("OracleRunning", "OracleFinished:Benign"),
-        ("OracleRunning", "OracleFinished:Malicious"),
-        ("OracleRunning", "OracleFinished:WatchdogTimeout"),
+        ("ProductionRunning", "Completed"),
+        ("ProductionRunning", "PolicyViolation"),
+        ("ProductionRunning", "DeniedSyscallHit"),
+        ("OracleRunning", "Benign"),
+        ("OracleRunning", "Malicious"),
+        ("OracleRunning", "WatchdogTimeout"),
         ("OracleRunning", "WatchdogFired"),
     }
-
-    def event_tag(event):
-        if isinstance(event, ProdExited):
-            return f"ProdExited:{type(event.reason).__name__}"
-        if isinstance(event, OracleFinished):
-            return f"OracleFinished:{type(event.outcome).__name__}"
-        return type(event).__name__
 
     ok = True
     update_only_on_benign = True
     for state, event in itertools.product(states, events):
-        pair = (type(state).__name__, event_tag(event))
+        pair = (type(state).__name__, type(event).__name__)
         try:
             _, actions = step(state, event, config)
         except IllegalTransition:
@@ -309,8 +299,7 @@ def test_criterion_8_state_machine_safety():
             if pair not in legal:
                 ok = False
             if any(isinstance(a, UpdatePolicy) for a in actions):
-                if not (isinstance(event, OracleFinished)
-                        and isinstance(event.outcome, Benign)):
+                if not isinstance(event, Benign):
                     update_only_on_benign = False
 
     elapsed = time.monotonic() - started

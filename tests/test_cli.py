@@ -128,6 +128,16 @@ def test_simulate_out_that_cannot_be_created_exits_1(tmp_path, capsys, under):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "artifact", ["latency.csv", "cumulative.csv", "session.json", "policy.log", "profile.json"])
+def test_simulate_artifact_that_cannot_be_written_exits_1(tmp_path, capsys, artifact):
+    (tmp_path / artifact).mkdir()
+    assert _simulate(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write artifact {tmp_path / artifact}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "diff", "export-seccomp"])
 def test_input_path_under_a_regular_file_exits_2(tmp_path, capsys, command):
     (tmp_path / "file").write_text("")

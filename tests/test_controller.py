@@ -12,9 +12,7 @@ from timeloops.controller import (
     ControllerConfig,
     Halted,
     LogEvent,
-    OracleFinished,
     OracleRunning,
-    ProdExited,
     ProductionRunning,
     RaiseAlert,
     Shutdown,
@@ -76,20 +74,20 @@ def _requests(*keys):
 # --- step: the pure transition function ---------------------------------------
 
 def test_violation_starts_oracle():
-    state, actions = step(ProductionRunning(), ProdExited(PolicyViolation("write", 1)), CFG)
+    state, actions = step(ProductionRunning(), PolicyViolation("write", 1), CFG)
     assert state == OracleRunning()
-    assert actions == (StartOracle(watchdog_ms=CFG.watchdog_ms),)
+    assert actions == (StartOracle(),)
 
 
 def test_completed_request_needs_no_restart():
-    state, actions = step(ProductionRunning(), ProdExited(Completed("ok")), CFG)
+    state, actions = step(ProductionRunning(), Completed("ok"), CFG)
     assert state == ProductionRunning()
     assert actions == (LogEvent("production served request"),)
 
 
 def test_benign_outcome_updates_policy_and_restarts_production():
     observed = frozenset({"read", "write"})
-    state, actions = step(OracleRunning(), OracleFinished(Benign(observed)), CFG)
+    state, actions = step(OracleRunning(), Benign(observed), CFG)
     assert state == ProductionRunning()
     assert actions == (UpdatePolicy(observed), StartProduction())
 
@@ -97,13 +95,13 @@ def test_benign_outcome_updates_policy_and_restarts_production():
 def test_benign_outcome_keeps_oracle_alive_until_watchdog():
     observed = frozenset({"read"})
     before = OracleRunning()
-    state, actions = step(before, OracleFinished(Benign(observed)), CFG_WATCHDOG)
+    state, actions = step(before, Benign(observed), CFG_WATCHDOG)
     assert state == OracleRunning()
     assert actions == (UpdatePolicy(observed),)
 
 
 def test_malicious_outcome_alerts_without_policy_update():
-    state, actions = step(OracleRunning(), OracleFinished(Malicious("corruption")), CFG)
+    state, actions = step(OracleRunning(), Malicious("corruption"), CFG)
     assert state == ProductionRunning()
     assert actions == (RaiseAlert("corruption"), StartProduction())
     assert not any(isinstance(a, UpdatePolicy) for a in actions)
@@ -123,19 +121,19 @@ def test_shutdown_halts_from_any_state():
 
 def test_illegal_transitions_raise():
     with pytest.raises(IllegalTransition):
-        step(ProductionRunning(), OracleFinished(Benign(frozenset())), CFG)
+        step(ProductionRunning(), Benign(frozenset()), CFG)
     with pytest.raises(IllegalTransition):
-        step(OracleRunning(), ProdExited(Completed("ok")), CFG)
+        step(OracleRunning(), Completed("ok"), CFG)
     with pytest.raises(IllegalTransition):
         step(ProductionRunning(), WatchdogFired(), CFG)
     with pytest.raises(IllegalTransition):
-        step(Halted(), ProdExited(Completed("ok")), CFG)
+        step(Halted(), Completed("ok"), CFG)
     with pytest.raises(IllegalTransition):
-        step(ProductionRunning(), ProdExited(WatchdogTimeout()), CFG)
+        step(ProductionRunning(), WatchdogTimeout(), CFG)
 
 
 def test_denied_syscall_hit_alerts_and_restarts():
-    state, actions = step(ProductionRunning(), ProdExited(DeniedSyscallHit("mount")), CFG)
+    state, actions = step(ProductionRunning(), DeniedSyscallHit("mount"), CFG)
     assert state == ProductionRunning()
     assert isinstance(actions[0], RaiseAlert)
     assert actions[1] == StartProduction()
@@ -345,6 +343,9 @@ def test_hardened_session_consults_the_oracle_once_per_key(monkeypatch):
     # The table does not outlive its session.
     run_session(spec, requests, CFG, mode="hardened")
     assert len(calls) == 6
+    # Pretraining fills the session's table, and the hardened loop reads it.
+    run_session(spec, requests, ControllerConfig(pretrain_requests=("good",)), mode="hardened")
+    assert sorted(calls[6:]) == ["evil", "good", "nope"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,8 +384,7 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
     cached = run_session(spec, workload, config, mode=mode)
 
     def walk_every_time(spec, verdicts, key, budget=math.inf):
-        outcome, elapsed = controller.run_oracle(spec, key, budget)
-        return OracleFinished(outcome), elapsed
+        return controller.run_oracle(spec, key, budget)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "_consult", walk_every_time)

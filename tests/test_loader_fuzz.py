@@ -1,6 +1,7 @@
 """Whatever bytes an input file holds, only the package's own errors escape
 the loaders, so the CLI can map each one to exit code 2 and a message."""
 
+import copy
 import json
 
 import pytest
@@ -53,6 +54,8 @@ KNOWN_BAD = {
     "deep": b"[" * 100_000,
     "long_field": b'"' + b"a" * 200_000,
 }
+# The fields that hold arrays of syscall names, at any depth.
+NAME_ARRAYS = ("added", "allow", "deny", "trace", "injected")
 # None is an array of valid syscall names; a string was once taken as its
 # characters and a map as its keys.
 NOT_NAME_LISTS = ["adr", [[1]], [1], ["Read"], {"read": 1}, None]
@@ -102,12 +105,39 @@ def value_mutations(draw, docs):
     return "\n".join(json.dumps(doc) for doc in docs).encode()
 
 
+def _name_arrays(node):
+    """Each non-empty array of syscall names within ``node``, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in NAME_ARRAYS and isinstance(value, list) and value:
+                yield value
+            else:
+                yield from _name_arrays(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _name_arrays(value)
+
+
+@st.composite
+def item_mutations(draw, docs):
+    """The documents with one item of one array of syscall names replaced,
+    and the array's other items kept or dropped: among other names, a bad
+    item can be caught by a sort or a comparison before it is checked."""
+    docs = copy.deepcopy(docs)
+    names = draw(st.sampled_from([array for doc in docs for array in _name_arrays(doc)]))
+    at = draw(st.integers(min_value=0, max_value=len(names) - 1))
+    names[at] = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        names[:] = names[at:at + 1]
+    return "\n".join(json.dumps(doc) for doc in docs).encode()
+
+
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(LOADERS)))
 def test_only_package_errors_escape_the_loaders(tmp_path_factory, data, kind):
     inputs = st.binary(max_size=64) | byte_mutations(_rendered(kind))
     if kind != "fixture":
-        inputs |= value_mutations(VALID[kind])
+        inputs |= value_mutations(VALID[kind]) | item_mutations(VALID[kind])
     path = tmp_path_factory.getbasetemp() / f"fuzz_{kind}"
     path.write_bytes(data.draw(inputs))
     try:

@@ -13,9 +13,7 @@ from timeloops.controller import (
     ORACLE_MODES,
     ControllerConfig,
     Halted,
-    OracleFinished,
     OracleRunning,
-    ProdExited,
     ProductionRunning,
     SessionDriver,
     SessionResult,
@@ -50,13 +48,12 @@ STATES = {
     "halted": Halted(),
 }
 EVENTS = {
-    "completed": ProdExited(Completed("ok")),
-    "violation": ProdExited(PolicyViolation("write", 0)),
-    "prod_watchdog": ProdExited(WatchdogTimeout()),
-    "denied": ProdExited(DeniedSyscallHit("mount")),
-    "benign": OracleFinished(Benign(frozenset({"read"}))),
-    "malicious": OracleFinished(Malicious("report")),
-    "oracle_watchdog": OracleFinished(WatchdogTimeout()),
+    "completed": Completed("ok"),
+    "violation": PolicyViolation("write", 0),
+    "denied": DeniedSyscallHit("mount"),
+    "benign": Benign(frozenset({"read"})),
+    "malicious": Malicious("report"),
+    "oracle_watchdog": WatchdogTimeout(),
     "watchdog_fired": WatchdogFired(),
     "shutdown": Shutdown(),
 }
@@ -140,6 +137,18 @@ def test_transition_labels_are_pinned(pair):
     driver._transition(EVENTS[event])
     t = driver.transition_trace[-1]
     assert (t.from_state, t.event, t.to_state, t.actions) == VOCABULARY[pair]
+
+
+def test_event_labels_are_interned():
+    assert PolicyViolation("write", 0).label is PolicyViolation("write", 3).label
+    assert DeniedSyscallHit("mount").label is DeniedSyscallHit("mount").label
+    driver = SessionDriver(_spec({}), SINGLE)
+    for event in (PolicyViolation("write", 0), PolicyViolation("write", 1),
+                  DeniedSyscallHit("mount"), DeniedSyscallHit("mount")):
+        driver.state = ProductionRunning()
+        driver._transition(event)
+    violation, again, denied, denied_again = (t.event for t in driver.transition_trace)
+    assert violation is again and denied is denied_again
 
 
 @settings(max_examples=60, deadline=None)
