@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Sequence
+from functools import partial
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from . import workload as workload_mod
 from .errors import (
@@ -135,42 +137,42 @@ class ControllerConfig:
 
 
 # Served requests are the common case; actions are immutable, so share one
-# tuple, and label it once.
+# tuple and, as only a completed production run returns it, one trace row.
 _SERVED = (LogEvent("production served request"),)
-_SERVED_LABELS = tuple(a.label for a in _SERVED)
+_SERVED_ROW = (ProductionRunning.label, Completed.label, ProductionRunning.label, (LogEvent.label,))
 
 
 def step(
     state: ControllerState, event: ControllerEvent, config: ControllerConfig
 ) -> tuple[ControllerState, tuple[ControllerAction, ...]]:
     """Pure transition function; raises IllegalTransition on state/event mismatch."""
-    if isinstance(event, Shutdown):
-        return Halted(), (LogEvent("controller shut down"),)
-
-    if isinstance(state, ProductionRunning):
-        if isinstance(event, Completed):
+    # Exact type checks, with the pair of a served request first.
+    if type(state) is ProductionRunning:
+        if type(event) is Completed:
             return state, _SERVED
-        if isinstance(event, PolicyViolation):
+        if type(event) is PolicyViolation:
             return OracleRunning(), (StartOracle(),)
-        if isinstance(event, DeniedSyscallHit):
+        if type(event) is DeniedSyscallHit:
             return state, (
                 RaiseAlert(f"deny-listed syscall {event.syscall!r} requested"),
                 StartProduction(),
             )
-    elif isinstance(state, OracleRunning):
-        if isinstance(event, Benign):
+    elif type(state) is OracleRunning:
+        if type(event) is Benign:
             if config.oracle_mode == "until_watchdog":
                 return state, (UpdatePolicy(event.observed),)
             return ProductionRunning(), (UpdatePolicy(event.observed), StartProduction())
-        if isinstance(event, Malicious):
+        if type(event) is Malicious:
             return ProductionRunning(), (RaiseAlert(event.report), StartProduction())
-        if isinstance(event, WatchdogTimeout):
+        if type(event) is WatchdogTimeout:
             return (
                 ProductionRunning(),
                 (LogEvent("oracle watchdog expired mid-request"), StartProduction()),
             )
-        if isinstance(event, WatchdogFired):
+        if type(event) is WatchdogFired:
             return ProductionRunning(), (StartProduction(),)
+    if type(event) is Shutdown:
+        return Halted(), (LogEvent("controller shut down"),)
 
     raise IllegalTransition(f"event {type(event).__name__} not legal in state {type(state).__name__}")
 
@@ -185,8 +187,7 @@ class Alert:
 
 
 class Transition(NamedTuple):
-    """One row of the transition trace; tuple-backed, as a long session
-    records one per event."""
+    """One row of the transition trace."""
 
     at_ms: float
     from_state: str
@@ -196,14 +197,61 @@ class Transition(NamedTuple):
     epoch: int
 
 
+class TransitionTrace(Sequence[Transition]):
+    """The transition trace as a read-only sequence of :class:`Transition`, in
+    columns: each row's ``at_ms``, ``epochs`` and ``row_ids``, its index into
+    ``rows``, the table of distinct (from, event, to, actions) rows. Only
+    ``append`` adds to it."""
+
+    def __init__(self, transitions: Iterable[Transition] = ()):
+        self.at_ms, self.epochs, self.row_ids = array("d"), array("q"), array("I")
+        self.rows: list[tuple[str, str, str, tuple[str, ...]]] = []
+        self._ids: dict[tuple, int] = {}
+        for at_ms, *row, epoch in transitions:
+            self.append(at_ms, tuple(row), epoch)
+
+    def append(self, at_ms: float, row: tuple, epoch: int) -> None:
+        row_id = self._ids.get(row)
+        if row_id is None:
+            row_id = self._ids[row] = len(self.rows)
+            self.rows.append(row)
+        self.at_ms.append(at_ms)
+        self.row_ids.append(row_id)
+        self.epochs.append(epoch)
+
+    def __len__(self) -> int:
+        return len(self.row_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return Transition(self.at_ms[index], *self.rows[self.row_ids[index]], self.epochs[index])
+
+    def __iter__(self):
+        columns = [map(column.__getitem__, self.row_ids) for column in zip(*self.rows)]
+        return map(partial(tuple.__new__, Transition), zip(self.at_ms, *columns, self.epochs))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+# What session.json writes for a float ``repr`` writes otherwise.
+_JSON_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_CHUNK_ROWS = 4096
+
+
 @dataclass
 class SessionResult:
     final_policy: SyscallPolicy
     policy_log: list[PolicyLogEntry]
     latency_records: list["workload_mod.LatencyRecord"]
     alerts: list[Alert]
-    transition_trace: list[Transition]
+    transition_trace: TransitionTrace
     consultations: int
+
+    def __post_init__(self):
+        if not isinstance(self.transition_trace, TransitionTrace):
+            self.transition_trace = TransitionTrace(self.transition_trace)
 
     def _json_fields(self) -> dict:
         """Every field of the document, with the transitions left empty."""
@@ -242,32 +290,30 @@ class SessionResult:
 
         ``indent`` makes ``json`` fall back to its pure-Python encoder, which
         is too slow for a long transition trace. Everything but the
-        transitions is still rendered that way. Each transition row is then
-        built from a fragment rendered once per distinct (from, event, to,
-        actions) and cached for this call, so a row only formats its
-        ``at_ms`` and ``epoch``.
+        transitions is still rendered that way. Each row of the trace's
+        table is rendered once, as what lies between a transition's
+        ``at_ms`` and ``epoch``. Transitions are joined in chunks of
+        ``_CHUNK_ROWS``, then the chunks into the document, so no list holds
+        a string per transition of a document megabytes long.
         """
         text = json.dumps(self._json_fields(), indent=2)
-        if not self.transition_trace:
+        trace = self.transition_trace
+        if not trace:
             return text
         # A JSON string holds no raw newline, so this splits only at the key.
         head, tail = text.split('\n  "transitions": []', 1)
-        # The document is assembled by one join: it runs to megabytes on a
-        # long session, and each intermediate copy would raise peak memory.
+        middles = [_transition_fragment(*row) for row in trace.rows]
         parts = [head, '\n  "transitions": [\n']
-        fragments: dict[tuple, str] = {}
-        separator = ""
-        for at, from_state, event, to_state, actions, epoch in self.transition_trace:
-            key = (from_state, event, to_state, actions)
-            middle = fragments.get(key)
-            if middle is None:
-                middle = fragments[key] = _transition_fragment(*key)
-            # json spells the non-finite floats its own way.
-            at_text = repr(at) if math.isfinite(at) else json.dumps(at)
-            parts.append(f'{separator}    {{\n      "at_ms": {at_text}{middle}{epoch}\n    }}')
-            separator = ",\n"
-        parts.append("\n  ]")
-        parts.append(tail)
+        for start in range(0, len(trace), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            if start:
+                parts.append(",\n")
+            parts.append(",\n".join([
+                f'    {{\n      "at_ms": {_JSON_FLOATS.get(at, at)}{middles[row]}{epoch}\n    }}'
+                for at, row, epoch in zip(map(float.__repr__, trace.at_ms[start:stop]),
+                                          trace.row_ids[start:stop], trace.epochs[start:stop])
+            ]))
+        parts += ["\n  ]", tail]
         return "".join(parts)
 
 
@@ -337,7 +383,7 @@ class SessionDriver:
         self._oracle_started_ms = 0.0
         self.policy_log: list[PolicyLogEntry] = []
         self.alerts: list[Alert] = []
-        self.transition_trace: list[Transition] = []
+        self.transition_trace = TransitionTrace()
         self.consultations = 0
         self._current_request_id = -1
         # the session's verdict table (see ``_consult``)
@@ -371,15 +417,19 @@ class SessionDriver:
         """Apply one event; returns True if the attempt was rejected by an alert."""
         before = self.state
         self.state, actions = step(before, event, self.config)
+        if actions is _SERVED:
+            self.transition_trace.append(self.now, _SERVED_ROW, len(self.policy_log))
+            return False
         rejected = False
         restart = self.spec.cost_model.restart_ms
         for action in actions:
-            if isinstance(action, StartOracle):
+            kind = type(action)
+            if kind is StartOracle:
                 self._oracle_started_ms = self.ready_at = self.now + restart
-            elif isinstance(action, StartProduction):
+            elif kind is StartProduction:
                 self.ready_at = self.now + restart
                 self.policy = self.snapshot()
-            elif isinstance(action, UpdatePolicy):
+            elif kind is UpdatePolicy:
                 try:
                     self._learn(action.new_syscalls, "oracle")
                 except DeniedSyscall as exc:
@@ -387,17 +437,11 @@ class SessionDriver:
                     # syscall, so the request is rejected and nothing is learned.
                     self._alert(str(exc))
                     rejected = True
-            elif isinstance(action, RaiseAlert):
+            elif kind is RaiseAlert:
                 self._alert(action.report)
                 rejected = True
-        labels = _SERVED_LABELS if actions is _SERVED else tuple([a.label for a in actions])
-        # len(policy_log) would make a new int per row past epoch 256; the
-        # last entry's epoch is the same value, shared across the trace.
-        log = self.policy_log
-        self.transition_trace.append(
-            Transition(self.now, before.label, event.label, self.state.label, labels,
-                       log[-1].epoch if log else 0)
-        )
+        row = (before.label, event.label, self.state.label, tuple([a.label for a in actions]))
+        self.transition_trace.append(self.now, row, len(self.policy_log))
         return rejected
 
     def snapshot(self) -> SyscallPolicy:
@@ -407,29 +451,27 @@ class SessionDriver:
             return self.policy
         return SyscallPolicy(epoch=epoch, allow=frozenset(self._allow), deny=self.policy.deny)
 
-    def _wait_until_ready(self) -> None:
-        if self.now < self.ready_at:
-            self.now = self.ready_at
-
     # -- one client attempt
 
     def attempt(self, request: "workload_mod.Request") -> str:
         """Process one attempt; returns 'served', 'failed' or 'rejected'."""
         self._current_request_id = request.logical_id
-        self._wait_until_ready()
-        if isinstance(self.state, OracleRunning):
-            tenure = self.now - self._oracle_started_ms
-            if tenure >= self.config.watchdog_ms:
-                self._transition(WatchdogFired())
-                self._wait_until_ready()
+        # Requests queue while a container starts.
+        if self.now < self.ready_at:
+            self.now = self.ready_at
+        state = type(self.state)
+        if state is OracleRunning and self.now - self._oracle_started_ms >= self.config.watchdog_ms:
+            self._transition(WatchdogFired())
+            self.now = self.ready_at
+            state = ProductionRunning
 
-        if isinstance(self.state, ProductionRunning):
+        if state is ProductionRunning:
             event, elapsed = run_production(self.spec, self.policy, request.key)
             # The audit log names the blocked syscall, so the controller can
             # spot a deny-list hit without consulting the oracle.
-            if isinstance(event, PolicyViolation) and event.syscall in self.policy.deny:
+            if type(event) is PolicyViolation and event.syscall in self.policy.deny:
                 event = DeniedSyscallHit(event.syscall)
-        elif isinstance(self.state, OracleRunning):
+        elif state is OracleRunning:
             remaining = self.config.watchdog_ms - (self.now - self._oracle_started_ms)
             event, elapsed = _consult(self.spec, self._verdicts, request.key, remaining)
             self.consultations += 1
@@ -438,7 +480,7 @@ class SessionDriver:
         self.now += elapsed
         if self._transition(event):
             return "rejected"
-        return "served" if isinstance(event, (Completed, Benign)) else "failed"
+        return "served" if type(event) in (Completed, Benign) else "failed"
 
     def shutdown(self) -> None:
         self._transition(Shutdown())

@@ -213,21 +213,26 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
 
 
 def replay_log(entries: Iterable[PolicyLogEntry], deny: Iterable[str] = ()) -> SyscallPolicy:
-    """Reconstruct the final policy by folding a log over a fresh policy."""
-    policy = new_policy(deny)
+    """Reconstruct the final policy by replaying a log, by :func:`extend`'s rules."""
+    deny = new_policy(deny).deny
+    allow: set[str] = set()
+    epoch = 0
     for entry in entries:
-        readded = set(entry.added) & policy.allow
+        readded = allow.intersection(entry.added)
         if readded:
             raise ReplayError(
                 f"epoch {entry.epoch} re-adds allowed syscalls: " + ", ".join(sorted(readded))
             )
         try:
-            policy, produced = extend(policy, entry.added, entry.source, entry.timestamp_ms)
+            produced = growth_entry(allow, deny, epoch, entry.added, entry.source,
+                                    entry.timestamp_ms)
         except DeniedSyscall as exc:
             raise ReplayError(f"epoch {entry.epoch} adds denied syscalls: {exc}") from exc
         if produced is None or produced.epoch != entry.epoch:
             raise ReplayError(
                 f"epoch mismatch during replay: log says {entry.epoch}, "
-                f"replay produced {produced.epoch if produced else policy.epoch}"
+                f"replay produced {produced.epoch if produced else epoch}"
             )
-    return policy
+        allow.update(produced.added)
+        epoch = produced.epoch
+    return SyscallPolicy(epoch=epoch, allow=frozenset(allow), deny=deny)

@@ -181,17 +181,20 @@ def _by_id(records: Sequence[LatencyRecord]) -> list[LatencyRecord]:
 def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
     """The latency CSV, byte-identical to writing each row with ``csv.writer``.
 
-    Only the key can need quoting; each distinct key is quoted once.
+    Only the key can need quoting; each distinct key is quoted once. A start
+    time that is its predecessor's completion time is written once.
     """
     keys: dict = {}
     rows = [LATENCY_CSV_HEADER + "\n"]
+    last = last_text = None
     for logical_id, key, attempts, first, completion, outcome in _by_id(records):
         quoted = keys.get(key)
         if quoted is None:
             quoted = keys[key] = _csv_field(key)
-        rows.append(
-            f"{logical_id},{quoted},{attempts},{first},{completion},{completion - first},{outcome}\n"
-        )
+        first_text = last_text if first is last else repr(first)
+        last, last_text = completion, repr(completion)
+        rows.append(f"{logical_id},{quoted},{attempts},{first_text},{last_text},"
+                    f"{completion - first},{outcome}\n")
     return "".join(rows)
 
 

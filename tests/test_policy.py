@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from timeloops.errors import DeniedSyscall, ParseError, ReplayError
 from timeloops.policy import (
+    LOG_SOURCES,
     PolicyLogEntry,
     SyscallPolicy,
     diff,
@@ -246,6 +249,65 @@ def test_replay_of_a_denied_syscall_is_replay_error():
     entries = [PolicyLogEntry(epoch=1, added=("mount", "read"), source="oracle")]
     with pytest.raises(ReplayError, match="adds denied syscalls: denied syscalls: mount"):
         replay_log(entries, deny={"mount"})
+
+
+def _replay_by_extend(entries, deny=()):
+    """Replay as a fold over ``extend``, one policy value per entry."""
+    policy = new_policy(deny)
+    for entry in entries:
+        readded = set(entry.added) & policy.allow
+        if readded:
+            raise ReplayError(
+                f"epoch {entry.epoch} re-adds allowed syscalls: " + ", ".join(sorted(readded))
+            )
+        try:
+            policy, produced = extend(policy, entry.added, entry.source, entry.timestamp_ms)
+        except DeniedSyscall as exc:
+            raise ReplayError(f"epoch {entry.epoch} adds denied syscalls: {exc}") from exc
+        if produced is None or produced.epoch != entry.epoch:
+            raise ReplayError(
+                f"epoch mismatch during replay: log says {entry.epoch}, "
+                f"replay produced {produced.epoch if produced else policy.epoch}"
+            )
+    return policy
+
+
+_LOG_NAMES = ["read", "write", "openat", "close", "mmap", "brk", "futex", "stat", "mount",
+              "ptrace", "socket", "bind"]
+
+
+@st.composite
+def _logs(draw):
+    """Logs that replay, or fail to by one re-added name or one epoch slip."""
+    names = draw(st.permutations(_LOG_NAMES))
+    entries = []
+    for size in draw(st.lists(st.integers(1, 2), max_size=6)):
+        added, names = tuple(sorted(names[:size])), names[size:]
+        entries.append(PolicyLogEntry(epoch=len(entries) + 1, added=added,
+                                      source=draw(st.sampled_from(LOG_SOURCES)),
+                                      timestamp_ms=float(len(entries))))
+    fault = draw(st.sampled_from([None, None, "readd", "slip"]))
+    if entries and fault is not None:
+        index = draw(st.integers(0, len(entries) - 1))
+        entry = entries[index]
+        if fault == "readd" and index > 0:
+            entries[index] = replace(
+                entry, added=tuple(sorted({*entry.added, entries[0].added[0]})))
+        else:
+            entries[index] = replace(entry, epoch=entry.epoch + draw(st.sampled_from([-1, 1])))
+    return entries
+
+
+@given(entries=_logs(), deny=st.sets(st.sampled_from(_LOG_NAMES), max_size=1))
+def test_replay_matches_a_fold_over_extend(entries, deny):
+    try:
+        expected = _replay_by_extend(entries, deny)
+    except ReplayError as exc:
+        with pytest.raises(ReplayError) as raised:
+            replay_log(entries, deny)
+        assert str(raised.value) == str(exc)
+    else:
+        assert replay_log(entries, deny) == expected
 
 
 def test_malformed_log_line_is_parse_error(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 from conftest import spec_workload_deny
@@ -10,15 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloops.controller import (
+    _CHUNK_ROWS,
     ORACLE_MODES,
     ControllerConfig,
     Halted,
+    LogEvent,
     OracleRunning,
     ProductionRunning,
+    RaiseAlert,
     SessionDriver,
     SessionResult,
     Shutdown,
+    StartOracle,
+    StartProduction,
     Transition,
+    TransitionTrace,
+    UpdatePolicy,
     WatchdogFired,
     run_session,
     step,
@@ -37,7 +45,7 @@ from timeloops.simruntime import (
     ServiceSpec,
     WatchdogTimeout,
 )
-from timeloops.workload import Request
+from timeloops.workload import Request, generate_workload
 
 SINGLE = ControllerConfig()
 WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
@@ -198,3 +206,85 @@ def test_transition_times_render_like_json(at_ms):
         consultations=0,
     )
     _assert_renders_like_json(result)
+
+
+ROWS = [
+    Transition(0.0, "production_running", "prod_exited:policy_violation:write",
+               "oracle_running", ("start_oracle",), 0),
+    Transition(2.5, "oracle_running", "oracle_finished:benign", "production_running",
+               ("update_policy", "start_production"), 1),
+    Transition(9.0, "production_running", "prod_exited:completed", "production_running",
+               ("log_event",), 1),
+    Transition(12.0, "production_running", "prod_exited:completed", "production_running",
+               ("log_event",), 1),
+    Transition(12.0, "production_running", "shutdown", "halted", ("log_event",), 1),
+]
+
+
+def test_transition_trace_is_a_sequence_of_transitions():
+    trace = TransitionTrace(ROWS)
+    assert len(trace) == len(ROWS) and len(trace.rows) == 4
+    assert list(trace) == ROWS
+    assert all(type(t) is Transition for t in trace)
+    assert [t.actions for t in trace] == [t.actions for t in ROWS]
+    for index in range(-len(ROWS), len(ROWS)):
+        assert trace[index] == ROWS[index]
+    with pytest.raises(IndexError):
+        trace[len(ROWS)]
+    for window in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(4, 1)):
+        assert trace[window] == ROWS[window]
+    assert trace == ROWS and ROWS == trace and trace == TransitionTrace(ROWS)
+    assert trace != ROWS[:-1] and ROWS[::-1] != trace
+    assert TransitionTrace() == [] and [] == TransitionTrace() and trace != []
+    assert trace.index(ROWS[3]) == 3 and ROWS[4] in trace
+
+
+def test_trace_rows_hold_the_drivers_labels():
+    driver = SessionDriver(_spec({}), SINGLE)
+    events = [PolicyViolation("read", 0), Benign(frozenset({"read"})), Completed("ok"),
+              Completed("ok"), DeniedSyscallHit("mount"), Shutdown()]
+    for event in events:
+        driver._transition(event)
+    states = [cls.label for cls in (ProductionRunning, OracleRunning, Halted)]
+    actions = [cls.label for cls in (StartProduction, StartOracle, UpdatePolicy, RaiseAlert,
+                                     LogEvent)]
+    for t, event in zip(driver.transition_trace, events, strict=True):
+        assert t.event is event.label
+        assert any(t.from_state is label for label in states)
+        assert any(t.to_state is label for label in states)
+        assert all(any(a is label for label in actions) for a in t.actions)
+
+
+def test_to_json_joins_chunks_like_json():
+    # Odd values first, last and on the rows either side of each chunk boundary.
+    odd = {0: -math.inf, _CHUNK_ROWS - 1: math.inf, _CHUNK_ROWS: math.nan,
+           2 * _CHUNK_ROWS - 1: -0.0, 2 * _CHUNK_ROWS: 1e300}
+    rows = [ROWS[i % len(ROWS)]._replace(at_ms=odd.get(i, i / 8), epoch=i)
+            for i in range(2 * _CHUNK_ROWS + 1)]
+    result = SessionResult(final_policy=new_policy(), policy_log=[], latency_records=[],
+                           alerts=[], transition_trace=rows, consultations=0)
+    _assert_renders_like_json(result)
+
+
+def test_long_session_renders_like_json(staticsite):
+    requests = generate_workload(staticsite, 10_000, 7, {"home": 8, "search": 1, "upload": 1})
+    result = run_session(staticsite, requests, ControllerConfig(oracle_mode="until_watchdog"))
+    assert len(result.transition_trace) > 2 * _CHUNK_ROWS
+    _assert_renders_like_json(result)
+
+
+def test_a_long_trace_stays_compact():
+    driver = SessionDriver(_spec({}), SINGLE)
+    completed = Completed("ok")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100_000):
+            driver.now += 1.0
+            driver._transition(completed)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(driver.transition_trace) == 100_000
+    # Columns take 20 bytes a row; a tuple per row took about 128.
+    assert grown < 3 * 2**20

@@ -288,6 +288,9 @@ def _records(draw):
 @given(st.lists(_records(), max_size=25))
 @example([_timed_record(0, 0.0, 1.0, key="")])
 @example([_timed_record(1, -0.0, 0.0, key="a,b"), _timed_record(0, 1e300, math.inf, key='"')])
+# Each boundary time shared by consecutive records, as in a closed loop,
+# then a start at -0.0: equal to the completion before it, written otherwise.
+@example([_timed_record(0, -1.0, 0.0), _timed_record(1, 0.0, 0.0), _timed_record(2, -0.0, 2.0)])
 @settings(max_examples=300)
 def test_renderers_match_csv_writer(records):
     assert render_latency_csv(records) == _reference_latency_csv(records)
