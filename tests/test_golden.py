@@ -1,14 +1,18 @@
-"""Byte-for-byte regression against committed ``simulate`` artifacts.
+"""Byte-for-byte regression against committed ``simulate`` artifacts and
+evaluation-command output.
 
 Each directory under ``tests/golden/simulate`` holds the five artifacts of
 one fixed run, named in ``RUNS`` by its scenario, mix and flags. A change
 meant to alter them regenerates them with the command in ``_argv`` and
-says so.
+says so. Each file under ``tests/golden/cli`` is the stdout of the
+``timeloops`` command named in ``CLI_RUNS``, run from the repository root,
+or the JSON claim report on the bundled table.
 """
 
 import pytest
 from conftest import GOLDEN_DIR, SCENARIO_DIR
 
+from timeloops.analysis import verify_paper_claims
 from timeloops.cli import main
 
 ARTIFACTS = ("latency.csv", "cumulative.csv", "session.json", "policy.log", "profile.json")
@@ -59,3 +63,29 @@ def test_simulate_artifacts_match_golden(tmp_path, run):
     assert sorted(p.name for p in golden.iterdir()) == sorted(ARTIFACTS)
     for name in ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), f"{run}/{name}"
+
+
+_SIM = "tests/golden/simulate/"
+_ATTACKS = "scenarios/staticsite_attacks.json"
+
+# golden file -> (timeloops argv, exit code)
+CLI_RUNS = {
+    "verify_paper.txt": (["verify-paper"], 1),
+    "attack_scenarios_seed0.txt": (["attack-scenarios", "--scenario", _ATTACKS, "--seed", "0"], 0),
+    "attack_scenarios_seed3.txt": (["attack-scenarios", "--scenario", _ATTACKS, "--seed", "3"], 0),
+    "diff_default_hardened.txt": (
+        ["diff", _SIM + "default/session.json", _SIM + "hardened/session.json"], 0),
+    "diff_attacks_podman.txt": (
+        ["diff", _SIM + "attacks/session.json", _SIM + "podman/session.json"], 0),
+}
+
+
+def test_evaluation_output_matches_golden(capsys, monkeypatch, table):
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    golden = GOLDEN_DIR / "cli"
+    assert sorted(p.name for p in golden.iterdir()) == sorted([*CLI_RUNS, "claims.json"])
+    for name, (argv, code) in CLI_RUNS.items():
+        assert main(argv) == code, name
+        assert capsys.readouterr().out.encode() == (golden / name).read_bytes(), name
+    claims = verify_paper_claims(table).to_json().encode()
+    assert claims == (golden / "claims.json").read_bytes()
