@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .catalog import PolicyComparisonTable, SyscallAnnotation
+from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
 from .errors import ExploitInTrainingSet
 from .policy import PolicyDiff, SyscallPolicy, diff
 from .simruntime import ServiceSpec
@@ -123,19 +123,19 @@ def compare(
             name_a, a = policies[i]
             name_b, b = policies[j]
             d = diff(a, b)
-            pct = (a.size() - b.size()) / b.size() if b.size() > 0 else None
+            pct = (len(a.allow) - len(b.allow)) / len(b.allow) if b.allow else None
             annotated = []
             if table is not None:
                 for syscall in sorted(d.only_a | d.only_b):
                     cve = table.cve_for(syscall)
                     if cve is not None:
-                        annotated.append(SyscallAnnotation(syscall=syscall, cve=cve))
+                        annotated.append(SyscallAnnotation(syscall, cve))
             entries.append(
                 ComparisonEntry(
                     name_a=name_a,
                     name_b=name_b,
-                    size_a=a.size(),
-                    size_b=b.size(),
+                    size_a=len(a.allow),
+                    size_b=len(b.allow),
                     pct_larger=pct,
                     diff=d,
                     cve_annotated=tuple(annotated),
@@ -149,7 +149,10 @@ class ClaimRow:
     claim_id: str
     expected: object
     actual: object
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.actual == self.expected
 
 
 @dataclass(frozen=True)
@@ -212,64 +215,34 @@ def verify_paper_claims(table: PolicyComparisonTable) -> ClaimReport:
     Failures are data, not exceptions: a mismatch between the table and a
     published figure shows up as a failing row with both values.
     """
+    column = {name: table.column_policy(name) for name in COLUMNS}
     claims: list[ClaimRow] = []
     pct_by_program: dict[str, float] = {}
     for program in ("nginx", "composepost"):
-        baseline = table.column_policy(f"{program}-baseline")
-        timeloops = table.column_policy(f"{program}-timeloops")
-        sysfilter = table.column_policy(f"{program}-sysfilter")
-
-        claims.append(ClaimRow(
-            claim_id=f"{program}_timeloops_superset_of_baseline",
-            expected=True,
-            actual=baseline <= timeloops,
-            passed=(baseline <= timeloops) is True,
-        ))
-
-        expected_names = EXPECTED_TIMELOOPS_ONLY_OVER_BASELINE[program]
-        actual_names = tuple(sorted(timeloops - baseline))
-        claims.append(ClaimRow(
-            claim_id=f"{program}_timeloops_minus_baseline_names",
-            expected=list(expected_names),
-            actual=list(actual_names),
-            passed=actual_names == expected_names,
-        ))
-
-        expected_delta = EXPECTED_SYSFILTER_MINUS_TIMELOOPS_SIZE[program]
-        actual_delta = len(sysfilter) - len(timeloops)
-        claims.append(ClaimRow(
-            claim_id=f"{program}_sysfilter_minus_timeloops_size",
-            expected=expected_delta,
-            actual=actual_delta,
-            passed=actual_delta == expected_delta,
-        ))
-
-        expected_only = EXPECTED_TIMELOOPS_ONLY_OVER_SYSFILTER_COUNT[program]
-        actual_only = len(timeloops - sysfilter)
-        claims.append(ClaimRow(
-            claim_id=f"{program}_timeloops_only_over_sysfilter_count",
-            expected=expected_only,
-            actual=actual_only,
-            passed=actual_only == expected_only,
-        ))
-
+        baseline = column[f"{program}-baseline"]
+        timeloops = column[f"{program}-timeloops"]
+        sysfilter = column[f"{program}-sysfilter"]
+        claims += [
+            ClaimRow(f"{program}_timeloops_superset_of_baseline", True, baseline <= timeloops),
+            ClaimRow(f"{program}_timeloops_minus_baseline_names",
+                     list(EXPECTED_TIMELOOPS_ONLY_OVER_BASELINE[program]),
+                     sorted(timeloops - baseline)),
+            ClaimRow(f"{program}_sysfilter_minus_timeloops_size",
+                     EXPECTED_SYSFILTER_MINUS_TIMELOOPS_SIZE[program],
+                     len(sysfilter) - len(timeloops)),
+            ClaimRow(f"{program}_timeloops_only_over_sysfilter_count",
+                     EXPECTED_TIMELOOPS_ONLY_OVER_SYSFILTER_COUNT[program],
+                     len(timeloops - sysfilter)),
+        ]
         if len(timeloops) > 0:
             pct_by_program[program] = (len(sysfilter) - len(timeloops)) / len(timeloops)
 
-    composepost_sysfilter = table.column_policy("composepost-sysfilter")
-    podman = table.column_policy("podman-default")
-    claims.append(ClaimRow(
-        claim_id="clock_settime_in_composepost_sysfilter",
-        expected=True,
-        actual="clock_settime" in composepost_sysfilter,
-        passed="clock_settime" in composepost_sysfilter,
-    ))
-    claims.append(ClaimRow(
-        claim_id="clock_settime_not_in_podman_default",
-        expected=True,
-        actual="clock_settime" not in podman,
-        passed="clock_settime" not in podman,
-    ))
+    claims += [
+        ClaimRow("clock_settime_in_composepost_sysfilter", True,
+                 "clock_settime" in column["composepost-sysfilter"]),
+        ClaimRow("clock_settime_not_in_podman_default", True,
+                 "clock_settime" not in column["podman-default"]),
+    ]
 
     notes = []
     if pct_by_program:

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, UnknownColumn
 
@@ -52,17 +53,11 @@ def validate_name_list(value, what: str) -> tuple[str, ...]:
     return tuple([validate_syscall_name(s) for s in value])
 
 
-@dataclass(frozen=True)
-class SyscallAnnotation:
-    """A syscall together with an optionally associated CVE identifier."""
+class SyscallAnnotation(NamedTuple):
+    """A syscall and the CVE of its table row, both checked when the row was built."""
 
     syscall: str
-    cve: str | None = None
-
-    def __post_init__(self):
-        validate_syscall_name(self.syscall)
-        if self.cve is not None and not CVE_RE.match(self.cve):
-            raise ParseError(f"invalid CVE identifier: {self.cve!r}")
+    cve: str
 
 
 @dataclass(frozen=True)
@@ -89,12 +84,6 @@ class TableRow:
                 f"row {self.syscall!r} has {len(self.flags)} flags, expected {len(COLUMNS)}"
             )
 
-    def flag(self, column: str) -> bool:
-        try:
-            return self.flags[COLUMNS.index(column)]
-        except ValueError:
-            raise UnknownColumn(column) from None
-
 
 @dataclass(frozen=True)
 class PolicyComparisonTable:
@@ -116,9 +105,11 @@ class PolicyComparisonTable:
 
     def column_policy(self, column: str) -> frozenset[str]:
         """All syscalls flagged as allowed in ``column``."""
-        if column not in COLUMNS:
-            raise UnknownColumn(column)
-        return frozenset(r.syscall for r in self.rows if r.flag(column))
+        try:
+            index = COLUMNS.index(column)
+        except ValueError:
+            raise UnknownColumn(column) from None
+        return frozenset(r.syscall for r in self.rows if r.flags[index])
 
     def cve_for(self, syscall: str) -> str | None:
         """CVE annotation for ``syscall``, or None if absent or unknown."""

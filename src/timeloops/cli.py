@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, catalog, workload
-from .controller import ControllerConfig, run_session
+from .controller import SESSION_MODES, ControllerConfig, run_session
 from .errors import (
     AttemptsExhausted,
     ConfigError,
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=100, help="number of logical requests")
     sim.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     sim.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
-    sim.add_argument("--mode", choices=("timeloops", "unhardened", "hardened"), default="timeloops")
+    sim.add_argument("--mode", choices=SESSION_MODES, default="timeloops")
     sim.add_argument("--oracle-mode", choices=("single", "watchdog"), default="single")
     sim.add_argument("--watchdog-ms", type=float, default=10_000.0)
     sim.add_argument("--deny-preset", choices=("none", "podman"), default="none")
@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     served = [r for r in result.latency_records if r.outcome == "served"]
     print(f"mode={args.mode} service={spec.name} requests={len(requests)} "
           f"consultations={result.consultations} alerts={len(result.alerts)} "
-          f"policy_size={result.final_policy.size()} epoch={result.final_policy.epoch}")
+          f"policy_size={len(result.final_policy.allow)} epoch={result.final_policy.epoch}")
     if served:
         stats = workload.summarize(served)
         print(f"served={len(served)} mean={stats.mean:.3f}ms p50={stats.p50:.3f}ms "
@@ -232,8 +232,7 @@ def _pick_exploits(spec: ServiceSpec) -> dict[int, str]:
     for key in sorted(spec.handlers):
         if spec.handlers[key].exploit is None:
             continue
-        cat = exploit_category(spec, key)
-        by_category.setdefault(cat, key)
+        by_category.setdefault(exploit_category(spec, key), key)
     missing = [c for c in (1, 2, 3, 4) if c not in by_category]
     if missing:
         raise MissingCategory(
@@ -242,7 +241,9 @@ def _pick_exploits(spec: ServiceSpec) -> dict[int, str]:
     return by_category
 
 
-def _run_probe(spec: ServiceSpec, seed: int, key: str, deny: frozenset[str]) -> CategoryVerdict:
+def _run_probe(
+    spec: ServiceSpec, seed: int, category: int, key: str, deny: frozenset[str]
+) -> CategoryVerdict:
     warmup = workload.generate_workload(spec, 8, seed, _default_mix(spec))
     probe = workload.Request(logical_id=len(warmup), key=key)
     config = ControllerConfig(deny=deny)
@@ -258,7 +259,6 @@ def _run_probe(spec: ServiceSpec, seed: int, key: str, deny: frozenset[str]) -> 
     record = result.latency_records[-1]
     effective = set(spec.handlers[key].effective_trace())
     confined = effective <= result.final_policy.allow
-    category = exploit_category(spec, key)
 
     if category == 1 or (deny and category == 4):
         expected = (record.outcome == "rejected_malicious" and len(result.alerts) == 1
@@ -287,14 +287,11 @@ def run_attack_scenarios(spec: ServiceSpec, seed: int = 0) -> list[CategoryVerdi
     """Run one probe per attack category, plus the deny-list variant of
     category 4, each against a fresh session warmed up with benign traffic."""
     by_category = _pick_exploits(spec)
-    verdicts = []
-    for category in (1, 2, 3):
-        verdicts.append(_run_probe(spec, seed, by_category[category], frozenset()))
-    cat4_key = by_category[4]
-    verdicts.append(_run_probe(spec, seed, cat4_key, frozenset()))
-    cat4_deny = frozenset(spec.handlers[cat4_key].exploit.injected)
-    verdicts.append(_run_probe(spec, seed, cat4_key, cat4_deny))
-    return verdicts
+    no_deny = frozenset()
+    cat4_deny = frozenset(spec.handlers[by_category[4]].exploit.injected)
+    probes = [(1, no_deny), (2, no_deny), (3, no_deny), (4, no_deny), (4, cat4_deny)]
+    return [_run_probe(spec, seed, category, by_category[category], deny)
+            for category, deny in probes]
 
 
 def _verdict_line(v: CategoryVerdict) -> str:

@@ -453,8 +453,9 @@ class SessionDriver:
 
     # -- one client attempt
 
-    def attempt(self, request: "workload_mod.Request") -> str:
-        """Process one attempt; returns 'served', 'failed' or 'rejected'."""
+    def attempt(self, request: "workload_mod.Request") -> str | None:
+        """Process one attempt; returns the request's outcome, "served" or
+        "rejected_malicious", or None if the attempt failed and is retried."""
         self._current_request_id = request.logical_id
         # Requests queue while a container starts.
         if self.now < self.ready_at:
@@ -479,8 +480,8 @@ class SessionDriver:
             raise IllegalTransition("session driver reached a halted controller")
         self.now += elapsed
         if self._transition(event):
-            return "rejected"
-        return "served" if type(event) in (Completed, Benign) else "failed"
+            return "rejected_malicious"
+        return "served" if type(event) in (Completed, Benign) else None
 
     def shutdown(self) -> None:
         self._transition(Shutdown())

@@ -42,10 +42,6 @@ class SyscallPolicy:
         if overlap:
             raise ValueError("allow and deny overlap: " + ", ".join(sorted(overlap)))
 
-    def size(self) -> int:
-        """Policy size metric: number of allowed syscalls (deny not counted)."""
-        return len(self.allow)
-
 
 @dataclass(frozen=True)
 class PolicyLogEntry:
@@ -97,6 +93,10 @@ def growth_entry(
     in an allow-list was validated on the way in: here, in the profile
     loader, or as part of a scenario's static universe.
     """
+    # A frozenset holds only hashable items, so the subset check cannot raise;
+    # a name that is not allowed fails it and is validated below.
+    if type(new) is frozenset and allow.issuperset(new):
+        return None
     fresh = [s for s in new if not isinstance(s, str) or s not in allow]
     if not fresh:
         return None

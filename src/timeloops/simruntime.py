@@ -40,8 +40,11 @@ def _check_names(names, what: str) -> tuple[str, ...]:
 class CostModel:
     """Virtual-time parameters for a simulated service.
 
-    Oracle runs multiply the whole request cost by the slowdown factor,
-    so oracle cost per syscall is production cost times the factor.
+    A production run costs the base cost plus the per-syscall cost for each
+    syscall it executes. An oracle run is slowed by the slowdown factor: it
+    charges ``base_request_ms * oracle_slowdown_factor`` up front, then adds
+    ``production_per_syscall_ms * oracle_slowdown_factor`` once per syscall
+    it observes (see ``run_oracle``).
     """
 
     base_request_ms: float = 1.0
@@ -65,9 +68,6 @@ class CostModel:
 
     def production_elapsed(self, executed: int) -> float:
         return self.base_request_ms + self.production_per_syscall_ms * executed
-
-    def oracle_elapsed(self, executed: int) -> float:
-        return self.production_elapsed(executed) * self.oracle_slowdown_factor
 
 
 @dataclass(frozen=True)

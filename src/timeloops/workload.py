@@ -24,9 +24,6 @@ from .simruntime import ServiceSpec
 
 OUTCOMES = ("served", "rejected_malicious")
 
-# Attempt statuses that end a logical request, and the outcome each records.
-_OUTCOME_OF_STATUS = {"served": "served", "rejected": "rejected_malicious"}
-
 LATENCY_CSV_HEADER = "logical_id,key,attempts,first_attempt_ms,completion_ms,latency_ms,outcome"
 
 
@@ -93,7 +90,7 @@ def send_with_retry(request: Request, driver, max_attempts: int = 16) -> Latency
         raise ConfigError("max_attempts must be >= 1")
     first_attempt_ms = driver.now
     for attempt in range(1, max_attempts + 1):
-        outcome = _OUTCOME_OF_STATUS.get(driver.attempt(request))
+        outcome = driver.attempt(request)
         if outcome is not None:
             return LatencyRecord(
                 request.logical_id, request.key, attempt, first_attempt_ms, driver.now, outcome

@@ -132,6 +132,15 @@ def test_illegal_transitions_raise():
         step(ProductionRunning(), WatchdogTimeout(), CFG)
 
 
+def test_attempt_returns_the_outcome_and_a_halted_driver_refuses():
+    driver = SessionDriver(_spec({"r": RequestBehavior(trace=("read",))}), CFG)
+    assert driver.attempt(Request(0, "r")) is None  # a violation, retried
+    assert driver.attempt(Request(0, "r")) == "served"
+    driver.shutdown()
+    with pytest.raises(IllegalTransition, match="session driver reached a halted controller"):
+        driver.attempt(Request(1, "r"))
+
+
 def test_denied_syscall_hit_alerts_and_restarts():
     state, actions = step(ProductionRunning(), DeniedSyscallHit("mount"), CFG)
     assert state == ProductionRunning()
@@ -158,8 +167,11 @@ def test_violating_request_latency_closed_form():
     spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="ok")}, cost=cost)
     result = run_session(spec, _requests("r"), CFG)
     record = result.latency_records[0]
-    # failed production attempt, oracle start, oracle-slowed full run
-    expected = (cost.base_request_ms + 0.0) + cost.restart_ms + cost.oracle_elapsed(2)
+    # failed production attempt, oracle start, oracle-slowed full run: the
+    # oracle charges the base cost, then each syscall, each times the factor
+    factor = cost.oracle_slowdown_factor
+    oracle = cost.base_request_ms * factor + 2 * (cost.production_per_syscall_ms * factor)
+    expected = (cost.base_request_ms + 0.0) + cost.restart_ms + oracle
     assert record.attempts == 2
     assert record.latency_ms == expected
 

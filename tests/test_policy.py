@@ -12,6 +12,7 @@ from timeloops.policy import (
     diff,
     export_seccomp,
     extend,
+    growth_entry,
     load_log,
     new_policy,
     replay_log,
@@ -66,6 +67,8 @@ def test_extend_known_syscalls_is_idempotent():
     assert p2 is p1
     assert p2.epoch == 1
     assert entry is None
+    assert extend(p1, frozenset({"read"})) == (p1, None)
+    assert growth_entry({"read", "write"}, frozenset(), 2, frozenset({"write"})) is None
 
 
 def test_extend_denied_leaves_policy_unchanged():
@@ -78,13 +81,21 @@ def test_extend_denied_leaves_policy_unchanged():
 
 
 @pytest.mark.parametrize("allowed", [(), ("read", "write")])
-@pytest.mark.parametrize("bad", [7, None, ["read"], {"read"}, "Read", "", "read;"])
+@pytest.mark.parametrize(
+    "bad", [7, None, ["read"], {"read"}, "Read", "", "read;", frozenset({1}), frozenset({"Bad"})]
+)
 def test_extend_rejects_a_bad_name_before_a_denied_one(allowed, bad):
     policy, _ = extend(new_policy({"clock_settime"}), allowed)
     with pytest.raises(ParseError):
         extend(policy, ["clock_settime", *allowed, bad])
     with pytest.raises(ParseError):
         extend(policy, [bad, "clock_settime"])
+    if type(bad) is frozenset:
+        # Passed whole, it takes the subset check first.
+        with pytest.raises(ParseError):
+            extend(policy, bad | {"clock_settime", *allowed})
+        with pytest.raises(ParseError):
+            extend(policy, bad | set(allowed))
 
 
 def test_allows_membership():

@@ -79,7 +79,9 @@ def test_retry_after_violation_includes_restart_and_oracle_cost():
     result = run_session(spec, [Request(0, "r")], ControllerConfig())
     record = result.latency_records[0]
     assert record.attempts == 2
-    expected = cost.production_elapsed(0) + cost.restart_ms + cost.oracle_elapsed(3)
+    factor = cost.oracle_slowdown_factor
+    oracle = cost.base_request_ms * factor + 3 * (cost.production_per_syscall_ms * factor)
+    expected = cost.production_elapsed(0) + cost.restart_ms + oracle
     assert record.latency_ms == expected
 
 
