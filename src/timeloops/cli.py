@@ -14,38 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, catalog, workload
-from .controller import SESSION_MODES, ControllerConfig, run_session
-from .errors import (
-    AttemptsExhausted,
-    ConfigError,
-    DeniedSyscall,
-    EmptyMix,
-    EmptyRecords,
-    ExploitInPretrainSet,
-    ExploitInTrainingSet,
-    MissingCategory,
-    ParseError,
-    ReplayError,
-    ScenarioError,
-    UnknownColumn,
-)
+from .controller import SESSION_MODES, ControllerConfig, SessionResult, run_session
+from .errors import AttemptsExhausted, ConfigError, MissingCategory, ParseError
 from .policy import SyscallPolicy, export_seccomp, save_log
 from .simruntime import ServiceSpec, exploit_category, load_scenario, pick_service
 
-# DeniedSyscall surfaces here only when a pretrain set collides with the
-# deny-list, which is an operator configuration problem.
-_USAGE_ERRORS = (ConfigError, DeniedSyscall, EmptyMix, ExploitInPretrainSet, ExploitInTrainingSet)
-_DATA_ERRORS = (
-    ParseError,
-    ScenarioError,
-    UnknownColumn,
-    ReplayError,
-    MissingCategory,
-    EmptyRecords,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
+# TextIOWrapper encodes each write into one new bytes object, so writing a
+# document whole would copy it once more; a slice of it copies only a slice.
+_WRITE_CHARS = 1 << 18
 
 
 class _UsageError(Exception):
@@ -156,8 +132,9 @@ def cmd_simulate(args) -> int:
         pretrain_requests=pretrain_keys,
     )
     mix = _parse_mix(args.mix) if args.mix else _default_mix(spec)
-    requests = workload.generate_workload(spec, args.n, args.seed, mix)
-    result = run_session(spec, requests, config, mode=args.mode)
+    # Passed straight on, so that no request list outlives the session.
+    result = run_session(spec, workload.generate_workload(spec, args.n, args.seed, mix), config,
+                         mode=args.mode)
 
     out = Path(args.out)
     try:
@@ -165,20 +142,22 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     try:
+        # session.json is the largest artifact, so it is written first, while
+        # the least else is held.
+        with open(out / "session.json", "w", encoding="utf-8") as f:
+            _write_in_slices(f, result.to_json())
+            f.write("\n")
         workload.write_latency_csv(result.latency_records, out / "latency.csv")
         workload.write_cumulative_csv(result.latency_records, out / "cumulative.csv")
-        with open(out / "session.json", "w", encoding="utf-8") as f:
-            # Two writes: concatenating would copy the whole document once more.
-            f.write(result.to_json())
-            f.write("\n")
         save_log(result.policy_log, out / "policy.log")
         (out / "profile.json").write_bytes(export_seccomp(result.final_policy))
     except OSError as exc:
         # An output problem, not malformed input: the inputs were all read.
         raise ConfigError(f"cannot write artifact {exc.filename or out}: {exc.strerror}") from exc
 
-    served = [r for r in result.latency_records if r.outcome == "served"]
-    print(f"mode={args.mode} service={spec.name} requests={len(requests)} "
+    served = result.latency_records.served()
+    # Every mode writes one record per logical request.
+    print(f"mode={args.mode} service={spec.name} requests={len(result.latency_records)} "
           f"consultations={result.consultations} alerts={len(result.alerts)} "
           f"policy_size={len(result.final_policy.allow)} epoch={result.final_policy.epoch}")
     if served:
@@ -187,6 +166,13 @@ def cmd_simulate(args) -> int:
               f"p99={stats.p99:.3f}ms max={stats.max:.3f}ms")
     print(f"artifacts written to {out}")
     return 0
+
+
+def _write_in_slices(f, text: str) -> None:
+    """Write ``text`` to the text file ``f`` without encoding it whole; the
+    caller's ``to_json()`` result is freed when this returns."""
+    for start in range(0, len(text), _WRITE_CHARS):
+        f.write(text[start:start + _WRITE_CHARS])
 
 
 def cmd_diff(args) -> int:
@@ -241,17 +227,18 @@ def _pick_exploits(spec: ServiceSpec) -> dict[int, str]:
     return by_category
 
 
+def _blocked(category: int, deny: frozenset[str] | tuple[str, ...]) -> bool:
+    """Whether a probe of ``category`` must end rejected under ``deny``:
+    category 1 always, category 4 only with its injected syscalls denied."""
+    return category == 1 or (category == 4 and bool(deny))
+
+
 def _run_probe(
-    spec: ServiceSpec, seed: int, category: int, key: str, deny: frozenset[str]
+    spec: ServiceSpec, warmup: list[workload.Request], control: SessionResult, category: int,
+    key: str, deny: frozenset[str],
 ) -> CategoryVerdict:
-    warmup = workload.generate_workload(spec, 8, seed, _default_mix(spec))
     probe = workload.Request(logical_id=len(warmup), key=key)
-    config = ControllerConfig(deny=deny)
-    # Control run without the probe isolates what the exploit itself taught
-    # the policy; injected syscalls alone cannot tell for categories 2 and 3,
-    # whose injections deliberately stay inside the benign set.
-    control = run_session(spec, warmup, config)
-    result = run_session(spec, warmup + [probe], config)
+    result = run_session(spec, warmup + [probe], ControllerConfig(deny=deny))
 
     injected = set(spec.handlers[key].exploit.injected)
     learned = tuple(sorted(injected & (result.final_policy.allow - control.final_policy.allow)))
@@ -260,7 +247,7 @@ def _run_probe(
     effective = set(spec.handlers[key].effective_trace())
     confined = effective <= result.final_policy.allow
 
-    if category == 1 or (deny and category == 4):
+    if _blocked(category, deny):
         expected = (record.outcome == "rejected_malicious" and len(result.alerts) == 1
                     and probe_entries == 0 and not learned)
     elif category in (2, 3):
@@ -287,10 +274,17 @@ def run_attack_scenarios(spec: ServiceSpec, seed: int = 0) -> list[CategoryVerdi
     """Run one probe per attack category, plus the deny-list variant of
     category 4, each against a fresh session warmed up with benign traffic."""
     by_category = _pick_exploits(spec)
+    warmup = workload.generate_workload(spec, 8, seed, _default_mix(spec))
     no_deny = frozenset()
     cat4_deny = frozenset(spec.handlers[by_category[4]].exploit.injected)
+    # A control run without the probe, one per deny-list, isolates what the
+    # exploit itself taught the policy; injected syscalls alone cannot tell
+    # for categories 2 and 3, whose injections deliberately stay inside the
+    # benign set.
+    controls = {deny: run_session(spec, warmup, ControllerConfig(deny=deny))
+                for deny in (no_deny, cat4_deny)}
     probes = [(1, no_deny), (2, no_deny), (3, no_deny), (4, no_deny), (4, cat4_deny)]
-    return [_run_probe(spec, seed, category, by_category[category], deny)
+    return [_run_probe(spec, warmup, controls[deny], category, by_category[category], deny)
             for category, deny in probes]
 
 
@@ -298,7 +292,7 @@ def _verdict_line(v: CategoryVerdict) -> str:
     label = f"cat{v.category}"
     if v.category == 4:
         label += " (deny-list)" if v.deny else " (no deny-list)"
-    if v.category == 1 or (v.category == 4 and v.deny):
+    if _blocked(v.category, v.deny):
         body = f"blocked, {v.alerts} alert(s), {v.exploit_sourced_entries} policy updates from exploit"
     elif v.category in (2, 3):
         body = f"confined, {v.alerts} alert(s), 0 policy growth, injected syscalls within allow-set"
@@ -335,10 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
+    # An input path that names no readable file is malformed input, like its bytes.
+    except (ParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AttemptsExhausted as exc:

@@ -22,7 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import workload as workload_mod
 from .errors import (
@@ -203,12 +203,10 @@ class TransitionTrace(Sequence[Transition]):
     ``rows``, the table of distinct (from, event, to, actions) rows. Only
     ``append`` adds to it."""
 
-    def __init__(self, transitions: Iterable[Transition] = ()):
+    def __init__(self):
         self.at_ms, self.epochs, self.row_ids = array("d"), array("q"), array("I")
         self.rows: list[tuple[str, str, str, tuple[str, ...]]] = []
         self._ids: dict[tuple, int] = {}
-        for at_ms, *row, epoch in transitions:
-            self.append(at_ms, tuple(row), epoch)
 
     def append(self, at_ms: float, row: tuple, epoch: int) -> None:
         row_id = self._ids.get(row)
@@ -222,17 +220,12 @@ class TransitionTrace(Sequence[Transition]):
     def __len__(self) -> int:
         return len(self.row_ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> Transition:
         return Transition(self.at_ms[index], *self.rows[self.row_ids[index]], self.epochs[index])
 
     def __iter__(self):
         columns = [map(column.__getitem__, self.row_ids) for column in zip(*self.rows)]
         return map(partial(tuple.__new__, Transition), zip(self.at_ms, *columns, self.epochs))
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 # What session.json writes for a float ``repr`` writes otherwise.
@@ -244,14 +237,10 @@ _CHUNK_ROWS = 4096
 class SessionResult:
     final_policy: SyscallPolicy
     policy_log: list[PolicyLogEntry]
-    latency_records: list["workload_mod.LatencyRecord"]
+    latency_records: "workload_mod.LatencyTable"
     alerts: list[Alert]
     transition_trace: TransitionTrace
     consultations: int
-
-    def __post_init__(self):
-        if not isinstance(self.transition_trace, TransitionTrace):
-            self.transition_trace = TransitionTrace(self.transition_trace)
 
     def _json_fields(self) -> dict:
         """Every field of the document, with the transitions left empty."""
@@ -487,18 +476,23 @@ class SessionDriver:
         self._transition(Shutdown())
 
 
-def _run_baseline(
-    spec: ServiceSpec, workload: Sequence["workload_mod.Request"], mode: str, verdicts: dict
-) -> tuple[list["workload_mod.LatencyRecord"], list[Alert]]:
-    """The records and alerts of a deployment without the controller.
+def _baseline_rows(
+    spec: ServiceSpec, workload: Iterable["workload_mod.Request"], mode: str, verdicts: dict,
+    alerts: list[Alert],
+) -> Iterator[tuple]:
+    """The latency rows of a deployment without the controller; its alerts
+    are appended to ``alerts``.
 
     Each request runs once, with no filter. Unhardened runs it as is;
     hardened runs it in the oracle, consulted through the session's
     ``verdicts`` table (see ``_consult``), so every request pays the
     oracle's cost and a detected exploit is rejected with an alert.
+
+    A row is a :class:`LatencyRecord`'s fields, valid by construction: one
+    attempt, a clock that only moves forward and an outcome from
+    ``OUTCOMES``. Plain tuples are far cheaper to build than checked
+    records, and the session's table is built from the rows alone.
     """
-    records = []
-    alerts: list[Alert] = []
     now = 0.0
     for logical_id, key in workload:
         first_attempt_ms = now
@@ -512,10 +506,7 @@ def _run_baseline(
         else:
             _, elapsed = run_unrestricted(spec, key)
             now += elapsed
-        records.append(
-            workload_mod.LatencyRecord(logical_id, key, 1, first_attempt_ms, now, outcome)
-        )
-    return records, alerts
+        yield logical_id, key, 1, first_attempt_ms, now, outcome
 
 
 def run_session(
@@ -547,14 +538,16 @@ def run_session(
     driver = SessionDriver(spec, config)
     if mode != "timeloops":
         # Nothing is learned: the policy stays the pretrained one.
-        records, alerts = _run_baseline(spec, workload, mode, driver._verdicts)
+        alerts: list[Alert] = []
+        records = workload_mod.LatencyTable(
+            _baseline_rows(spec, workload, mode, driver._verdicts, alerts))
         return SessionResult(final_policy=driver.policy, policy_log=driver.policy_log,
-                             latency_records=records, alerts=alerts, transition_trace=[],
-                             consultations=0)
-    records = [
+                             latency_records=records, alerts=alerts,
+                             transition_trace=TransitionTrace(), consultations=0)
+    records = workload_mod.LatencyTable(
         workload_mod.send_with_retry(request, driver, max_attempts=max_attempts)
         for request in workload
-    ]
+    )
     driver.shutdown()
     return SessionResult(
         # A session can end while the oracle runs, after the last snapshot.

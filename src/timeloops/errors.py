@@ -2,18 +2,26 @@
 
 
 class TimeloopsError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    The base an error derives from decides the command line's exit code: a
+    :class:`ConfigError` is a usage or configuration problem (exit 1), a
+    :class:`ParseError` malformed input data (exit 2). The other direct
+    subclasses are not input errors: the command line reports
+    :class:`AttemptsExhausted` as a session that did not converge (exit 1),
+    and :class:`IllegalTransition` is a defect in the program.
+    """
 
 
 class ParseError(TimeloopsError):
     """Malformed input file (fixture CSV, policy log, policy JSON, ...)."""
 
 
-class UnknownColumn(TimeloopsError):
+class UnknownColumn(ParseError):
     """A policy column id that is not one of the seven known columns."""
 
 
-class ScenarioError(TimeloopsError):
+class ScenarioError(ParseError):
     """A scenario file or service definition violates its invariants."""
 
 
@@ -21,15 +29,19 @@ class ConfigError(TimeloopsError):
     """An invalid session or controller configuration."""
 
 
-class DeniedSyscall(TimeloopsError):
-    """Attempt to extend a policy with syscalls on the permanent deny-list."""
+class DeniedSyscall(ConfigError):
+    """Attempt to extend a policy with syscalls on the permanent deny-list.
+
+    It reaches the command line only when a pretrain set collides with the
+    deny-list, which is an operator configuration problem.
+    """
 
     def __init__(self, names):
         self.names = frozenset(names)
         super().__init__("denied syscalls: " + ", ".join(sorted(self.names)))
 
 
-class ReplayError(TimeloopsError):
+class ReplayError(ParseError):
     """A policy log cannot be replayed (epoch gap, re-added syscall, ...)."""
 
 
@@ -37,19 +49,19 @@ class IllegalTransition(TimeloopsError):
     """A controller event that is not legal in the current state."""
 
 
-class ExploitInPretrainSet(TimeloopsError):
+class ExploitInPretrainSet(ConfigError):
     """A pretraining request maps to an exploit-annotated handler."""
 
 
-class ExploitInTrainingSet(TimeloopsError):
+class ExploitInTrainingSet(ConfigError):
     """A dynamic-profiling training request maps to an exploit-annotated handler."""
 
 
-class EmptyMix(TimeloopsError):
+class EmptyMix(ConfigError):
     """Workload mix with no positive weight."""
 
 
-class EmptyRecords(TimeloopsError):
+class EmptyRecords(ParseError):
     """Latency statistics requested over zero records."""
 
 
@@ -57,5 +69,5 @@ class AttemptsExhausted(TimeloopsError):
     """A request failed more times than the client retry budget allows."""
 
 
-class MissingCategory(TimeloopsError):
+class MissingCategory(ParseError):
     """An attack scenario does not declare an exploit for every category."""

@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, chain, compress, islice
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from .simruntime import ServiceSpec
@@ -29,7 +31,7 @@ LATENCY_CSV_HEADER = "logical_id,key,attempts,first_attempt_ms,completion_ms,lat
 
 # Requests and latency records are tuple-backed: a long session makes one of
 # each per logical request, and a tuple is far cheaper to build than a frozen
-# dataclass.
+# dataclass. A session keeps its records in a LatencyTable's columns.
 
 class Request(NamedTuple):
     logical_id: int
@@ -68,6 +70,90 @@ class LatencyRecord(_LatencyFields):
     @property
     def latency_ms(self) -> float:
         return self.completion_ms - self.first_attempt_ms
+
+
+# Records are transposed this many at a time (see _transpose).
+_TRANSPOSE_ROWS = 4096
+
+
+def _transpose(records: Iterable[tuple]) -> tuple:
+    """The six columns of ``records``, latency records or tuples of their
+    fields: the ids and the two times in arrays, the rest in lists.
+
+    Each chunk of records is flattened into one list of their fields, read
+    back a column at a time by strided slices. A record that an iterator
+    yields is freed as soon as its fields are copied: a session that passes
+    its records this way holds one at a time, and leaves the garbage
+    collector no long-lived record to scan.
+    """
+    ids, keys, attempts, first_ms, completion_ms, outcomes = columns = (
+        array("q"), [], [], array("d"), array("d"), [])
+    records = iter(records)
+    while fields := list(chain.from_iterable(islice(records, _TRANSPOSE_ROWS))):
+        ids += array("q", fields[0::6])
+        keys += fields[1::6]
+        attempts += fields[2::6]
+        first_ms += array("d", fields[3::6])
+        completion_ms += array("d", fields[4::6])
+        outcomes += fields[5::6]
+    return columns
+
+
+def _like(column, values: Iterable):
+    """A column of ``column``'s type, holding ``values``."""
+    new = column[:0]
+    new.extend(values)
+    return new
+
+
+class LatencyTable(Sequence[LatencyRecord]):
+    """Latency records as a read-only sequence of :class:`LatencyRecord`,
+    ordered by logical id, in columns: ``ids``, ``first_ms`` and
+    ``completion_ms`` are arrays, ``keys``, ``attempts`` and ``outcomes``
+    lists.
+
+    The records, or tuples of their fields, are transposed once, and sorted
+    only if their ids are not already ascending; the sort is stable, so
+    records that share an id keep their order. An id must fit in a signed
+    64-bit integer, and the times are kept as floats.
+    """
+
+    def __init__(self, records: Iterable[tuple] = ()):
+        self._set(_transpose(records))
+        ids = self.ids.tolist()
+        if ids != sorted(ids):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self._set([_like(column, map(column.__getitem__, order))
+                       for column in self._columns()])
+
+    def _set(self, columns) -> None:
+        self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes = columns
+
+    def _columns(self) -> tuple:
+        return self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> LatencyRecord:
+        index = operator.index(index)
+        return tuple.__new__(LatencyRecord, [column[index] for column in self._columns()])
+
+    def __iter__(self):
+        return map(partial(tuple.__new__, LatencyRecord), zip(*self._columns()))
+
+    def served(self) -> LatencyTable:
+        """The served records, in a table of their own."""
+        if self.outcomes.count("served") == len(self):
+            return self
+        keep = list(map("served".__eq__, self.outcomes))
+        served = LatencyTable()
+        served._set([_like(column, compress(column, keep)) for column in self._columns()])
+        return served
+
+
+def _table(records: Sequence[LatencyRecord]) -> LatencyTable:
+    return records if isinstance(records, LatencyTable) else LatencyTable(records)
 
 
 @dataclass(frozen=True)
@@ -146,10 +232,12 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 def summarize(records: Sequence[LatencyRecord]) -> LatencyStats:
     """Latency statistics; percentiles use linear interpolation between
-    order statistics, so e.g. the p50 of [1, 2, 3, 4] is 2.5."""
+    order statistics, so e.g. the p50 of [1, 2, 3, 4] is 2.5. The cumulative
+    series runs in logical-id order."""
     if not records:
         raise EmptyRecords("no latency records to summarize")
-    latencies = [r.completion_ms - r.first_attempt_ms for r in records]
+    table = _table(records)
+    latencies = list(map(operator.sub, table.completion_ms, table.first_ms))
     ordered = sorted(latencies)
     return LatencyStats(
         mean=math.fsum(latencies) / len(latencies),
@@ -171,24 +259,22 @@ def _csv_field(value) -> str:
     return out.getvalue()[:-2]
 
 
-def _by_id(records: Sequence[LatencyRecord]) -> list[LatencyRecord]:
-    return sorted(records, key=itemgetter(0))
-
-
 def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
     """The latency CSV, byte-identical to writing each row with ``csv.writer``.
 
     Only the key can need quoting; each distinct key is quoted once. A start
-    time that is its predecessor's completion time is written once.
+    time equal to its predecessor's completion time is written once, unless
+    it is zero: ``repr`` tells -0.0 from 0.0, which compare equal.
     """
+    table = _table(records)
     keys: dict = {}
     rows = [LATENCY_CSV_HEADER + "\n"]
     last = last_text = None
-    for logical_id, key, attempts, first, completion, outcome in _by_id(records):
+    for logical_id, key, attempts, first, completion, outcome in zip(*table._columns()):
         quoted = keys.get(key)
         if quoted is None:
             quoted = keys[key] = _csv_field(key)
-        first_text = last_text if first is last else repr(first)
+        first_text = last_text if first == last and first else repr(first)
         last, last_text = completion, repr(completion)
         rows.append(f"{logical_id},{quoted},{attempts},{first_text},{last_text},"
                     f"{completion - first},{outcome}\n")
@@ -201,9 +287,10 @@ def write_latency_csv(records: Sequence[LatencyRecord], path: str | Path) -> Non
 
 def render_cumulative_csv(records: Sequence[LatencyRecord]) -> str:
     """Running latency sum by request order: the convergence-plot series."""
+    table = _table(records)
     rows = ["logical_id,cumulative_latency_ms\n"]
     total = 0.0
-    for logical_id, _, _, first, completion, _ in _by_id(records):
+    for logical_id, first, completion in zip(table.ids, table.first_ms, table.completion_ms):
         total += completion - first
         rows.append(f"{logical_id},{total}\n")
     return "".join(rows)

@@ -184,7 +184,7 @@ def test_criterion_4_amortization_shape():
     assert spec.cost_model.oracle_slowdown_factor == 3.0
     assert spec.cost_model.restart_ms == 50.0
 
-    tl = sessions["timeloops"].latency_records
+    tl = list(sessions["timeloops"].latency_records)
     first_latency = tl[0].latency_ms
     steady_p50 = float(np.percentile([r.latency_ms for r in tl[len(tl) // 2:]], 50))
     stats_tl = summarize(tl)
@@ -219,7 +219,7 @@ def test_criterion_5_pretraining_effect():
     workload = generate_workload(spec, 400, 7, REFERENCE_MIX)
     config = ControllerConfig(pretrain_requests=("home", "search", "upload"))
     result = run_session(spec, workload, config)
-    records = result.latency_records
+    records = list(result.latency_records)
     steady_p50 = float(np.percentile([r.latency_ms for r in records[len(records) // 2:]], 50))
     first_latency = records[0].latency_ms
     checks = [

@@ -6,8 +6,12 @@ import sys
 import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR
 
+from timeloops import cli, errors
 from timeloops.catalog import PolicyComparisonTable, TableRow, load_default_fixture, save_fixture
 from timeloops.cli import main
+from timeloops.controller import ControllerConfig, run_session
+from timeloops.simruntime import load_scenario
+from timeloops.workload import generate_workload
 
 STATICSITE = str(SCENARIO_DIR / "staticsite.json")
 ATTACKS = str(SCENARIO_DIR / "staticsite_attacks.json")
@@ -152,6 +156,27 @@ def test_input_path_under_a_regular_file_exits_2(tmp_path, capsys, command):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def test_session_json_written_in_slices_is_the_document(tmp_path):
+    flags = ["--n", "5000", "--seed", "3", "--mix", "home=8,search=1,upload=1"]
+    assert main(["simulate", "--scenario", STATICSITE, *flags, "--out", str(tmp_path)]) == 0
+    spec = load_scenario(STATICSITE)[0]
+    requests = generate_workload(spec, 5000, 3, {"home": 8, "search": 1, "upload": 1})
+    doc = run_session(spec, requests, ControllerConfig()).to_json()
+    # Several whole slices and a partial last one.
+    assert len(doc) > 2 * cli._WRITE_CHARS and len(doc) % cli._WRITE_CHARS
+    assert (tmp_path / "session.json").read_text(encoding="utf-8") == doc + "\n"
+
+
+def test_the_base_class_of_an_error_decides_its_exit_code():
+    package_errors = {value for value in vars(errors).values()
+                      if isinstance(value, type) and issubclass(value, errors.TimeloopsError)}
+    direct = {error for error in package_errors if error.__bases__ == (errors.TimeloopsError,)}
+    assert direct == {errors.ConfigError, errors.ParseError, errors.AttemptsExhausted,
+                      errors.IllegalTransition}
+    assert issubclass(errors.DeniedSyscall, errors.ConfigError)
+    assert issubclass(errors.EmptyRecords, errors.ParseError)
+
+
 def test_simulate_missing_scenario_exits_2(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
@@ -278,6 +303,22 @@ def test_attack_scenarios_cli(capsys):
     assert lines[0].startswith("cat1")
     assert "WEAKNESS" in lines[3]
     assert all("[ok]" in line for line in lines)
+
+
+def test_attack_harness_runs_one_control_session_per_deny_list(monkeypatch):
+    sessions = []
+
+    def counting_run_session(spec, workload, config, *args, **kwargs):
+        sessions.append((len(workload), config.deny))
+        return run_session(spec, workload, config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_session", counting_run_session)
+    verdicts = cli.run_attack_scenarios(load_scenario(ATTACKS)[0], seed=0)
+    deny = frozenset(verdicts[-1].deny)
+    assert deny and all(not v.deny for v in verdicts[:-1])
+    # A warm-up control per deny-list, then the warm-up plus one probe, five times.
+    assert sorted(sessions, key=lambda s: (s[0], len(s[1]))) == [
+        (8, frozenset()), (8, deny), *[(9, frozenset())] * 4, (9, deny)]
 
 
 def test_attack_scenarios_missing_category_exits_2(tmp_path):

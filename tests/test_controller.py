@@ -311,7 +311,7 @@ def test_unhardened_mode_serves_everything_without_learning():
     assert result.alerts == []
     assert result.consultations == 0
     assert result.final_policy.epoch == 0
-    assert result.transition_trace == []
+    assert list(result.transition_trace) == []
 
 
 def test_hardened_mode_detects_exploits_and_pays_oracle_cost():
@@ -401,7 +401,7 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "_consult", walk_every_time)
         walked = run_session(spec, workload, config, mode=mode)
-    assert cached.latency_records == walked.latency_records
+    assert list(cached.latency_records) == list(walked.latency_records)
     assert cached.policy_log == walked.policy_log
     assert cached.to_json() == walked.to_json()
 
@@ -463,8 +463,8 @@ def test_session_determinism(bundle):
     first = run_session(spec, workload, config)
     second = run_session(spec, workload, config)
     assert first.final_policy == second.final_policy
-    assert first.latency_records == second.latency_records
-    assert first.transition_trace == second.transition_trace
+    assert list(first.latency_records) == list(second.latency_records)
+    assert list(first.transition_trace) == list(second.transition_trace)
     assert first.consultations == second.consultations
 
 
@@ -483,7 +483,7 @@ def test_update_policy_only_after_benign_outcomes(bundle):
 def test_closed_loop_timeline_and_epoch_accounting(bundle):
     spec, workload, deny = bundle
     result = run_session(spec, workload, ControllerConfig(deny=deny))
-    records = result.latency_records
+    records = list(result.latency_records)
     # the client reissues the next logical request at the previous response
     for previous, current in zip(records, records[1:]):
         assert current.first_attempt_ms == previous.completion_ms

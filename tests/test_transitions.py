@@ -115,6 +115,14 @@ def _requests(*keys):
     return [Request(logical_id=i, key=k) for i, k in enumerate(keys)]
 
 
+def _trace(transitions):
+    """A transition trace holding ``transitions``, appended one by one."""
+    trace = TransitionTrace()
+    for at_ms, *row, epoch in transitions:
+        trace.append(at_ms, tuple(row), epoch)
+    return trace
+
+
 def _assert_renders_like_json(result):
     assert result.to_json() == json.dumps(result.to_json_dict(), indent=2)
 
@@ -171,7 +179,7 @@ def test_to_json_equals_the_indented_dump(bundle, oracle_mode):
 def test_unhardened_session_renders_an_empty_transition_list():
     spec = _spec({"r": RequestBehavior(trace=("read",))})
     result = run_session(spec, _requests("r", "r"), mode="unhardened")
-    assert result.transition_trace == []
+    assert list(result.transition_trace) == []
     _assert_renders_like_json(result)
     assert '\n  "transitions": [],\n' in result.to_json()
 
@@ -197,12 +205,12 @@ def test_alerts_and_denied_syscall_events_render_like_json():
 def test_transition_times_render_like_json(at_ms):
     result = SessionResult(
         final_policy=new_policy(), policy_log=[], latency_records=[], alerts=[],
-        transition_trace=[
+        transition_trace=_trace([
             Transition(at_ms=0.0, from_state="production_running", event="shutdown",
                        to_state="halted", actions=("log_event",), epoch=0),
             Transition(at_ms=at_ms, from_state="halted", event="shutdown",
                        to_state="halted", actions=(), epoch=0),
-        ],
+        ]),
         consultations=0,
     )
     _assert_renders_like_json(result)
@@ -222,7 +230,7 @@ ROWS = [
 
 
 def test_transition_trace_is_a_sequence_of_transitions():
-    trace = TransitionTrace(ROWS)
+    trace = _trace(ROWS)
     assert len(trace) == len(ROWS) and len(trace.rows) == 4
     assert list(trace) == ROWS
     assert all(type(t) is Transition for t in trace)
@@ -231,11 +239,9 @@ def test_transition_trace_is_a_sequence_of_transitions():
         assert trace[index] == ROWS[index]
     with pytest.raises(IndexError):
         trace[len(ROWS)]
-    for window in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(4, 1)):
-        assert trace[window] == ROWS[window]
-    assert trace == ROWS and ROWS == trace and trace == TransitionTrace(ROWS)
-    assert trace != ROWS[:-1] and ROWS[::-1] != trace
-    assert TransitionTrace() == [] and [] == TransitionTrace() and trace != []
+    with pytest.raises(TypeError):
+        trace[1:3]
+    assert not TransitionTrace() and list(TransitionTrace()) == []
     assert trace.index(ROWS[3]) == 3 and ROWS[4] in trace
 
 
@@ -262,7 +268,7 @@ def test_to_json_joins_chunks_like_json():
     rows = [ROWS[i % len(ROWS)]._replace(at_ms=odd.get(i, i / 8), epoch=i)
             for i in range(2 * _CHUNK_ROWS + 1)]
     result = SessionResult(final_policy=new_policy(), policy_log=[], latency_records=[],
-                           alerts=[], transition_trace=rows, consultations=0)
+                           alerts=[], transition_trace=_trace(rows), consultations=0)
     _assert_renders_like_json(result)
 
 

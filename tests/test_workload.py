@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from timeloops.workload import (
     LATENCY_CSV_HEADER,
     OUTCOMES,
     LatencyRecord,
+    LatencyTable,
     Request,
     generate_workload,
     render_cumulative_csv,
@@ -293,10 +295,60 @@ def _records(draw):
 # Each boundary time shared by consecutive records, as in a closed loop,
 # then a start at -0.0: equal to the completion before it, written otherwise.
 @example([_timed_record(0, -1.0, 0.0), _timed_record(1, 0.0, 0.0), _timed_record(2, -0.0, 2.0)])
+# Ids out of order and shared, so the table sorts them, stably; the sort
+# brings a start time next to an equal completion time.
+@example([_timed_record(3, 2.0, 5.0, key="c"), _timed_record(1, 0.0, 2.0, key="a"),
+          _timed_record(3, 5.0, 5.0, key="d"), _timed_record(1, 2.0, 2.5, key="b"),
+          _timed_record(0, -0.0, 0.0)])
 @settings(max_examples=300)
 def test_renderers_match_csv_writer(records):
     assert render_latency_csv(records) == _reference_latency_csv(records)
     assert render_cumulative_csv(records) == _reference_cumulative_csv(records)
+
+
+def test_latency_table_is_a_sequence_of_records_by_id():
+    records = [_timed_record(2, 1.0, 3.0, key="b"), _timed_record(0, 0.0, 1.0),
+               _timed_record(2, 3.0, 4.0, outcome="rejected_malicious"), _timed_record(1, 4.0, 9.0)]
+    by_id = sorted(records, key=lambda r: r.logical_id)
+    table = LatencyTable(records)
+    assert len(table) == 4 and list(table) == by_id
+    assert all(type(r) is LatencyRecord for r in table)
+    for index in range(-4, 4):
+        assert table[index] == by_id[index]
+    with pytest.raises(IndexError):
+        table[4]
+    with pytest.raises(TypeError):
+        table[1:3]
+    assert table.index(by_id[2]) == 2 and by_id[3] in table
+    # The cumulative series follows the table, in id order.
+    assert summarize(records).cumulative == (1.0, 6.0, 8.0, 9.0)
+    served = table.served()
+    assert list(served) == [r for r in by_id if r.outcome == "served"]
+    assert served.served() is served
+    assert not LatencyTable() and list(LatencyTable()) == []
+
+
+def test_latency_table_ids_are_signed_64_bit():
+    # Ids live in an array of signed 64-bit integers, which rejects a larger one.
+    assert list(LatencyTable([_record(2**63 - 1, 1.0), _record(-2**63, 2.0)])) == [
+        _record(-2**63, 2.0), _record(2**63 - 1, 1.0)]
+    for logical_id in (2**63, -2**63 - 1):
+        with pytest.raises(OverflowError):
+            LatencyTable([_record(logical_id, 1.0)])
+
+
+def test_a_long_session_keeps_its_records_compact(staticsite):
+    requests = generate_workload(staticsite, 50_000, 7, {"home": 8, "search": 1, "upload": 1})
+    tracemalloc.start()
+    try:
+        result = run_session(staticsite, requests, ControllerConfig())
+        held = tracemalloc.get_traced_memory()[0]
+        result.latency_records = None
+        records_size = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Columns take about 52 bytes a record; a tuple and its times took about 130.
+    assert records_size < 3 * 2**20
 
 
 def test_records_keep_their_fields_and_reject_assignment():
