@@ -90,12 +90,16 @@ class PolicyComparisonTable:
     """Immutable comparison table keyed by syscall name."""
 
     rows: tuple[TableRow, ...] = field(default_factory=tuple)
+    # Each row's CVE annotation by syscall, for ``cve_for``.
+    _cves: dict[str, str | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [r.syscall for r in self.rows]
-        if len(set(names)) != len(names):
+        cves = {r.syscall: r.cve for r in self.rows}
+        if len(cves) != len(self.rows):
+            names = [r.syscall for r in self.rows]
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ParseError("duplicate syscall rows: " + ", ".join(dupes))
+        object.__setattr__(self, "_cves", cves)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -113,10 +117,7 @@ class PolicyComparisonTable:
 
     def cve_for(self, syscall: str) -> str | None:
         """CVE annotation for ``syscall``, or None if absent or unknown."""
-        for row in self.rows:
-            if row.syscall == syscall:
-                return row.cve
-        return None
+        return self._cves.get(syscall)
 
 
 def _parse_cve_cell(syscall: str, cell: str) -> tuple[str | None, str | None]:

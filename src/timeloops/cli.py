@@ -84,6 +84,8 @@ def _parse_mix(text: str) -> dict[str, float]:
         key, sep, weight = item.partition("=")
         if not sep or not key:
             raise ConfigError(f"malformed mix entry: {item!r} (want key=weight)")
+        if key in mix:
+            raise ConfigError(f"duplicate mix key: {key!r}")
         try:
             mix[key] = float(weight)
         except ValueError:

@@ -200,21 +200,26 @@ class Transition(NamedTuple):
 class TransitionTrace(Sequence[Transition]):
     """The transition trace as a read-only sequence of :class:`Transition`, in
     columns: each row's ``at_ms``, ``epochs`` and ``row_ids``, its index into
-    ``rows``, the table of distinct (from, event, to, actions) rows. Only
-    ``append`` adds to it."""
+    ``rows``, the table of distinct (from, event, to, actions) rows. A
+    transition is added by ``append``, or by appending to the three columns
+    a row id that ``row_id`` gave."""
 
     def __init__(self):
         self.at_ms, self.epochs, self.row_ids = array("d"), array("q"), array("I")
         self.rows: list[tuple[str, str, str, tuple[str, ...]]] = []
         self._ids: dict[tuple, int] = {}
 
-    def append(self, at_ms: float, row: tuple, epoch: int) -> None:
+    def row_id(self, row: tuple) -> int:
+        """The index of ``row`` in ``rows``, added if it is new."""
         row_id = self._ids.get(row)
         if row_id is None:
             row_id = self._ids[row] = len(self.rows)
             self.rows.append(row)
+        return row_id
+
+    def append(self, at_ms: float, row: tuple, epoch: int) -> None:
         self.at_ms.append(at_ms)
-        self.row_ids.append(row_id)
+        self.row_ids.append(self.row_id(row))
         self.epochs.append(epoch)
 
     def __len__(self) -> int:
@@ -242,9 +247,20 @@ class SessionResult:
     transition_trace: TransitionTrace
     consultations: int
 
-    def _json_fields(self) -> dict:
-        """Every field of the document, with the transitions left empty."""
-        return {
+    def to_json(self) -> str:
+        """The session document; always equal, byte for byte, to
+        ``json.dumps(doc, indent=2)`` of the document as plain dicts, ``doc``
+        as ``_session_dict`` in ``tests/test_transitions.py`` builds it.
+
+        ``indent`` makes ``json`` fall back to its pure-Python encoder, which
+        is too slow for a long transition trace. Everything but the
+        transitions is still rendered that way. Each row of the trace's
+        table is rendered once, as what lies between a transition's
+        ``at_ms`` and ``epoch``. Transitions are joined in chunks of
+        ``_CHUNK_ROWS``, then the chunks into the document, so no list holds
+        a string per transition of a document megabytes long.
+        """
+        text = json.dumps({
             "final_policy": {
                 "allow": sorted(self.final_policy.allow),
                 "deny": sorted(self.final_policy.deny),
@@ -256,36 +272,7 @@ class SessionResult:
             ],
             "transitions": [],
             "consultations": self.consultations,
-        }
-
-    def to_json_dict(self) -> dict:
-        doc = self._json_fields()
-        doc["transitions"] = [
-            {
-                "at_ms": t.at_ms,
-                "from": t.from_state,
-                "event": t.event,
-                "to": t.to_state,
-                "actions": list(t.actions),
-                "epoch": t.epoch,
-            }
-            for t in self.transition_trace
-        ]
-        return doc
-
-    def to_json(self) -> str:
-        """The session document; always equal to
-        ``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
-
-        ``indent`` makes ``json`` fall back to its pure-Python encoder, which
-        is too slow for a long transition trace. Everything but the
-        transitions is still rendered that way. Each row of the trace's
-        table is rendered once, as what lies between a transition's
-        ``at_ms`` and ``epoch``. Transitions are joined in chunks of
-        ``_CHUNK_ROWS``, then the chunks into the document, so no list holds
-        a string per transition of a document megabytes long.
-        """
-        text = json.dumps(self._json_fields(), indent=2)
+        }, indent=2)
         trace = self.transition_trace
         if not trace:
             return text
@@ -373,6 +360,8 @@ class SessionDriver:
         self.policy_log: list[PolicyLogEntry] = []
         self.alerts: list[Alert] = []
         self.transition_trace = TransitionTrace()
+        # A served request's transition is appended without hashing its row.
+        self._served_row_id = self.transition_trace.row_id(_SERVED_ROW)
         self.consultations = 0
         self._current_request_id = -1
         # the session's verdict table (see ``_consult``)
@@ -407,7 +396,10 @@ class SessionDriver:
         before = self.state
         self.state, actions = step(before, event, self.config)
         if actions is _SERVED:
-            self.transition_trace.append(self.now, _SERVED_ROW, len(self.policy_log))
+            trace = self.transition_trace
+            trace.at_ms.append(self.now)
+            trace.row_ids.append(self._served_row_id)
+            trace.epochs.append(len(self.policy_log))
             return False
         rejected = False
         restart = self.spec.cost_model.restart_ms
@@ -491,7 +483,7 @@ def _baseline_rows(
     A row is a :class:`LatencyRecord`'s fields, valid by construction: one
     attempt, a clock that only moves forward and an outcome from
     ``OUTCOMES``. Plain tuples are far cheaper to build than checked
-    records, and the session's table is built from the rows alone.
+    records, and the session's table checks the rows' columns.
     """
     now = 0.0
     for logical_id, key in workload:

@@ -17,7 +17,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -48,6 +48,10 @@ class _LatencyFields(NamedTuple):
 
 
 class LatencyRecord(_LatencyFields):
+    """One logical request's latency record, checked when constructed.
+    ``send_with_retry`` skips the checks: the session's :class:`LatencyTable`
+    makes them once, on its columns."""
+
     __slots__ = ()
 
     def __new__(cls, logical_id: int, key: str, attempts: int,
@@ -116,10 +120,21 @@ class LatencyTable(Sequence[LatencyRecord]):
     only if their ids are not already ascending; the sort is stable, so
     records that share an id keep their order. An id must fit in a signed
     64-bit integer, and the times are kept as floats.
+
+    The columns are checked once, with the checks and errors of
+    :class:`LatencyRecord`, so records built unchecked are checked here.
     """
 
     def __init__(self, records: Iterable[tuple] = ()):
         self._set(_transpose(records))
+        if min(self.attempts, default=1) < 1:
+            raise ValueError("attempts must be >= 1")
+        # Not all(map(ge, ...)): a NaN time compares false, and a record accepts it.
+        if any(map(operator.lt, self.completion_ms, self.first_ms)):
+            raise ValueError("completion precedes first attempt")
+        if not set(self.outcomes).issubset(OUTCOMES):
+            unknown = next(o for o in self.outcomes if o not in OUTCOMES)
+            raise ValueError(f"unknown outcome: {unknown!r}")
         ids = self.ids.tolist()
         if ids != sorted(ids):
             order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -178,9 +193,10 @@ def send_with_retry(request: Request, driver, max_attempts: int = 16) -> Latency
     for attempt in range(1, max_attempts + 1):
         outcome = driver.attempt(request)
         if outcome is not None:
-            return LatencyRecord(
+            # Valid by construction, and checked again in the session's table.
+            return tuple.__new__(LatencyRecord, (
                 request.logical_id, request.key, attempt, first_attempt_ms, driver.now, outcome
-            )
+            ))
     raise AttemptsExhausted(
         f"request {request.logical_id} ({request.key!r}) failed {max_attempts} attempts"
     )
@@ -204,7 +220,7 @@ def generate_workload(
         raise ConfigError("mix keys without handlers: " + ", ".join(unknown))
     rng = random.Random(seed)
     chosen = rng.choices(keys, weights=weights, k=n) if n > 0 else []
-    return [Request(i, k) for i, k in enumerate(chosen)]
+    return list(map(tuple.__new__, repeat(Request), enumerate(chosen)))
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -264,10 +280,13 @@ def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
 
     Only the key can need quoting; each distinct key is quoted once. A start
     time equal to its predecessor's completion time is written once, unless
-    it is zero: ``repr`` tells -0.0 from 0.0, which compare equal.
+    it is zero: ``repr`` tells -0.0 from 0.0, which compare equal. Each
+    distinct positive latency is formatted once: as a dict key, -0.0 would
+    find the text of 0.0, and a NaN would find nothing.
     """
     table = _table(records)
     keys: dict = {}
+    latencies: dict = {}
     rows = [LATENCY_CSV_HEADER + "\n"]
     last = last_text = None
     for logical_id, key, attempts, first, completion, outcome in zip(*table._columns()):
@@ -276,8 +295,15 @@ def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
             quoted = keys[key] = _csv_field(key)
         first_text = last_text if first == last and first else repr(first)
         last, last_text = completion, repr(completion)
+        latency = completion - first
+        if latency > 0:
+            latency_text = latencies.get(latency)
+            if latency_text is None:
+                latency_text = latencies[latency] = repr(latency)
+        else:
+            latency_text = repr(latency)
         rows.append(f"{logical_id},{quoted},{attempts},{first_text},{last_text},"
-                    f"{completion - first},{outcome}\n")
+                    f"{latency_text},{outcome}\n")
     return "".join(rows)
 
 

@@ -44,6 +44,15 @@ def test_cve_lookups(table):
     assert table.cve_for("not_a_syscall") is None
 
 
+def test_cve_for_agrees_with_the_rows(table):
+    for row in table.rows:
+        assert table.cve_for(row.syscall) == row.cve
+    assert PolicyComparisonTable().cve_for("mremap") is None
+    # The lookup index is derived state: it takes no part in equality or repr.
+    assert table == PolicyComparisonTable(rows=table.rows)
+    assert "_cves" not in repr(PolicyComparisonTable())
+
+
 def test_ioctl_free_text_is_note_not_cve(table):
     row = next(r for r in table.rows if r.syscall == "ioctl")
     assert row.cve is None

@@ -101,6 +101,13 @@ def test_simulate_usage_errors_exit_1(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_duplicate_mix_key_exits_1_naming_it(tmp_path, capsys):
+    assert main(["simulate", "--scenario", STATICSITE, "--mix", "home=1,search=2,home=3",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "duplicate mix key: 'home'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_pretrain_conflicting_with_deny_exits_1(tmp_path):
     # home's trace is benign, so force a collision through a custom fixture
     # whose podman complement contains a syscall the pretrain set needs
@@ -236,6 +243,24 @@ def test_export_seccomp_empty_policy_via_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / "profile_empty.json").read_bytes()
+
+
+@pytest.mark.parametrize("script, files", [
+    ("run_latency_comparison.py",
+     [f"{kind}_{mode}.csv" for kind in ("latency", "cumulative")
+      for mode in ("timeloops", "unhardened", "hardened")]),
+    ("run_policy_comparison.py",
+     [f"profile_{name}.json" for name in ("static", "learned", "dynamic")]),
+])
+def test_script_runs_and_writes_its_files(tmp_path, script, files):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / script), "--n", "30",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
 def test_latency_script_reports_a_malformed_mix(tmp_path):

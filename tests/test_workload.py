@@ -8,11 +8,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, spec_workload_deny
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timeloops.controller import ControllerConfig, Transition, run_session
+from timeloops.controller import (
+    ORACLE_MODES,
+    SESSION_MODES,
+    ControllerConfig,
+    Transition,
+    run_session,
+)
 from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from timeloops.simruntime import CostModel, RequestBehavior, ServiceSpec
 from timeloops.workload import (
@@ -373,9 +379,35 @@ def test_records_keep_their_fields_and_reject_assignment():
     (0, "r", 1, 0.0, 1.0, "dropped"),
 ])
 def test_record_invariants_hold_for_every_construction(args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         LatencyRecord(*args)
     with pytest.raises(ValueError):
         LatencyRecord._make(args)
     with pytest.raises(ValueError):
         _record(0, 1.0)._replace(**dict(zip(LatencyRecord._fields, args)))
+    # A table checks its columns as a record checks itself, whether it is
+    # given fields or a record built unchecked, alone or after a valid one.
+    for rows in ([args], [tuple.__new__(LatencyRecord, args)], [_record(1, 1.0), args]):
+        with pytest.raises(ValueError) as from_table:
+            LatencyTable(rows)
+        assert str(from_table.value) == str(raised.value)
+
+
+def test_nan_times_are_accepted_by_records_and_tables():
+    nan = math.nan
+    for first, completion in ((nan, 1.0), (0.0, nan), (nan, nan)):
+        fields = (0, "r", 1, first, completion, "served")
+        assert repr(list(LatencyTable([fields]))) == repr([LatencyRecord(*fields)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=spec_workload_deny(), mode=st.sampled_from(SESSION_MODES),
+       oracle_mode=st.sampled_from(ORACLE_MODES))
+def test_program_built_records_are_valid(bundle, mode, oracle_mode):
+    # Records the program builds skip the record's own checks.
+    spec, workload, deny = bundle
+    result = run_session(spec, workload, ControllerConfig(oracle_mode=oracle_mode, deny=deny),
+                         mode=mode)
+    assert len(result.latency_records) == len(workload)
+    for record in result.latency_records:
+        assert record == LatencyRecord(*record)
