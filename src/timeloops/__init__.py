@@ -19,7 +19,6 @@ from .catalog import (
     load_default_fixture,
     load_fixture,
     podman_default_deny,
-    save_fixture,
 )
 from .controller import (
     ControllerConfig,

@@ -62,23 +62,16 @@ class SyscallAnnotation(NamedTuple):
 
 @dataclass(frozen=True)
 class TableRow:
-    """One syscall row: CVE annotation plus a flag per policy column.
-
-    ``note`` holds free text from the CVE cell that is not a CVE identifier
-    (e.g. "numerous drivers"); it is ignored by CVE lookups.
-    """
+    """One syscall row: CVE annotation plus a flag per policy column."""
 
     syscall: str
     cve: str | None
     flags: tuple[bool, ...]
-    note: str | None = None
 
     def __post_init__(self):
         validate_syscall_name(self.syscall)
         if self.cve is not None and not CVE_RE.match(self.cve):
             raise ParseError(f"invalid CVE identifier: {self.cve!r}")
-        if self.cve is not None and self.note is not None:
-            raise ParseError(f"row {self.syscall!r} cannot carry both a CVE and a note")
         if len(self.flags) != len(COLUMNS):
             raise ParseError(
                 f"row {self.syscall!r} has {len(self.flags)} flags, expected {len(COLUMNS)}"
@@ -101,9 +94,6 @@ class PolicyComparisonTable:
             raise ParseError("duplicate syscall rows: " + ", ".join(dupes))
         object.__setattr__(self, "_cves", cves)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def syscalls(self) -> frozenset[str]:
         return frozenset(r.syscall for r in self.rows)
 
@@ -120,17 +110,14 @@ class PolicyComparisonTable:
         return self._cves.get(syscall)
 
 
-def _parse_cve_cell(syscall: str, cell: str) -> tuple[str | None, str | None]:
+def _parse_cve_cell(syscall: str, cell: str) -> str | None:
     cell = cell.strip()
-    if not cell:
-        return None, None
     if CVE_RE.match(cell):
-        return cell, None
+        return cell
     if cell.startswith("CVE-"):
         raise ParseError(f"row {syscall!r}: malformed CVE identifier {cell!r}")
-    # Free-text annotation such as "numerous drivers"; kept but never
-    # surfaced as a CVE.
-    return None, cell
+    # Empty, or free text such as "numerous drivers": no CVE.
+    return None
 
 
 def load_fixture(path: str | Path) -> PolicyComparisonTable:
@@ -161,28 +148,14 @@ def parse_fixture(text: str) -> PolicyComparisonTable:
         name = cells[0].strip()
         if not SYSCALL_NAME_RE.match(name):
             raise ParseError(f"line {lineno}: invalid syscall name {name!r}")
-        cve, note = _parse_cve_cell(name, cells[1])
+        cve = _parse_cve_cell(name, cells[1])
         flags = []
         for col, cell in zip(COLUMNS, cells[2:]):
             if cell not in ("0", "1"):
                 raise ParseError(f"line {lineno}: column {col} must be 0 or 1, got {cell!r}")
             flags.append(cell == "1")
-        rows.append(TableRow(syscall=name, cve=cve, flags=tuple(flags), note=note))
+        rows.append(TableRow(syscall=name, cve=cve, flags=tuple(flags)))
     return PolicyComparisonTable(rows=tuple(rows))
-
-
-def save_fixture(table: PolicyComparisonTable, path: str | Path) -> None:
-    Path(path).write_text(render_fixture(table), encoding="utf-8")
-
-
-def render_fixture(table: PolicyComparisonTable) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for row in table.rows:
-        cve_cell = row.cve or row.note or ""
-        writer.writerow([row.syscall, cve_cell] + ["1" if f else "0" for f in row.flags])
-    return out.getvalue()
 
 
 def load_default_fixture() -> PolicyComparisonTable:

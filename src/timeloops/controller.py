@@ -480,10 +480,8 @@ def _baseline_rows(
     ``verdicts`` table (see ``_consult``), so every request pays the
     oracle's cost and a detected exploit is rejected with an alert.
 
-    A row is a :class:`LatencyRecord`'s fields, valid by construction: one
-    attempt, a clock that only moves forward and an outcome from
-    ``OUTCOMES``. Plain tuples are far cheaper to build than checked
-    records, and the session's table checks the rows' columns.
+    A row is a :class:`LatencyRecord`'s fields, as a plain tuple; the
+    session's table checks the rows' columns.
     """
     now = 0.0
     for logical_id, key in workload:
@@ -506,20 +504,18 @@ def run_session(
     workload: Sequence["workload_mod.Request"],
     config: ControllerConfig | None = None,
     mode: str = "timeloops",
-    max_attempts: int = 16,
 ) -> SessionResult:
     """Run a workload to completion in one of ``SESSION_MODES``.
 
     Under the controller, every logical request is retried until served,
-    rejected by an alert, or the attempt budget is exhausted; the baseline
-    modes run each request once. Every mode starts from the pretrained
-    policy. Fully deterministic for a given (spec, workload, config, mode).
+    rejected by an alert, or ``workload.MAX_ATTEMPTS`` attempts fail; the
+    baseline modes run each request once. Every mode starts from the
+    pretrained policy. Fully deterministic for a given (spec, workload,
+    config, mode).
     """
     config = config if config is not None else ControllerConfig()
     if mode not in SESSION_MODES:
         raise ConfigError(f"unknown session mode: {mode!r}")
-    if max_attempts < 1:
-        raise ConfigError("max_attempts must be >= 1")
     if not workload:
         raise ConfigError("workload must not be empty")
     conflict = spec.oracle_extra & config.deny
@@ -537,8 +533,7 @@ def run_session(
                              latency_records=records, alerts=alerts,
                              transition_trace=TransitionTrace(), consultations=0)
     records = workload_mod.LatencyTable(
-        workload_mod.send_with_retry(request, driver, max_attempts=max_attempts)
-        for request in workload
+        workload_mod.send_with_retry(request, driver) for request in workload
     )
     driver.shutdown()
     return SessionResult(

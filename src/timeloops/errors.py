@@ -66,7 +66,7 @@ class EmptyRecords(ParseError):
 
 
 class AttemptsExhausted(TimeloopsError):
-    """A request failed more times than the client retry budget allows."""
+    """A request failed all ``workload.MAX_ATTEMPTS`` of its attempts."""
 
 
 class MissingCategory(ParseError):

@@ -348,9 +348,7 @@ def parse_service(obj: dict) -> ServiceSpec:
     cost_obj = obj.get("cost_model", {})
     if not isinstance(cost_obj, dict):
         raise ScenarioError("cost_model must be an object")
-    cost_fields = ("base_request_ms", "production_per_syscall_ms",
-                   "oracle_slowdown_factor", "restart_ms")
-    unknown_cost = set(cost_obj) - set(cost_fields)
+    unknown_cost = set(cost_obj) - {f.name for f in fields(CostModel)}
     if unknown_cost:
         raise ScenarioError("unknown cost_model fields: " + ", ".join(sorted(unknown_cost)))
     try:

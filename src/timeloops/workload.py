@@ -38,38 +38,16 @@ class Request(NamedTuple):
     key: str
 
 
-class _LatencyFields(NamedTuple):
+class LatencyRecord(NamedTuple):
+    """One logical request's latency record. It is checked by the
+    :class:`LatencyTable` that holds it, not when it is built."""
+
     logical_id: int
     key: str
     attempts: int
     first_attempt_ms: float
     completion_ms: float
     outcome: str
-
-
-class LatencyRecord(_LatencyFields):
-    """One logical request's latency record, checked when constructed.
-    ``send_with_retry`` skips the checks: the session's :class:`LatencyTable`
-    makes them once, on its columns."""
-
-    __slots__ = ()
-
-    def __new__(cls, logical_id: int, key: str, attempts: int,
-                first_attempt_ms: float, completion_ms: float, outcome: str):
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if completion_ms < first_attempt_ms:
-            raise ValueError("completion precedes first attempt")
-        if outcome not in OUTCOMES:
-            raise ValueError(f"unknown outcome: {outcome!r}")
-        return tuple.__new__(
-            cls, (logical_id, key, attempts, first_attempt_ms, completion_ms, outcome)
-        )
-
-    @classmethod
-    def _make(cls, iterable):
-        # The inherited _make, which _replace calls, would skip the checks.
-        return cls(*iterable)
 
     @property
     def latency_ms(self) -> float:
@@ -121,15 +99,17 @@ class LatencyTable(Sequence[LatencyRecord]):
     records that share an id keep their order. An id must fit in a signed
     64-bit integer, and the times are kept as floats.
 
-    The columns are checked once, with the checks and errors of
-    :class:`LatencyRecord`, so records built unchecked are checked here.
+    This is where records are checked, once, on the columns: attempts
+    must be at least 1, a completion time must not precede its first
+    attempt, and the outcome must be one of ``OUTCOMES``. Each failure is a
+    ``ValueError``.
     """
 
     def __init__(self, records: Iterable[tuple] = ()):
         self._set(_transpose(records))
         if min(self.attempts, default=1) < 1:
             raise ValueError("attempts must be >= 1")
-        # Not all(map(ge, ...)): a NaN time compares false, and a record accepts it.
+        # Not all(map(ge, ...)): a NaN time compares false, and is accepted.
         if any(map(operator.lt, self.completion_ms, self.first_ms)):
             raise ValueError("completion precedes first attempt")
         if not set(self.outcomes).issubset(OUTCOMES):
@@ -180,25 +160,28 @@ class LatencyStats:
     cumulative: tuple[float, ...]
 
 
-def send_with_retry(request: Request, driver, max_attempts: int = 16) -> LatencyRecord:
+#: Attempts a logical request gets before its session fails with AttemptsExhausted.
+MAX_ATTEMPTS = 16
+
+
+def send_with_retry(request: Request, driver) -> LatencyRecord:
     """Reissue an identical request until served or rejected.
 
     The driver advances the shared virtual clock; a failed attempt (policy
-    violation, oracle timeout) is retried immediately. An alert ends the
-    request as rejected_malicious rather than retrying forever.
+    violation, oracle timeout) is retried immediately, up to
+    ``MAX_ATTEMPTS`` attempts. An alert ends the request as
+    rejected_malicious rather than retrying forever. The record is checked
+    by the session's table.
     """
-    if max_attempts < 1:
-        raise ConfigError("max_attempts must be >= 1")
     first_attempt_ms = driver.now
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         outcome = driver.attempt(request)
         if outcome is not None:
-            # Valid by construction, and checked again in the session's table.
             return tuple.__new__(LatencyRecord, (
                 request.logical_id, request.key, attempt, first_attempt_ms, driver.now, outcome
             ))
     raise AttemptsExhausted(
-        f"request {request.logical_id} ({request.key!r}) failed {max_attempts} attempts"
+        f"request {request.logical_id} ({request.key!r}) failed {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,30 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SYSCALL_POOL = [f"call_{i:02d}" for i in range(20)]
 EXTRA_POOL = [f"extra_{i}" for i in range(4)]
 DENY_POOL = [f"deny_{i}" for i in range(4)]
+
+FIXTURE_HEADER = (
+    "syscall,cve,nginx_baseline,nginx_timeloops,nginx_sysfilter,"
+    "composepost_baseline,composepost_timeloops,composepost_sysfilter,podman_default"
+)
+
+
+def fixture_csv(rows) -> str:
+    """A comparison-table CSV written with ``csv.writer``, one line per
+    ``(syscall, cve_cell, flags)``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FIXTURE_HEADER.split(","))
+    for syscall, cve_cell, flags in rows:
+        writer.writerow([syscall, cve_cell] + ["1" if f else "0" for f in flags])
+    return out.getvalue()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _unicode_tables():
+    """Build Hypothesis's unicode tables before the first test. With an empty
+    .hypothesis/ that takes seconds, which the first test to draw st.text()
+    would count against its too_slow health check."""
+    st.text().validate()
 
 
 @pytest.fixture(scope="session")

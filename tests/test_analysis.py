@@ -183,7 +183,7 @@ def test_claim_report_flags_corrupted_table(table):
             flags = list(row.flags)
             flags[0] = True   # nginx-baseline
             flags[1] = False  # nginx-timeloops
-            row = TableRow(syscall=row.syscall, cve=row.cve, flags=tuple(flags), note=row.note)
+            row = TableRow(syscall=row.syscall, cve=row.cve, flags=tuple(flags))
         rows.append(row)
     corrupted = PolicyComparisonTable(rows=tuple(rows))
     report = verify_paper_claims(corrupted)

@@ -1,4 +1,6 @@
 import pytest
+from conftest import FIXTURE_HEADER as HEADER
+from conftest import fixture_csv
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,15 +12,8 @@ from timeloops.catalog import (
     load_fixture,
     parse_fixture,
     podman_default_deny,
-    render_fixture,
-    save_fixture,
 )
 from timeloops.errors import ParseError, UnknownColumn
-
-HEADER = (
-    "syscall,cve,nginx_baseline,nginx_timeloops,nginx_sysfilter,"
-    "composepost_baseline,composepost_timeloops,composepost_sysfilter,podman_default"
-)
 
 
 def test_shmat_row(table):
@@ -56,7 +51,6 @@ def test_cve_for_agrees_with_the_rows(table):
 def test_ioctl_free_text_is_note_not_cve(table):
     row = next(r for r in table.rows if r.syscall == "ioctl")
     assert row.cve is None
-    assert row.note == "numerous drivers"
     assert table.cve_for("ioctl") is None
 
 
@@ -119,36 +113,25 @@ def test_malformed_cve_is_parse_error():
         parse_fixture(text)
 
 
-def test_shipped_fixture_round_trips(table, tmp_path):
-    path = tmp_path / "copy.csv"
-    save_fixture(table, path)
-    assert load_fixture(path) == table
-
-
 _names = st.lists(
     st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True),
     min_size=0, max_size=12, unique=True,
 )
-# annotation: nothing, a CVE id, or free text that cannot parse as a CVE
+# A CVE cell and the CVE it parses to: nothing, a CVE id, or free text that
+# cannot parse as one.
 _annotations = st.one_of(
-    st.just((None, None)),
-    st.from_regex(r"CVE-\d{4}-\d{1,7}", fullmatch=True).map(lambda c: (c, None)),
-    st.from_regex(r"[a-z][a-z ,]{0,15}[a-z]", fullmatch=True).map(lambda n: (None, n)),
+    st.just(("", None)),
+    st.from_regex(r"CVE-\d{4}-\d{1,7}", fullmatch=True).map(lambda c: (c, c)),
+    st.from_regex(r"[a-z][a-z ,]{0,15}[a-z]", fullmatch=True).map(lambda n: (n, None)),
 )
 
 
 @given(names=_names, data=st.data())
 def test_round_trip_random_tables(names, data):
-    rows = []
+    cells, rows = [], []
     for name in names:
-        cve, note = data.draw(_annotations)
+        cell, cve = data.draw(_annotations)
         flags = tuple(data.draw(st.booleans()) for _ in COLUMNS)
-        rows.append(TableRow(syscall=name, cve=cve, flags=flags, note=note))
-    original = PolicyComparisonTable(rows=tuple(rows))
-    assert parse_fixture(render_fixture(original)) == original
-
-
-def test_row_cannot_carry_both_cve_and_note():
-    with pytest.raises(ParseError):
-        TableRow(syscall="read", cve="CVE-2020-8428",
-                 flags=tuple([False] * len(COLUMNS)), note="also free text")
+        cells.append((name, cell, flags))
+        rows.append(TableRow(syscall=name, cve=cve, flags=flags))
+    assert parse_fixture(fixture_csv(cells)) == PolicyComparisonTable(rows=tuple(rows))

@@ -4,14 +4,14 @@ import subprocess
 import sys
 
 import pytest
-from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR
+from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, fixture_csv
 
 from timeloops import cli, errors
-from timeloops.catalog import PolicyComparisonTable, TableRow, load_default_fixture, save_fixture
+from timeloops.catalog import load_default_fixture
 from timeloops.cli import main
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.simruntime import load_scenario
-from timeloops.workload import generate_workload
+from timeloops.workload import MAX_ATTEMPTS, generate_workload
 
 STATICSITE = str(SCENARIO_DIR / "staticsite.json")
 ATTACKS = str(SCENARIO_DIR / "staticsite_attacks.json")
@@ -106,6 +106,14 @@ def test_duplicate_mix_key_exits_1_naming_it(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 1
     assert "duplicate mix key: 'home'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_session_that_does_not_converge_exits_1(tmp_path, capsys):
+    # Every staticsite handler's oracle run outlasts a 30 ms watchdog.
+    assert main(["simulate", "--scenario", STATICSITE, *SIM_FLAGS, "--watchdog-ms", "30",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"session did not converge: request 0 ('home') failed {MAX_ATTEMPTS} attempts\n")
 
 
 def test_pretrain_conflicting_with_deny_exits_1(tmp_path):
@@ -285,31 +293,31 @@ def test_verify_paper_reports_known_discrepancies(capsys):
     assert "PASS  nginx_timeloops_minus_baseline_names" in out
 
 
-def _all_pass_table() -> PolicyComparisonTable:
-    """Shipped table padded with synthetic static-only rows until the
-    size-delta claims match their reference values."""
-    table = load_default_fixture()
-    rows = list(table.rows)
+def _all_pass_rows() -> list:
+    """The shipped table's rows as ``(syscall, cve_cell, flags)``, padded
+    with synthetic static-only rows until the size-delta claims match their
+    reference values."""
+    rows = [(row.syscall, row.cve or "", row.flags) for row in load_default_fixture().rows]
     for i in range(13):
         flags = {
             "nginx-sysfilter": i < 7,
             "composepost-sysfilter": True,
             "podman-default": True,
         }
-        rows.append(TableRow(
-            syscall=f"synthetic_{i:02d}",
-            cve=None,
-            flags=tuple(flags.get(c, False) for c in
-                        ("nginx-baseline", "nginx-timeloops", "nginx-sysfilter",
-                         "composepost-baseline", "composepost-timeloops",
-                         "composepost-sysfilter", "podman-default")),
+        rows.append((
+            f"synthetic_{i:02d}",
+            "",
+            tuple(flags.get(c, False) for c in
+                  ("nginx-baseline", "nginx-timeloops", "nginx-sysfilter",
+                   "composepost-baseline", "composepost-timeloops",
+                   "composepost-sysfilter", "podman-default")),
         ))
-    return PolicyComparisonTable(rows=tuple(rows))
+    return rows
 
 
 def test_verify_paper_exits_zero_when_all_claims_pass(tmp_path, capsys):
     fixture = tmp_path / "padded.csv"
-    save_fixture(_all_pass_table(), fixture)
+    fixture.write_text(fixture_csv(_all_pass_rows()), encoding="utf-8")
     assert main(["verify-paper", "--fixture", str(fixture)]) == 0
     assert "all claims pass" in capsys.readouterr().out
 

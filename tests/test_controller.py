@@ -268,13 +268,6 @@ def test_empty_workload_is_config_error():
         run_session(spec, [], CFG)
 
 
-@pytest.mark.parametrize("mode", controller.SESSION_MODES)
-def test_empty_attempt_budget_is_config_error(mode):
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
-    with pytest.raises(ConfigError):
-        run_session(spec, _requests("r"), CFG, mode=mode, max_attempts=0)
-
-
 def test_denied_oracle_extras_are_config_error():
     spec = _spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
     with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ the loaders, so the CLI can map each one to exit code 2 and a message."""
 
 import copy
 import json
+from importlib import resources
 
 import pytest
 from conftest import GOLDEN_DIR, SCENARIO_DIR
@@ -33,7 +34,7 @@ VALID = {
     "log": [json.loads(line) for line in
             (GOLDEN_DIR / "simulate" / "pretrain" / "policy.log").read_text().splitlines()],
     "policy": [{"final_policy": {"allow": ["read", "write"], "deny": ["mount"], "epoch": 2}}],
-    "fixture": catalog.render_fixture(catalog.load_default_fixture()),
+    "fixture": (resources.files("timeloops.data") / catalog.DEFAULT_FIXTURE).read_text("utf-8"),
 }
 # Byte strings a blind mutation rarely makes: tokens that change a value's
 # type or range, invalid UTF-8, and nesting.

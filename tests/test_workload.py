@@ -31,6 +31,8 @@ from timeloops.workload import (
     render_cumulative_csv,
     render_latency_csv,
     summarize,
+    write_cumulative_csv,
+    write_latency_csv,
 )
 
 
@@ -108,7 +110,7 @@ def test_attempts_exhausted_is_distinct_error():
     spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="ok")}, cost=cost)
     config = ControllerConfig(watchdog_ms=15.0)
     with pytest.raises(AttemptsExhausted):
-        run_session(spec, [Request(0, "r")], config, max_attempts=6)
+        run_session(spec, [Request(0, "r")], config)
 
 
 # --- workload generation --------------------------------------------------------
@@ -232,18 +234,6 @@ def test_cumulative_csv_running_sum():
         "1,5.0",
         "2,9.0",
     ]
-
-
-def test_record_invariants():
-    with pytest.raises(ValueError):
-        LatencyRecord(logical_id=0, key="r", attempts=0,
-                      first_attempt_ms=0.0, completion_ms=1.0, outcome="served")
-    with pytest.raises(ValueError):
-        LatencyRecord(logical_id=0, key="r", attempts=1,
-                      first_attempt_ms=2.0, completion_ms=1.0, outcome="served")
-    with pytest.raises(ValueError):
-        LatencyRecord(logical_id=0, key="r", attempts=1,
-                      first_attempt_ms=0.0, completion_ms=1.0, outcome="dropped")
 
 
 # Both renderers must stay byte-identical to writing every row with csv.writer.
@@ -373,24 +363,30 @@ def test_records_keep_their_fields_and_reject_assignment():
             setattr(value, field, None)
 
 
-@pytest.mark.parametrize("args", [
-    (0, "r", 0, 0.0, 1.0, "served"),
-    (0, "r", 1, 2.0, 1.0, "served"),
-    (0, "r", 1, 0.0, 1.0, "dropped"),
-])
-def test_record_invariants_hold_for_every_construction(args):
-    with pytest.raises(ValueError) as raised:
-        LatencyRecord(*args)
-    with pytest.raises(ValueError):
-        LatencyRecord._make(args)
-    with pytest.raises(ValueError):
-        _record(0, 1.0)._replace(**dict(zip(LatencyRecord._fields, args)))
-    # A table checks its columns as a record checks itself, whether it is
-    # given fields or a record built unchecked, alone or after a valid one.
-    for rows in ([args], [tuple.__new__(LatencyRecord, args)], [_record(1, 1.0), args]):
-        with pytest.raises(ValueError) as from_table:
-            LatencyTable(rows)
-        assert str(from_table.value) == str(raised.value)
+# Each invalid row, and the error every reader of records raises for it.
+_INVALID_ROWS = {
+    (0, "r", 0, 0.0, 1.0, "served"): "attempts must be >= 1",
+    (0, "r", 1, 2.0, 1.0, "served"): "completion precedes first attempt",
+    (0, "r", 1, 0.0, 1.0, "dropped"): "unknown outcome: 'dropped'",
+}
+
+
+@pytest.mark.parametrize("args", list(_INVALID_ROWS))
+def test_record_invariants_hold_for_every_construction(args, tmp_path):
+    # A record is checked by the table that holds it, and every reader of
+    # records builds one: whether it is given fields or a record, however the
+    # record was made, alone or after a valid one.
+    readers = (LatencyTable, summarize, render_latency_csv, render_cumulative_csv,
+               lambda rows: write_latency_csv(rows, tmp_path / "latency.csv"),
+               lambda rows: write_cumulative_csv(rows, tmp_path / "cumulative.csv"))
+    replaced = _record(0, 1.0)._replace(**dict(zip(LatencyRecord._fields, args)))
+    for rows in ([args], [LatencyRecord(*args)], [LatencyRecord._make(args)], [replaced],
+                 [_record(1, 1.0), args]):
+        for read in readers:
+            with pytest.raises(ValueError) as raised:
+                read(rows)
+            assert str(raised.value) == _INVALID_ROWS[args]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nan_times_are_accepted_by_records_and_tables():
@@ -404,10 +400,11 @@ def test_nan_times_are_accepted_by_records_and_tables():
 @given(bundle=spec_workload_deny(), mode=st.sampled_from(SESSION_MODES),
        oracle_mode=st.sampled_from(ORACLE_MODES))
 def test_program_built_records_are_valid(bundle, mode, oracle_mode):
-    # Records the program builds skip the record's own checks.
     spec, workload, deny = bundle
     result = run_session(spec, workload, ControllerConfig(oracle_mode=oracle_mode, deny=deny),
                          mode=mode)
     assert len(result.latency_records) == len(workload)
     for record in result.latency_records:
-        assert record == LatencyRecord(*record)
+        assert record.attempts >= 1
+        assert not record.completion_ms < record.first_attempt_ms
+        assert record.outcome in OUTCOMES
