@@ -110,16 +110,6 @@ class PolicyComparisonTable:
         return self._cves.get(syscall)
 
 
-def _parse_cve_cell(syscall: str, cell: str) -> str | None:
-    cell = cell.strip()
-    if CVE_RE.match(cell):
-        return cell
-    if cell.startswith("CVE-"):
-        raise ParseError(f"row {syscall!r}: malformed CVE identifier {cell!r}")
-    # Empty, or free text such as "numerous drivers": no CVE.
-    return None
-
-
 def load_fixture(path: str | Path) -> PolicyComparisonTable:
     """Load a comparison-table CSV (see the bundled fixture for the format)."""
     try:
@@ -145,16 +135,19 @@ def parse_fixture(text: str) -> PolicyComparisonTable:
             continue
         if len(cells) != len(_CSV_FIELDS):
             raise ParseError(f"line {lineno}: expected {len(_CSV_FIELDS)} cells, got {len(cells)}")
-        name = cells[0].strip()
-        if not SYSCALL_NAME_RE.match(name):
-            raise ParseError(f"line {lineno}: invalid syscall name {name!r}")
-        cve = _parse_cve_cell(name, cells[1])
         flags = []
         for col, cell in zip(COLUMNS, cells[2:]):
             if cell not in ("0", "1"):
                 raise ParseError(f"line {lineno}: column {col} must be 0 or 1, got {cell!r}")
             flags.append(cell == "1")
-        rows.append(TableRow(syscall=name, cve=cve, flags=tuple(flags)))
+        # An empty cell, or free text such as "numerous drivers", is no CVE;
+        # a cell that starts like one must be one.
+        cve = cells[1].strip()
+        try:
+            rows.append(TableRow(syscall=cells[0].strip(),
+                                 cve=cve if cve.startswith("CVE-") else None, flags=tuple(flags)))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
     return PolicyComparisonTable(rows=tuple(rows))
 
 

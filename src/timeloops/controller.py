@@ -12,7 +12,9 @@ shutdown; each event's ``label`` names it in the transition trace.
 pretrains by learning the oracle's verdicts on known-safe requests as it
 learns any benign verdict. ``run_session`` also runs the two deployments
 the controller is compared with, unhardened and hardened; they have no
-controller, so each is one plain loop over the workload.
+controller, so each is one plain loop over the workload. Every oracle run
+goes through ``run_oracle``, which keeps each handler's unbounded verdict
+on its ``ServiceSpec``, so the sessions of one spec walk each handler once.
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ class RaiseAlert:
 
 @dataclass(frozen=True)
 class LogEvent:
-    text: str
     label: ClassVar[str] = "log_event"
 
 
@@ -138,7 +139,7 @@ class ControllerConfig:
 
 # Served requests are the common case; actions are immutable, so share one
 # tuple and, as only a completed production run returns it, one trace row.
-_SERVED = (LogEvent("production served request"),)
+_SERVED = (LogEvent(),)
 _SERVED_ROW = (ProductionRunning.label, Completed.label, ProductionRunning.label, (LogEvent.label,))
 
 
@@ -167,12 +168,12 @@ def step(
         if type(event) is WatchdogTimeout:
             return (
                 ProductionRunning(),
-                (LogEvent("oracle watchdog expired mid-request"), StartProduction()),
+                (LogEvent(), StartProduction()),
             )
         if type(event) is WatchdogFired:
             return ProductionRunning(), (StartProduction(),)
     if type(event) is Shutdown:
-        return Halted(), (LogEvent("controller shut down"),)
+        return Halted(), (LogEvent(),)
 
     raise IllegalTransition(f"event {type(event).__name__} not legal in state {type(state).__name__}")
 
@@ -303,26 +304,6 @@ def _transition_fragment(from_state: str, event: str, to_state: str, actions: tu
     return f',{members},\n      "epoch": '
 
 
-def _consult(spec: ServiceSpec, verdicts: dict, key: str,
-             budget: float = math.inf) -> tuple[OracleOutcome, float]:
-    """The oracle's verdict on ``key`` within ``budget`` ms, and its elapsed time.
-
-    The verdict depends only on the handler and the budget, so each session
-    consults the oracle once per request key: ``verdicts``, a table that
-    lives and dies with the session, maps each key to the ``(outcome,
-    elapsed)`` of an oracle run with no watchdog, filled on first use. A run
-    whose unbounded elapsed time fits the budget is never cut short (see
-    ``run_oracle``), so it is read from the table; only a run the watchdog
-    stops mid-request is walked again.
-    """
-    entry = verdicts.get(key)
-    if entry is None:
-        entry = verdicts[key] = run_oracle(spec, key)
-    if entry[1] <= budget:
-        return entry
-    return run_oracle(spec, key, budget)
-
-
 class SessionDriver:
     """The Timeloops controller's event loop: client, controller and
     containers on one virtual clock.
@@ -342,7 +323,9 @@ class SessionDriver:
     The driver starts pretrained: each of ``config.pretrain_requests`` runs
     in the oracle before the clock starts, and ``_learn`` takes its verdict
     with source "pretrain", counting no consultation and writing no
-    transition. A deny-listed name raises :class:`DeniedSyscall`.
+    transition. A deny-listed name raises :class:`DeniedSyscall`. The
+    driver keeps no verdicts of its own: each consultation calls
+    ``run_oracle`` with the watchdog budget left to the oracle's tenure.
     """
 
     def __init__(self, spec: ServiceSpec, config: ControllerConfig):
@@ -364,15 +347,13 @@ class SessionDriver:
         self._served_row_id = self.transition_trace.row_id(_SERVED_ROW)
         self.consultations = 0
         self._current_request_id = -1
-        # the session's verdict table (see ``_consult``)
-        self._verdicts: dict[str, tuple[OracleOutcome, float]] = {}
         for key in config.pretrain_requests:
             behavior = spec.handlers.get(key)
             if behavior is None:
                 raise ConfigError(f"pretrain request {key!r} has no handler")
             if behavior.exploit is not None:
                 raise ExploitInPretrainSet(f"pretrain request {key!r} is exploit-annotated")
-            self._learn(_consult(spec, self._verdicts, key)[0].observed, "pretrain")
+            self._learn(run_oracle(spec, key)[0].observed, "pretrain")
         self.policy = self.snapshot()
 
     # -- plumbing
@@ -455,7 +436,7 @@ class SessionDriver:
                 event = DeniedSyscallHit(event.syscall)
         elif state is OracleRunning:
             remaining = self.config.watchdog_ms - (self.now - self._oracle_started_ms)
-            event, elapsed = _consult(self.spec, self._verdicts, request.key, remaining)
+            event, elapsed = run_oracle(self.spec, request.key, remaining)
             self.consultations += 1
         else:
             raise IllegalTransition("session driver reached a halted controller")
@@ -469,16 +450,14 @@ class SessionDriver:
 
 
 def _baseline_rows(
-    spec: ServiceSpec, workload: Iterable["workload_mod.Request"], mode: str, verdicts: dict,
-    alerts: list[Alert],
+    spec: ServiceSpec, workload: Iterable["workload_mod.Request"], mode: str, alerts: list[Alert]
 ) -> Iterator[tuple]:
     """The latency rows of a deployment without the controller; its alerts
     are appended to ``alerts``.
 
     Each request runs once, with no filter. Unhardened runs it as is;
-    hardened runs it in the oracle, consulted through the session's
-    ``verdicts`` table (see ``_consult``), so every request pays the
-    oracle's cost and a detected exploit is rejected with an alert.
+    hardened runs it in the oracle with no watchdog, so every request pays
+    the oracle's cost and a detected exploit is rejected with an alert.
 
     A row is a :class:`LatencyRecord`'s fields, as a plain tuple; the
     session's table checks the rows' columns.
@@ -488,7 +467,7 @@ def _baseline_rows(
         first_attempt_ms = now
         outcome = "served"
         if mode == "hardened":
-            verdict, elapsed = _consult(spec, verdicts, key)
+            verdict, elapsed = run_oracle(spec, key)
             now += elapsed
             if isinstance(verdict, Malicious):
                 alerts.append(Alert(request=logical_id, report=verdict.report, at_ms=now))
@@ -528,7 +507,7 @@ def run_session(
         # Nothing is learned: the policy stays the pretrained one.
         alerts: list[Alert] = []
         records = workload_mod.LatencyTable(
-            _baseline_rows(spec, workload, mode, driver._verdicts, alerts))
+            _baseline_rows(spec, workload, mode, alerts))
         return SessionResult(final_policy=driver.policy, policy_log=driver.policy_log,
                              latency_records=records, alerts=alerts,
                              transition_trace=TransitionTrace(), consultations=0)

@@ -167,19 +167,13 @@ def export_seccomp(policy: SyscallPolicy, default_action: str = "kill_process") 
     return json.dumps(profile, separators=(",", ":")).encode("utf-8")
 
 
-def log_entry_to_json(entry: PolicyLogEntry) -> str:
-    obj = {
-        "epoch": entry.epoch,
-        "added": list(entry.added),
-        "source": entry.source,
-        "timestamp_ms": entry.timestamp_ms,
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def save_log(entries: Iterable[PolicyLogEntry], path: str | Path) -> None:
     """Write a policy log as JSON-lines; kept outside any runtime state."""
-    lines = [log_entry_to_json(e) for e in entries]
+    lines = [
+        json.dumps({"epoch": e.epoch, "added": list(e.added), "source": e.source,
+                    "timestamp_ms": e.timestamp_ms}, separators=(",", ":"))
+        for e in entries
+    ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

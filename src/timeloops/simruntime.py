@@ -117,6 +117,8 @@ class ServiceSpec:
 
     The handlers are fixed at construction: each one's effective trace and
     the result of a run that completes are computed once, into ``runs``.
+    ``verdicts`` is ``run_oracle``'s table; a ``dataclasses.replace`` copy
+    starts with an empty one.
     """
 
     name: str
@@ -132,6 +134,10 @@ class ServiceSpec:
     #: the run of a request key with no declared handler
     unknown_run: tuple[tuple[str, ...], tuple[Completed, float]] = field(
         init=False, repr=False, compare=False
+    )
+    #: request key -> the ``(outcome, elapsed)`` of its oracle run with no watchdog
+    verdicts: dict[str, tuple[OracleOutcome, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -209,9 +215,8 @@ class Malicious:
 
 @dataclass(frozen=True)
 class WatchdogTimeout:
-    """Oracle lifetime expired mid-run; carries syscalls observed so far."""
+    """Oracle lifetime expired mid-run; nothing is learned from a partial run."""
 
-    observed: frozenset[str] = field(default_factory=frozenset)
     label: ClassVar[str] = "oracle_finished:watchdog_timeout"
 
 
@@ -255,17 +260,36 @@ def run_oracle(
 
     The watchdog budget is checked before the request's base cost and
     before each syscall, so no run's elapsed time exceeds ``watchdog_ms``.
-    A run the watchdog stops ends in ``WatchdogTimeout`` with the syscalls
-    observed so far; the controller never learns from such a partial
-    observation. The budget is compared with elapsed times that only grow,
-    so a run whose unbounded elapsed time is within ``watchdog_ms`` is never
-    cut short: ``run_oracle(spec, request, w) == run_oracle(spec, request)``
-    whenever ``run_oracle(spec, request)[1] <= w``, bit for bit.
+    A run the watchdog stops ends in ``WatchdogTimeout``; the controller
+    never learns from a partial run. The budget is compared with elapsed
+    times that only grow, so a run whose unbounded elapsed time is within
+    ``watchdog_ms`` is never cut short, and equals the unbounded run bit
+    for bit.
+
+    So each declared handler is walked without a budget once per spec, on
+    first use, into ``spec.verdicts``, and only a run the watchdog stops is
+    walked again. Neither a cut-short verdict nor one on a key with no
+    handler is stored, so the table holds at most one entry per handler.
+    Entries are deterministic, so sessions may share a spec; a race at
+    worst repeats one walk.
     """
+    verdict = spec.verdicts.get(request)
+    if verdict is None and request in spec.handlers:
+        verdict = spec.verdicts[request] = _walk_oracle(spec, request)
+    if verdict is not None and verdict[1] <= watchdog_ms:
+        return verdict
+    return _walk_oracle(spec, request, watchdog_ms)
+
+
+def _walk_oracle(
+    spec: ServiceSpec, request: str, watchdog_ms: float = math.inf
+) -> tuple[OracleOutcome, float]:
+    """One oracle run of ``request`` within ``watchdog_ms``, walked without
+    the verdict table (see ``run_oracle``)."""
     cost = spec.cost_model
     elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
     if elapsed > watchdog_ms:
-        return WatchdogTimeout(frozenset()), 0.0
+        return WatchdogTimeout(), 0.0
     behavior = spec.handlers.get(request)
     if behavior is None:
         return Benign(frozenset(spec.oracle_extra)), elapsed
@@ -282,7 +306,7 @@ def run_oracle(
         if detectable_at is not None and index == detectable_at:
             return Malicious(_corruption_report(request, detectable_at)), elapsed
         if elapsed + per > watchdog_ms:
-            return WatchdogTimeout(frozenset(observed)), elapsed
+            return WatchdogTimeout(), elapsed
         observed.add(syscall)
         elapsed += per
     if detectable_at is not None:

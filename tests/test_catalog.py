@@ -113,6 +113,14 @@ def test_malformed_cve_is_parse_error():
         parse_fixture(text)
 
 
+def test_bad_row_parse_error_names_its_line():
+    for row, bad in (("Read,,1,1,1,1,1,1,1", "'Read'"),
+                     ("read,CVE-17-5669,1,1,1,1,1,1,1", "'CVE-17-5669'")):
+        text = HEADER + "\nopen,,1,1,1,1,1,1,1\n" + row + "\n"
+        with pytest.raises(ParseError, match=rf"^line 3: .*{bad}"):
+            parse_fixture(text)
+
+
 _names = st.lists(
     st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True),
     min_size=0, max_size=12, unique=True,

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 from conftest import DENY_POOL, SYSCALL_POOL, spec_workload_deny
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timeloops import controller
+from timeloops import controller, simruntime
 from timeloops.controller import (
     ORACLE_MODES,
     ControllerConfig,
@@ -82,7 +84,7 @@ def test_violation_starts_oracle():
 def test_completed_request_needs_no_restart():
     state, actions = step(ProductionRunning(), Completed("ok"), CFG)
     assert state == ProductionRunning()
-    assert actions == (LogEvent("production served request"),)
+    assert [type(action) for action in actions] == [LogEvent]
 
 
 def test_benign_outcome_updates_policy_and_restarts_production():
@@ -332,25 +334,35 @@ def test_hardened_session_consults_the_oracle_once_per_key(monkeypatch):
         "good": RequestBehavior(trace=("read", "write")),
         "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
-    calls = []
-    real_run_oracle = controller.run_oracle
+    walks = []
+    real_walk = simruntime._walk_oracle
 
     def counted(spec, request, watchdog_ms=math.inf):
-        calls.append(request)
-        return real_run_oracle(spec, request, watchdog_ms)
+        walks.append((request, watchdog_ms))
+        return real_walk(spec, request, watchdog_ms)
 
-    monkeypatch.setattr(controller, "run_oracle", counted)
+    monkeypatch.setattr(simruntime, "_walk_oracle", counted)
     requests = _requests("good", "evil", "good", "nope", "evil", "good", "nope")
     result = run_session(spec, requests, CFG, mode="hardened")
-    assert sorted(calls) == ["evil", "good", "nope"]
     assert [r.outcome for r in result.latency_records].count("rejected_malicious") == 2
     assert len(result.alerts) == 2
-    # The table does not outlive its session.
+    # The table lives on the spec, so a second session reads it, and so
+    # does pretraining.
     run_session(spec, requests, CFG, mode="hardened")
-    assert len(calls) == 6
-    # Pretraining fills the session's table, and the hardened loop reads it.
     run_session(spec, requests, ControllerConfig(pretrain_requests=("good",)), mode="hardened")
-    assert sorted(calls[6:]) == ["evil", "good", "nope"]
+    assert all(budget == math.inf for _, budget in walks)
+    # Each handler is walked once across the three sessions, not once per
+    # session; the key with no handler is walked at each of its 6
+    # consultations and never stored.
+    assert Counter(key for key, _ in walks) == {"good": 1, "evil": 1, "nope": 6}
+    assert spec.verdicts.keys() == {"good", "evil"}
+    # A copy is a new spec, with a table of its own.
+    copy = dataclasses.replace(spec)
+    assert copy == spec and copy.verdicts == {}
+    del walks[:]
+    run_session(copy, requests, CFG, mode="hardened")
+    assert Counter(key for key, _ in walks) == {"good": 1, "evil": 1, "nope": 2}
+    assert copy.verdicts == spec.verdicts
 
 
 @settings(max_examples=80, deadline=None)
@@ -386,13 +398,24 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
         for i, key in enumerate(data.draw(st.lists(st.sampled_from(keys), max_size=15)))
     ]
     config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny)
-    cached = run_session(spec, workload, config, mode=mode)
+    unbounded_walks = Counter()
+    real_walk = simruntime._walk_oracle
 
-    def walk_every_time(spec, verdicts, key, budget=math.inf):
-        return controller.run_oracle(spec, key, budget)
+    def counted(spec, request, watchdog_ms=math.inf):
+        if watchdog_ms == math.inf and request in spec.handlers:
+            unbounded_walks[request] += 1
+        return real_walk(spec, request, watchdog_ms)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(controller, "_consult", walk_every_time)
+        patch.setattr(simruntime, "_walk_oracle", counted)
+        cached = run_session(spec, workload, config, mode=mode)
+    # Whatever the budgets, each handler is walked without one at most once.
+    assert all(count == 1 for count in unbounded_walks.values())
+    assert spec.verdicts.keys() == unbounded_walks.keys()
+
+    # The oracle walked afresh at every consultation, with no table.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "run_oracle", simruntime._walk_oracle)
         walked = run_session(spec, workload, config, mode=mode)
     assert list(cached.latency_records) == list(walked.latency_records)
     assert cached.policy_log == walked.policy_log

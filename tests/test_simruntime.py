@@ -20,6 +20,7 @@ from timeloops.simruntime import (
     ServiceSpec,
     UNKNOWN_REQUEST_RESPONSE,
     WatchdogTimeout,
+    _walk_oracle,
     exploit_category,
     load_scenario,
     run_oracle,
@@ -163,8 +164,23 @@ def test_oracle_watchdog_cuts_run_between_syscalls():
     spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"), response="x")})
     # budget covers base (3.0) plus one 6.0 syscall only
     outcome, elapsed = run_oracle(spec, "r", watchdog_ms=10.0)
-    assert outcome == WatchdogTimeout(observed=frozenset({"read"}))
+    assert type(outcome) is WatchdogTimeout
     assert elapsed == 9.0
+
+
+def test_a_cut_short_verdict_is_never_stored():
+    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"), response="x")})
+    assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
+    assert run_oracle(spec, "r") == (Benign(frozenset({"read", "write", "openat"})), 21.0)
+    assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
+
+
+def test_unknown_keys_add_no_verdict():
+    spec = _spec({"r": RequestBehavior(trace=("read",))}, extra=("sigaltstack",))
+    for budget in (math.inf, 2.0, math.inf):
+        run_oracle(spec, "nope", budget)
+    assert run_oracle(spec, "nope") == (Benign(frozenset({"sigaltstack"})), 3.0)
+    assert spec.verdicts == {}
 
 
 def test_oracle_cost_dominates_production_cost():
@@ -235,17 +251,24 @@ def test_oracle_run_within_its_budget_equals_the_unbounded_run(spec, data):
     # Budgets are the runs' own elapsed times, one ulp either side, and inf.
     budgets = {math.inf}
     for key in keys:
-        elapsed = run_oracle(spec, key)[1]
+        elapsed = _walk_oracle(spec, key)[1]
         budgets.update((elapsed, math.nextafter(elapsed, -math.inf),
                         math.nextafter(elapsed, math.inf)))
     key = data.draw(st.sampled_from(keys))
     watchdog_ms = data.draw(st.sampled_from(sorted(budgets)))
-    unbounded = run_oracle(spec, key)
-    bounded = run_oracle(spec, key, watchdog_ms)
+    # Both runs are walked: through the verdict table, which rests on this
+    # property, the first check would hold by construction.
+    unbounded = _walk_oracle(spec, key)
+    bounded = _walk_oracle(spec, key, watchdog_ms)
     if unbounded[1] <= watchdog_ms:
         assert bounded == unbounded
     else:
         assert bounded[1] <= unbounded[1]
+    # The table gives what a walk gives, whichever budget comes first, and
+    # holds at most one entry per handler.
+    for budget in data.draw(st.permutations([watchdog_ms, math.inf])):
+        assert run_oracle(spec, key, budget) == _walk_oracle(spec, key, budget)
+    assert spec.verdicts.keys() <= spec.handlers.keys()
 
 
 @given(spec=oracle_specs(), data=st.data())
