@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
@@ -118,29 +119,26 @@ def compare(
     if len(policies) < 2:
         raise ValueError("compare needs at least two policies")
     entries = []
-    for i in range(len(policies)):
-        for j in range(i + 1, len(policies)):
-            name_a, a = policies[i]
-            name_b, b = policies[j]
-            d = diff(a, b)
-            pct = (len(a.allow) - len(b.allow)) / len(b.allow) if b.allow else None
-            annotated = []
-            if table is not None:
-                for syscall in sorted(d.only_a | d.only_b):
-                    cve = table.cve_for(syscall)
-                    if cve is not None:
-                        annotated.append(SyscallAnnotation(syscall, cve))
-            entries.append(
-                ComparisonEntry(
-                    name_a=name_a,
-                    name_b=name_b,
-                    size_a=len(a.allow),
-                    size_b=len(b.allow),
-                    pct_larger=pct,
-                    diff=d,
-                    cve_annotated=tuple(annotated),
-                )
+    for (name_a, a), (name_b, b) in combinations(policies, 2):
+        d = diff(a, b)
+        pct = (len(a.allow) - len(b.allow)) / len(b.allow) if b.allow else None
+        annotated = []
+        if table is not None:
+            for syscall in sorted(d.only_a | d.only_b):
+                cve = table.cve_for(syscall)
+                if cve is not None:
+                    annotated.append(SyscallAnnotation(syscall, cve))
+        entries.append(
+            ComparisonEntry(
+                name_a=name_a,
+                name_b=name_b,
+                size_a=len(a.allow),
+                size_b=len(b.allow),
+                pct_larger=pct,
+                diff=d,
+                cve_annotated=tuple(annotated),
             )
+        )
     return ComparisonReport(entries=tuple(entries))
 
 
@@ -164,8 +162,8 @@ class ClaimReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "claims": [
                 {
                     "claim_id": c.claim_id,
@@ -177,10 +175,7 @@ class ClaimReport:
             ],
             "notes": list(self.notes),
             "all_pass": self.all_pass,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        }, indent=2)
 
     def to_text(self) -> str:
         width = max((len(c.claim_id) for c in self.claims), default=0)

@@ -53,6 +53,13 @@ def validate_name_list(value, what: str) -> tuple[str, ...]:
     return tuple([validate_syscall_name(s) for s in value])
 
 
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
+    return value
+
+
 class SyscallAnnotation(NamedTuple):
     """A syscall and the CVE of its table row, both checked when the row was built."""
 

@@ -115,7 +115,7 @@ def _load_policy_file(path: str) -> SyscallPolicy:
     try:
         allow = frozenset(catalog.validate_name_list(obj["allow"], "allow"))
         deny = frozenset(catalog.validate_name_list(obj.get("deny", []), "deny"))
-        return SyscallPolicy(epoch=int(obj.get("epoch", 0)), allow=allow, deny=deny)
+        return SyscallPolicy(epoch=catalog.json_int(obj.get("epoch", 0)), allow=allow, deny=deny)
     except (ParseError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

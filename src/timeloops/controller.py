@@ -30,7 +30,7 @@ from . import workload as workload_mod
 from .errors import (
     ConfigError,
     DeniedSyscall,
-    ExploitInPretrainSet,
+    ExploitInTrainingSet,
     IllegalTransition,
 )
 from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy
@@ -352,7 +352,7 @@ class SessionDriver:
             if behavior is None:
                 raise ConfigError(f"pretrain request {key!r} has no handler")
             if behavior.exploit is not None:
-                raise ExploitInPretrainSet(f"pretrain request {key!r} is exploit-annotated")
+                raise ExploitInTrainingSet(f"pretrain request {key!r} is exploit-annotated")
             self._learn(run_oracle(spec, key)[0].observed, "pretrain")
         self.policy = self.snapshot()
 

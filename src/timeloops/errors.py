@@ -49,12 +49,9 @@ class IllegalTransition(TimeloopsError):
     """A controller event that is not legal in the current state."""
 
 
-class ExploitInPretrainSet(ConfigError):
-    """A pretraining request maps to an exploit-annotated handler."""
-
-
 class ExploitInTrainingSet(ConfigError):
-    """A dynamic-profiling training request maps to an exploit-annotated handler."""
+    """A request a policy learns from, in a pretrain set or a dynamic-profiling
+    training set, maps to an exploit-annotated handler."""
 
 
 class EmptyMix(ConfigError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .catalog import validate_name_list, validate_syscall_name
+from .catalog import json_int, validate_name_list, validate_syscall_name
 from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
@@ -45,7 +45,8 @@ class SyscallPolicy:
 
 @dataclass(frozen=True)
 class PolicyLogEntry:
-    """One learned extension: which syscalls entered the policy, and when."""
+    """One learned extension: which syscalls entered the policy, and when.
+    ``added`` is non-empty and strictly increasing: sorted, each name once."""
 
     epoch: int
     added: tuple[str, ...]
@@ -55,8 +56,8 @@ class PolicyLogEntry:
     def __post_init__(self):
         if not self.added:
             raise ValueError("log entry must add at least one syscall")
-        if tuple(sorted(self.added)) != self.added:
-            raise ValueError("added syscalls must be sorted")
+        if any(b <= a for a, b in zip(self.added, self.added[1:])):
+            raise ValueError("added syscalls must be sorted and distinct")
         if self.source not in LOG_SOURCES:
             raise ValueError(f"unknown log source: {self.source!r}")
 
@@ -189,7 +190,7 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
         try:
             obj = json.loads(line)
             entry = PolicyLogEntry(
-                epoch=int(obj["epoch"]),
+                epoch=json_int(obj["epoch"]),
                 added=validate_name_list(obj["added"], "added"),
                 source=obj["source"],
                 timestamp_ms=float(obj["timestamp_ms"]),
@@ -222,10 +223,10 @@ def replay_log(entries: Iterable[PolicyLogEntry], deny: Iterable[str] = ()) -> S
                                     entry.timestamp_ms)
         except DeniedSyscall as exc:
             raise ReplayError(f"epoch {entry.epoch} adds denied syscalls: {exc}") from exc
-        if produced is None or produced.epoch != entry.epoch:
+        # ``added`` is non-empty and re-adds nothing, so an entry is produced.
+        if produced.epoch != entry.epoch:
             raise ReplayError(
-                f"epoch mismatch during replay: log says {entry.epoch}, "
-                f"replay produced {produced.epoch if produced else epoch}"
+                f"epoch mismatch during replay: log says {entry.epoch}, replay produced {produced.epoch}"
             )
         allow.update(produced.added)
         epoch = produced.epoch

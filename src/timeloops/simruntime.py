@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping
 
-from .catalog import SYSCALL_NAME_RE
+from .catalog import SYSCALL_NAME_RE, json_int
 from .errors import ParseError, ScenarioError
 from .policy import SyscallPolicy
 
@@ -255,8 +255,8 @@ def run_oracle(
     is recorded, so a benign verdict reports every syscall the request
     needed plus the instrumentation's own extras. The verdict depends only
     on the handler and the watchdog budget, never on a policy. A detectable
-    corruption aborts the run at the corruption point, before any injected
-    syscall executes.
+    corruption stops the walk before the syscall at its index, so no
+    injected syscall executes.
 
     The watchdog budget is checked before the request's base cost and
     before each syscall, so no run's elapsed time exceeds ``watchdog_ms``.
@@ -285,44 +285,33 @@ def _walk_oracle(
     spec: ServiceSpec, request: str, watchdog_ms: float = math.inf
 ) -> tuple[OracleOutcome, float]:
     """One oracle run of ``request`` within ``watchdog_ms``, walked without
-    the verdict table (see ``run_oracle``)."""
+    the verdict table (see ``run_oracle``). A detectable corruption stops
+    the walk before the syscall at its index; any other walk covers the
+    whole effective trace."""
     cost = spec.cost_model
     elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
     if elapsed > watchdog_ms:
         return WatchdogTimeout(), 0.0
     behavior = spec.handlers.get(request)
     if behavior is None:
-        return Benign(frozenset(spec.oracle_extra)), elapsed
+        return Benign(spec.oracle_extra), elapsed
     exploit = behavior.exploit
-    trace = behavior.effective_trace()
-    detectable_at = (
-        exploit.corruption_index
-        if exploit is not None and exploit.kind == "oracle_detectable"
-        else None
-    )
+    detected = exploit is not None and exploit.kind == "oracle_detectable"
+    trace = behavior.trace[: exploit.corruption_index] if detected else behavior.effective_trace()
     per = cost.production_per_syscall_ms * cost.oracle_slowdown_factor
-    observed: set[str] = set()
-    for index, syscall in enumerate(trace):
-        if detectable_at is not None and index == detectable_at:
-            return Malicious(_corruption_report(request, detectable_at)), elapsed
+    for _ in trace:
         if elapsed + per > watchdog_ms:
             return WatchdogTimeout(), elapsed
-        observed.add(syscall)
         elapsed += per
-    if detectable_at is not None:
-        # Corruption sits at the very end of the benign trace; still caught
-        # before the run exits.
-        return Malicious(_corruption_report(request, detectable_at)), elapsed
-    return Benign(frozenset(observed) | spec.oracle_extra), elapsed
+    if detected:
+        return Malicious(f"memory corruption detected in handler {request!r} "
+                         f"at trace position {exploit.corruption_index}"), elapsed
+    return Benign(frozenset(trace) | spec.oracle_extra), elapsed
 
 
 def run_unrestricted(spec: ServiceSpec, request: str) -> tuple[Completed, float]:
     """Execute a request with no filter and no instrumentation (baseline cost)."""
     return spec.runs.get(request, spec.unknown_run)[1]
-
-
-def _corruption_report(request: str, index: int) -> str:
-    return f"memory corruption detected in handler {request!r} at trace position {index}"
 
 
 def benign_closure(spec: ServiceSpec) -> frozenset[str]:
@@ -391,7 +380,7 @@ def parse_service(obj: dict) -> ServiceSpec:
             try:
                 exploit = ExploitSpec(
                     kind=e["kind"],
-                    corruption_index=int(e["corruption_index"]),
+                    corruption_index=json_int(e["corruption_index"]),
                     injected=_name_array(e, "injected", f"handler {key!r} exploit"),
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:

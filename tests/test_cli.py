@@ -242,6 +242,28 @@ def test_export_seccomp_exact_bytes(tmp_path, capsysbinary):
     assert out == (GOLDEN_DIR / "profile_read_write.json").read_bytes()
 
 
+@pytest.mark.parametrize("epoch", [2.5, "7", True])
+def test_a_policy_file_epoch_must_be_a_json_integer(tmp_path, capsys, epoch):
+    policy = tmp_path / "p.json"
+    policy.write_text(json.dumps({"allow": ["read", "write"], "epoch": epoch}))
+    assert main(["export-seccomp", str(policy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {policy}: expected an integer") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("corruption_index", [1.9, "1", True])
+def test_a_non_integer_corruption_index_exits_2(tmp_path, capsys, corruption_index):
+    scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
+    scenario["services"][0]["handlers"]["probe-cat1"]["exploit"]["corruption_index"] = corruption_index
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    message = r"^handler 'probe-cat1': malformed exploit: expected an integer"
+    with pytest.raises(errors.ScenarioError, match=message):
+        load_scenario(path)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("input error: handler 'probe-cat1': malformed exploit: ")
+
+
 def test_export_seccomp_empty_policy_via_subprocess(tmp_path):
     policy = tmp_path / "p.json"
     policy.write_text(json.dumps({"allow": []}))
@@ -281,6 +303,24 @@ def test_latency_script_reports_a_malformed_mix(tmp_path):
     assert proc.returncode == 2
     assert "malformed mix entry: 'home' (want key=weight)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_count_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "module.py").write_text(
+        '"""A module docstring\nover two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "x = 1\n"
+        "y = x + 1  # a trailing comment\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "count_lines.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["module", "physical", "code"], ["module.py", "6", "2"], ["total", "6", "2"],
+    ]
 
 
 def test_verify_paper_reports_known_discrepancies(capsys):

@@ -28,7 +28,7 @@ from timeloops.controller import (
 )
 from timeloops.errors import (
     ConfigError,
-    ExploitInPretrainSet,
+    ExploitInTrainingSet,
     IllegalTransition,
 )
 from timeloops.policy import new_policy, replay_log
@@ -434,7 +434,7 @@ def test_pretrain_empty_equals_new_policy():
 def test_pretrain_rejects_exploit_requests():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=0, injected=("ptrace",))
     spec = _spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
-    with pytest.raises(ExploitInPretrainSet):
+    with pytest.raises(ExploitInTrainingSet):
         SessionDriver(spec, ControllerConfig(pretrain_requests=("evil",)))
 
 

@@ -333,3 +333,18 @@ def test_log_entry_must_be_sorted_and_non_empty():
         PolicyLogEntry(epoch=1, added=(), source="oracle")
     with pytest.raises(ValueError):
         PolicyLogEntry(epoch=1, added=("write", "read"), source="oracle")
+    with pytest.raises(ValueError):
+        PolicyLogEntry(epoch=1, added=("read", "read"), source="oracle")
+
+
+@pytest.mark.parametrize("fields", [
+    '"epoch":1.7,"added":["read"]',
+    '"epoch":"1","added":["read"]',
+    '"epoch":true,"added":["read"]',
+    '"epoch":1,"added":["read","read"]',
+])
+def test_a_non_integer_epoch_or_a_repeated_name_is_parse_error(tmp_path, fields):
+    path = tmp_path / "policy.log"
+    path.write_text("{" + fields + ',"source":"oracle","timestamp_ms":0.0}\n')
+    with pytest.raises(ParseError, match=r"^policy log line 1: "):
+        load_log(path)

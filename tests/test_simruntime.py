@@ -280,6 +280,56 @@ def test_no_oracle_run_overruns_a_finite_budget(spec, data):
     assert elapsed <= watchdog_ms
 
 
+def _reference_walk(spec, request, watchdog_ms=math.inf):
+    """The oracle walk written syscall by syscall: a detectable corruption
+    is tested at every index, and a second ``Malicious`` exit follows the
+    loop. ``_walk_oracle`` must give the same runs bit for bit."""
+    cost = spec.cost_model
+    elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
+    if elapsed > watchdog_ms:
+        return WatchdogTimeout(), 0.0
+    behavior = spec.handlers.get(request)
+    if behavior is None:
+        return Benign(frozenset(spec.oracle_extra)), elapsed
+    exploit = behavior.exploit
+    detectable_at = (exploit.corruption_index
+                     if exploit is not None and exploit.kind == "oracle_detectable" else None)
+    report = f"memory corruption detected in handler {request!r} at trace position {detectable_at}"
+    per = cost.production_per_syscall_ms * cost.oracle_slowdown_factor
+    observed = set()
+    for index, syscall in enumerate(behavior.effective_trace()):
+        if index == detectable_at:
+            return Malicious(report), elapsed
+        if elapsed + per > watchdog_ms:
+            return WatchdogTimeout(), elapsed
+        observed.add(syscall)
+        elapsed += per
+    if detectable_at is not None:
+        return Malicious(report), elapsed
+    return Benign(frozenset(observed) | spec.oracle_extra), elapsed
+
+
+@given(spec=oracle_specs())
+def test_oracle_walk_equals_a_syscall_by_syscall_walk(spec):
+    cost = spec.cost_model
+    base = cost.base_request_ms * cost.oracle_slowdown_factor
+    per = cost.production_per_syscall_ms * cost.oracle_slowdown_factor
+    # 0, just below the base cost, inf, and every boundary base + k * per,
+    # summed the way a walk sums it.
+    budgets = [0.0, math.nextafter(base, -math.inf), math.inf]
+    boundary = base
+    for _ in range(max(len(b.effective_trace()) for b in spec.handlers.values()) + 1):
+        budgets.append(boundary)
+        boundary += per
+    for key in sorted(spec.handlers) + ["unknown"]:
+        for budget in budgets:
+            (outcome, elapsed), (expected, expected_elapsed) = (
+                _walk_oracle(spec, key, budget), _reference_walk(spec, key, budget))
+            assert type(outcome) is type(expected)
+            assert outcome == expected
+            assert elapsed.hex() == expected_elapsed.hex()
+
+
 def test_static_universe_is_declared_not_observed():
     spec = _spec(
         {"r": RequestBehavior(trace=("read", "write"))},
