@@ -60,6 +60,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_float(value) -> float:
+    """``value`` as a float if it is a JSON number; a string, boolean or null raises TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
+    return float(value)
+
+
 class SyscallAnnotation(NamedTuple):
     """A syscall and the CVE of its table row, both checked when the row was built."""
 

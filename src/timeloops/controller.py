@@ -24,6 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import workload as workload_mod
@@ -236,7 +237,6 @@ class TransitionTrace(Sequence[Transition]):
 
 # What session.json writes for a float ``repr`` writes otherwise.
 _JSON_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -255,11 +255,13 @@ class SessionResult:
 
         ``indent`` makes ``json`` fall back to its pure-Python encoder, which
         is too slow for a long transition trace. Everything but the
-        transitions is still rendered that way. Each row of the trace's
-        table is rendered once, as what lies between a transition's
-        ``at_ms`` and ``epoch``. Transitions are joined in chunks of
-        ``_CHUNK_ROWS``, then the chunks into the document, so no list holds
-        a string per transition of a document megabytes long.
+        transitions is still rendered that way. The transitions are one
+        ``"".join`` over four pieces each: its ``at_ms`` text, its row's
+        fragment, its epoch text and a separator. Each row of the trace's
+        table is rendered once, as what lies between ``at_ms`` and
+        ``epoch``, each distinct epoch once, and the separator is one
+        string, so the render peaks at about the document plus four
+        pointers and one ``at_ms`` string per transition.
         """
         text = json.dumps({
             "final_policy": {
@@ -279,18 +281,14 @@ class SessionResult:
             return text
         # A JSON string holds no raw newline, so this splits only at the key.
         head, tail = text.split('\n  "transitions": []', 1)
-        middles = [_transition_fragment(*row) for row in trace.rows]
-        parts = [head, '\n  "transitions": [\n']
-        for start in range(0, len(trace), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            if start:
-                parts.append(",\n")
-            parts.append(",\n".join([
-                f'    {{\n      "at_ms": {_JSON_FLOATS.get(at, at)}{middles[row]}{epoch}\n    }}'
-                for at, row, epoch in zip(map(float.__repr__, trace.at_ms[start:stop]),
-                                          trace.row_ids[start:stop], trace.epochs[start:stop])
-            ]))
-        parts += ["\n  ]", tail]
+        parts = [None] * (4 * len(trace) + 1)
+        parts[0] = head + '\n  "transitions": [\n    {\n      "at_ms": '
+        parts[1::4] = [_JSON_FLOATS.get(at, at) for at in map(float.__repr__, trace.at_ms)]
+        parts[2::4] = map([_transition_fragment(*row) for row in trace.rows].__getitem__,
+                          trace.row_ids)
+        parts[3::4] = map({e: str(e) for e in set(trace.epochs)}.__getitem__, trace.epochs)
+        parts[4::4] = repeat('\n    },\n    {\n      "at_ms": ', len(trace))
+        parts[-1] = "\n    }\n  ]" + tail
         return "".join(parts)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .catalog import json_int, validate_name_list, validate_syscall_name
+from .catalog import json_float, json_int, validate_name_list, validate_syscall_name
 from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
@@ -193,7 +193,7 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
                 epoch=json_int(obj["epoch"]),
                 added=validate_name_list(obj["added"], "added"),
                 source=obj["source"],
-                timestamp_ms=float(obj["timestamp_ms"]),
+                timestamp_ms=json_float(obj["timestamp_ms"]),
             )
             if not math.isfinite(entry.timestamp_ms):
                 raise ValueError(f"timestamp_ms must be finite, got {entry.timestamp_ms!r}")

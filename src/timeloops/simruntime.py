@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping
 
-from .catalog import SYSCALL_NAME_RE, json_int
+from .catalog import SYSCALL_NAME_RE, json_float, json_int
 from .errors import ParseError, ScenarioError
 from .policy import SyscallPolicy
 
@@ -365,7 +365,7 @@ def parse_service(obj: dict) -> ServiceSpec:
     if unknown_cost:
         raise ScenarioError("unknown cost_model fields: " + ", ".join(sorted(unknown_cost)))
     try:
-        cost = CostModel(**{k: float(v) for k, v in cost_obj.items()})
+        cost = CostModel(**{k: json_float(v) for k, v in cost_obj.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed cost_model: {exc}") from exc
     handlers: dict[str, RequestBehavior] = {}

@@ -264,6 +264,33 @@ def test_a_non_integer_corruption_index_exits_2(tmp_path, capsys, corruption_ind
     assert capsys.readouterr().err.startswith("input error: handler 'probe-cat1': malformed exploit: ")
 
 
+COST_FIELDS = ("base_request_ms", "production_per_syscall_ms", "oracle_slowdown_factor",
+               "restart_ms")
+
+
+@pytest.mark.parametrize("value", [True, "2.5", None])
+@pytest.mark.parametrize("field", COST_FIELDS)
+def test_a_cost_that_is_not_a_json_number_exits_2(tmp_path, capsys, field, value):
+    scenario = json.loads((SCENARIO_DIR / "staticsite.json").read_text())
+    scenario["services"][0]["cost_model"][field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(errors.ScenarioError, match=r"^malformed cost_model: expected a number"):
+        load_scenario(path)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("input error: malformed cost_model: expected a number")
+
+
+@pytest.mark.parametrize("field", COST_FIELDS)
+def test_an_integer_cost_loads_as_a_float(tmp_path, field):
+    scenario = json.loads((SCENARIO_DIR / "staticsite.json").read_text())
+    scenario["services"][0]["cost_model"][field] = 3
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    cost = getattr(load_scenario(path)[0].cost_model, field)
+    assert cost == 3.0 and type(cost) is float
+
+
 def test_export_seccomp_empty_policy_via_subprocess(tmp_path):
     policy = tmp_path / "p.json"
     policy.write_text(json.dumps({"allow": []}))
@@ -303,6 +330,18 @@ def test_latency_script_reports_a_malformed_mix(tmp_path):
     assert proc.returncode == 2
     assert "malformed mix entry: 'home' (want key=weight)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_render_memory_reports_each_renderer():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "render_memory.py"),
+         "--scenario", STATICSITE, "--n", "50", "--oracle-mode", "watchdog"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[2:]]
+    assert rows == ["to_json", "latency_csv", "cumulative_csv", "export_seccomp"]
 
 
 def test_count_lines_skips_blanks_comments_and_docstrings(tmp_path):

@@ -5,6 +5,7 @@ silently dropped its cost from the session; infinity is not a usable budget.
 """
 
 import json
+import math
 
 import pytest
 from conftest import SCENARIO_DIR
@@ -37,11 +38,11 @@ def test_cost_model_rejects_non_finite_values(field, value):
 
 def test_scenario_with_nan_restart_cost_is_scenario_error(tmp_path):
     with pytest.raises(ScenarioError, match="restart_ms"):
-        load_scenario(_scenario_with_cost(tmp_path, "restart_ms", "nan"))
+        load_scenario(_scenario_with_cost(tmp_path, "restart_ms", math.nan))
 
 
 def test_simulate_with_nan_restart_cost_exits_2(tmp_path, capsys):
-    scenario = _scenario_with_cost(tmp_path, "restart_ms", "nan")
+    scenario = _scenario_with_cost(tmp_path, "restart_ms", math.nan)
     code = main(["simulate", "--scenario", str(scenario), "--n", "20",
                  "--out", str(tmp_path / "out")])
     assert code == 2

@@ -348,3 +348,12 @@ def test_a_non_integer_epoch_or_a_repeated_name_is_parse_error(tmp_path, fields)
     path.write_text("{" + fields + ',"source":"oracle","timestamp_ms":0.0}\n')
     with pytest.raises(ParseError, match=r"^policy log line 1: "):
         load_log(path)
+
+
+@pytest.mark.parametrize("timestamp", ["true", '"2.5"', "null"])
+def test_a_timestamp_that_is_not_a_json_number_is_parse_error(tmp_path, timestamp):
+    path = tmp_path / "policy.log"
+    path.write_text('{"epoch":1,"added":["read"],"source":"oracle","timestamp_ms":'
+                    + timestamp + "}\n")
+    with pytest.raises(ParseError, match=r"^policy log line 1: expected a number"):
+        load_log(path)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloops.controller import (
-    _CHUNK_ROWS,
     ORACLE_MODES,
     ControllerConfig,
     Halted,
@@ -288,22 +287,45 @@ def test_trace_rows_hold_the_drivers_labels():
         assert all(any(a is label for label in actions) for a in t.actions)
 
 
-def test_to_json_joins_chunks_like_json():
-    # Odd values first, last and on the rows either side of each chunk boundary.
-    odd = {0: -math.inf, _CHUNK_ROWS - 1: math.inf, _CHUNK_ROWS: math.nan,
-           2 * _CHUNK_ROWS - 1: -0.0, 2 * _CHUNK_ROWS: 1e300}
-    rows = [ROWS[i % len(ROWS)]._replace(at_ms=odd.get(i, i / 8), epoch=i)
-            for i in range(2 * _CHUNK_ROWS + 1)]
+# Odd values first, last and in between; one transition; epochs that are not contiguous.
+_ODD = {0: -math.inf, 3: math.inf, 4: math.nan, 7: -0.0, 9: 1e300}
+_RENDERED_TRACES = {
+    "odd": [ROWS[i % len(ROWS)]._replace(at_ms=_ODD.get(i, i / 8), epoch=i) for i in range(10)],
+    "one": ROWS[:1],
+    "sparse": [row._replace(epoch=e) for row, e in zip(ROWS, (0, 7, 7, 10**12, 0))],
+}
+
+
+@pytest.mark.parametrize("name", _RENDERED_TRACES)
+def test_to_json_joins_fragments_like_json(name):
     result = SessionResult(final_policy=new_policy(), policy_log=[], latency_records=[],
-                           alerts=[], transition_trace=_trace(rows), consultations=0)
+                           alerts=[], transition_trace=_trace(_RENDERED_TRACES[name]),
+                           consultations=0)
     _assert_renders_like_json(result)
+
+
+def _long_session(staticsite):
+    requests = generate_workload(staticsite, 10_000, 7, {"home": 8, "search": 1, "upload": 1})
+    return run_session(staticsite, requests, ControllerConfig(oracle_mode="until_watchdog"))
 
 
 def test_long_session_renders_like_json(staticsite):
-    requests = generate_workload(staticsite, 10_000, 7, {"home": 8, "search": 1, "upload": 1})
-    result = run_session(staticsite, requests, ControllerConfig(oracle_mode="until_watchdog"))
-    assert len(result.transition_trace) > 2 * _CHUNK_ROWS
+    result = _long_session(staticsite)
+    assert len(result.transition_trace) > 10_000
     _assert_renders_like_json(result)
+
+
+def test_to_json_holds_little_beside_its_document(staticsite):
+    result = _long_session(staticsite)
+    tracemalloc.start()
+    try:
+        document = result.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The document, four pointers and one at_ms string per transition take
+    # about 1.4 here; a string per transition beside the document takes 2.
+    assert peak < 1.6 * len(document)
 
 
 def test_a_long_trace_stays_compact():
