@@ -23,9 +23,6 @@ from .policy import SyscallPolicy
 
 EXPLOIT_KINDS = ("oracle_detectable", "oracle_undetectable")
 
-#: Response token returned for request keys with no declared handler.
-UNKNOWN_REQUEST_RESPONSE = "error:unknown-request"
-
 
 def _check_names(names, what: str) -> tuple[str, ...]:
     out = []
@@ -94,7 +91,6 @@ class ExploitSpec:
 @dataclass(frozen=True)
 class RequestBehavior:
     trace: tuple[str, ...] = ()
-    response: str = "ok"
     exploit: ExploitSpec | None = None
 
     def __post_init__(self):
@@ -145,21 +141,16 @@ class ServiceSpec:
         object.__setattr__(self, "oracle_extra", frozenset(_check_names(self.oracle_extra, "oracle extra")))
         runs = {}
         for key, behavior in self.handlers.items():
-            injected = set(behavior.exploit.injected) if behavior.exploit else set()
-            stray = set(behavior.trace) - self.static_universe - injected
+            stray = set(behavior.trace) - self.static_universe
             if stray:
                 raise ScenarioError(
                     f"handler {key!r} uses syscalls outside the static universe: "
                     + ", ".join(sorted(stray))
                 )
             trace = behavior.effective_trace()
-            completed = Completed(behavior.response), self.cost_model.production_elapsed(len(trace))
-            runs[key] = trace, completed
+            runs[key] = trace, (Completed(), self.cost_model.production_elapsed(len(trace)))
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(
-            self, "unknown_run",
-            ((), (Completed(UNKNOWN_REQUEST_RESPONSE), self.cost_model.production_elapsed(0))),
-        )
+        object.__setattr__(self, "unknown_run", ((), (Completed(), self.cost_model.production_elapsed(0))))
 
     def benign_handlers(self) -> dict[str, RequestBehavior]:
         return {k: b for k, b in self.handlers.items() if b.exploit is None}
@@ -175,7 +166,6 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class Completed:
-    response: str
     label: ClassVar[str] = "prod_exited:completed"
 
 
@@ -345,7 +335,7 @@ def exploit_category(spec: ServiceSpec, request: str) -> int:
 def _name_array(obj, field_name: str, what: str) -> tuple:
     value = obj.get(field_name, ())
     # a bare string would be iterated character by character
-    if isinstance(value, str) or not isinstance(value, (list, tuple)):
+    if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{what}: {field_name} must be an array of syscall names")
     return tuple(value)
 
@@ -387,7 +377,6 @@ def parse_service(obj: dict) -> ServiceSpec:
                 raise ScenarioError(f"handler {key!r}: malformed exploit: {exc}") from exc
         handlers[key] = RequestBehavior(
             trace=_name_array(h, "trace", f"handler {key!r}"),
-            response=str(h.get("response", "ok")),
             exploit=exploit,
         )
     # ServiceSpec checks the names before it freezes them into sets.

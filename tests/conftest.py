@@ -72,7 +72,7 @@ def service_specs(draw):
                 max_size=8,
             )
         )
-        handlers[f"req{i}"] = RequestBehavior(trace=tuple(trace), response=f"resp{i}")
+        handlers[f"req{i}"] = RequestBehavior(trace=tuple(trace))
     universe = set()
     for behavior in handlers.values():
         universe.update(behavior.trace)

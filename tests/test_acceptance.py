@@ -264,7 +264,7 @@ def test_criterion_8_state_machine_safety():
     config = ControllerConfig()
     states = [ProductionRunning(), OracleRunning(), Halted()]
     events = [
-        Completed("ok"),
+        Completed(),
         PolicyViolation("write", 0),
         DeniedSyscallHit("mount"),
         Benign(frozenset({"read"})),

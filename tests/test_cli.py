@@ -291,6 +291,37 @@ def test_an_integer_cost_loads_as_a_float(tmp_path, field):
     assert cost == 3.0 and type(cost) is float
 
 
+@pytest.mark.parametrize("extra", [{"response": None}, {"response": 5}, {"response": ["a"]},
+                                   {"response": "x"}, {}], ids=repr)
+def test_a_handler_is_read_only_for_its_trace_and_exploit(tmp_path, extra):
+    scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
+    handlers = scenario["services"][0]["handlers"].values()
+    for handler in handlers:
+        handler.pop("response", None)
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(scenario))
+    for handler in handlers:
+        handler.update(extra)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert load_scenario(path) == load_scenario(bare)
+
+
+def test_a_trace_name_outside_the_universe_is_an_error_even_if_injected(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"services": [{
+        "name": "svc",
+        "static_universe": ["read"],
+        "handlers": {"r": {"trace": ["read", "mount"], "exploit": {
+            "kind": "oracle_undetectable", "corruption_index": 1, "injected": ["mount"]}}},
+    }]}))
+    message = "handler 'r' uses syscalls outside the static universe: mount"
+    with pytest.raises(errors.ScenarioError, match=f"^{message}$"):
+        load_scenario(path)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_export_seccomp_empty_policy_via_subprocess(tmp_path):
     policy = tmp_path / "p.json"
     policy.write_text(json.dumps({"allow": []}))

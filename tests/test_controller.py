@@ -82,7 +82,7 @@ def test_violation_starts_oracle():
 
 
 def test_completed_request_needs_no_restart():
-    state, actions = step(ProductionRunning(), Completed("ok"), CFG)
+    state, actions = step(ProductionRunning(), Completed(), CFG)
     assert state == ProductionRunning()
     assert [type(action) for action in actions] == [LogEvent]
 
@@ -125,11 +125,11 @@ def test_illegal_transitions_raise():
     with pytest.raises(IllegalTransition):
         step(ProductionRunning(), Benign(frozenset()), CFG)
     with pytest.raises(IllegalTransition):
-        step(OracleRunning(), Completed("ok"), CFG)
+        step(OracleRunning(), Completed(), CFG)
     with pytest.raises(IllegalTransition):
         step(ProductionRunning(), WatchdogFired(), CFG)
     with pytest.raises(IllegalTransition):
-        step(Halted(), Completed("ok"), CFG)
+        step(Halted(), Completed(), CFG)
     with pytest.raises(IllegalTransition):
         step(ProductionRunning(), WatchdogTimeout(), CFG)
 
@@ -153,7 +153,7 @@ def test_denied_syscall_hit_alerts_and_restarts():
 # --- run_session ---------------------------------------------------------------
 
 def test_single_benign_request_consults_once():
-    spec = _spec({"r": RequestBehavior(trace=("read",), response="ok")}, extra={"sigaltstack"})
+    spec = _spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
     result = run_session(spec, _requests("r"), CFG)
     assert result.consultations == 1
     assert result.final_policy.allow == {"read", "sigaltstack"}
@@ -166,7 +166,7 @@ def test_single_benign_request_consults_once():
 def test_violating_request_latency_closed_form():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="ok")}, cost=cost)
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
     result = run_session(spec, _requests("r"), CFG)
     record = result.latency_records[0]
     # failed production attempt, oracle start, oracle-slowed full run: the
@@ -180,9 +180,9 @@ def test_violating_request_latency_closed_form():
 
 def test_consultations_bounded_by_new_syscall_requests():
     spec = _spec({
-        "a": RequestBehavior(trace=("read", "write"), response="a"),
-        "b": RequestBehavior(trace=("read",), response="b"),
-        "c": RequestBehavior(trace=("openat",), response="c"),
+        "a": RequestBehavior(trace=("read", "write")),
+        "b": RequestBehavior(trace=("read",)),
+        "c": RequestBehavior(trace=("openat",)),
     })
     result = run_session(spec, _requests("a", "b", "c", "a", "b", "c"), CFG)
     # b's trace is covered by a's learning; only a and c introduce syscalls
@@ -193,8 +193,8 @@ def test_consultations_bounded_by_new_syscall_requests():
 def test_category1_exploit_is_alerted_and_never_learned():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
     spec = _spec({
-        "good": RequestBehavior(trace=("read", "write"), response="ok"),
-        "evil": RequestBehavior(trace=("read", "write"), response="ok", exploit=exploit),
+        "good": RequestBehavior(trace=("read", "write")),
+        "evil": RequestBehavior(trace=("read", "write"), exploit=exploit),
     })
     result = run_session(spec, _requests("good", "evil", "good"), CFG)
     assert len(result.alerts) == 1
@@ -213,7 +213,7 @@ def test_oracle_denied_syscall_mid_trace_alerts_without_update():
         kind="oracle_undetectable", corruption_index=1, injected=("execve", "mount")
     )
     spec = _spec({
-        "evil": RequestBehavior(trace=("read", "write"), response="ok", exploit=exploit),
+        "evil": RequestBehavior(trace=("read", "write"), exploit=exploit),
     })
     config = ControllerConfig(deny=frozenset({"mount"}))
     result = run_session(spec, _requests("evil"), config)
@@ -227,8 +227,8 @@ def test_oracle_denied_syscall_mid_trace_alerts_without_update():
 def test_production_denied_hit_skips_oracle():
     exploit = ExploitSpec(kind="oracle_undetectable", corruption_index=1, injected=("mount",))
     spec = _spec({
-        "good": RequestBehavior(trace=("read",), response="ok"),
-        "evil": RequestBehavior(trace=("read",), response="ok", exploit=exploit),
+        "good": RequestBehavior(trace=("read",)),
+        "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
     config = ControllerConfig(deny=frozenset({"mount"}))
     result = run_session(spec, _requests("good", "evil"), config)
@@ -242,8 +242,8 @@ def test_until_watchdog_mode_serves_from_oracle_then_switches_back():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
     spec = _spec(
-        {"a": RequestBehavior(trace=("read",), response="a"),
-         "b": RequestBehavior(trace=("write",), response="b")},
+        {"a": RequestBehavior(trace=("read",)),
+         "b": RequestBehavior(trace=("write",))},
         cost=cost,
     )
     config = ControllerConfig(oracle_mode="until_watchdog", watchdog_ms=12.0)
@@ -255,8 +255,8 @@ def test_until_watchdog_mode_serves_from_oracle_then_switches_back():
 
 def test_oracle_mode_equivalence_on_benign_workload():
     spec = _spec({
-        "a": RequestBehavior(trace=("read", "write"), response="a"),
-        "b": RequestBehavior(trace=("openat", "read"), response="b"),
+        "a": RequestBehavior(trace=("read", "write")),
+        "b": RequestBehavior(trace=("openat", "read")),
     }, extra={"sigaltstack"})
     workload = _requests("a", "b", "a", "b", "a")
     single = run_session(spec, workload, ControllerConfig())
@@ -276,7 +276,7 @@ def test_denied_oracle_extras_are_config_error():
         run_session(spec, _requests("r"), ControllerConfig(deny=frozenset({"sigaltstack"})))
 
 
-def test_unknown_request_keys_serve_error_response():
+def test_unknown_request_keys_are_served():
     spec = _spec({"r": RequestBehavior(trace=("read",))})
     result = run_session(spec, _requests("r", "missing"), CFG)
     assert result.latency_records[1].outcome == "served"
@@ -284,7 +284,7 @@ def test_unknown_request_keys_serve_error_response():
 
 
 def test_session_json_shape():
-    spec = _spec({"r": RequestBehavior(trace=("read",), response="ok")})
+    spec = _spec({"r": RequestBehavior(trace=("read",))})
     result = run_session(spec, _requests("r"), CFG)
     obj = json.loads(result.to_json())
     assert list(obj) == ["final_policy", "alerts", "transitions", "consultations"]
@@ -297,8 +297,8 @@ def test_session_json_shape():
 def test_unhardened_mode_serves_everything_without_learning():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
     spec = _spec({
-        "good": RequestBehavior(trace=("read",), response="ok"),
-        "evil": RequestBehavior(trace=("read",), response="ok", exploit=exploit),
+        "good": RequestBehavior(trace=("read",)),
+        "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
     result = run_session(spec, _requests("good", "evil"), CFG, mode="unhardened")
     assert all(r.outcome == "served" for r in result.latency_records)
@@ -312,8 +312,8 @@ def test_unhardened_mode_serves_everything_without_learning():
 def test_hardened_mode_detects_exploits_and_pays_oracle_cost():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
     spec = _spec({
-        "good": RequestBehavior(trace=("read",), response="ok"),
-        "evil": RequestBehavior(trace=("read",), response="ok", exploit=exploit),
+        "good": RequestBehavior(trace=("read",)),
+        "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
     hardened = run_session(spec, _requests("good", "evil"), CFG, mode="hardened")
     assert hardened.latency_records[0].outcome == "served"
@@ -440,8 +440,8 @@ def test_pretrain_rejects_exploit_requests():
 
 def test_pretrained_session_replays_without_consultation():
     spec = _spec({
-        "a": RequestBehavior(trace=("read", "write"), response="a"),
-        "b": RequestBehavior(trace=("openat",), response="b"),
+        "a": RequestBehavior(trace=("read", "write")),
+        "b": RequestBehavior(trace=("openat",)),
     }, extra={"sigaltstack"})
     config = ControllerConfig(pretrain_requests=("a", "b"))
     result = run_session(spec, _requests("a", "b", "a"), config)
@@ -451,8 +451,8 @@ def test_pretrained_session_replays_without_consultation():
 
 def test_pretrain_over_all_handlers_matches_full_session_policy():
     spec = _spec({
-        "a": RequestBehavior(trace=("read", "write"), response="a"),
-        "b": RequestBehavior(trace=("openat",), response="b"),
+        "a": RequestBehavior(trace=("read", "write")),
+        "b": RequestBehavior(trace=("openat",)),
     }, extra={"sigaltstack"})
     trained = SessionDriver(spec, ControllerConfig(pretrain_requests=tuple(sorted(spec.handlers))))
     session = run_session(spec, _requests("a", "b"), CFG)
@@ -461,8 +461,8 @@ def test_pretrain_over_all_handlers_matches_full_session_policy():
 
 def test_pretrain_log_replays_to_final_policy():
     spec = _spec({
-        "a": RequestBehavior(trace=("read", "write"), response="a"),
-        "b": RequestBehavior(trace=("openat",), response="b"),
+        "a": RequestBehavior(trace=("read", "write")),
+        "b": RequestBehavior(trace=("openat",)),
     }, extra={"sigaltstack"})
     config = ControllerConfig(pretrain_requests=("a",))
     result = run_session(spec, _requests("b", "a"), config)

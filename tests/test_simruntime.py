@@ -18,7 +18,6 @@ from timeloops.simruntime import (
     PolicyViolation,
     RequestBehavior,
     ServiceSpec,
-    UNKNOWN_REQUEST_RESPONSE,
     WatchdogTimeout,
     _walk_oracle,
     exploit_category,
@@ -51,14 +50,14 @@ def _allow(*names):
 
 
 def test_production_fully_allowed_completes():
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="done")})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))})
     reason, elapsed = run_production(spec, _allow("read", "write"), "r")
-    assert reason == Completed("done")
+    assert reason == Completed()
     assert elapsed == 1.0 + 2 * 2.0
 
 
 def test_production_stops_at_first_non_allowed_syscall():
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="done")})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))})
     reason, elapsed = run_production(spec, _allow("read"), "r")
     assert reason == PolicyViolation(syscall="write", at_index=1)
     # only the allowed prefix was executed
@@ -67,16 +66,16 @@ def test_production_stops_at_first_non_allowed_syscall():
 
 def test_production_does_not_detect_exploits():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("execve",))
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x", exploit=exploit)})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"), exploit=exploit)})
     reason, _ = run_production(spec, _allow("read", "write"), "r")
     # corruption goes unnoticed; the injected syscall trips the filter instead
     assert reason == PolicyViolation(syscall="execve", at_index=1)
 
 
-def test_production_unknown_request_completes_with_error_token():
+def test_production_unknown_request_completes_at_the_base_cost():
     spec = _spec({"r": RequestBehavior(trace=("read",))})
     reason, elapsed = run_production(spec, new_policy(), "nope")
-    assert reason == Completed(UNKNOWN_REQUEST_RESPONSE)
+    assert reason == Completed()
     assert elapsed == 1.0
 
 
@@ -102,13 +101,11 @@ def _walk(spec, policy, request):
     """Production run by a plain walk of the trace from its first syscall."""
     cost = spec.cost_model
     behavior = spec.handlers.get(request)
-    if behavior is None:
-        return Completed(UNKNOWN_REQUEST_RESPONSE), cost.production_elapsed(0)
-    trace = behavior.effective_trace()
+    trace = () if behavior is None else behavior.effective_trace()
     for index, syscall in enumerate(trace):
         if syscall not in policy.allow:
             return PolicyViolation(syscall, index), cost.production_elapsed(index)
-    return Completed(behavior.response), cost.production_elapsed(len(trace))
+    return Completed(), cost.production_elapsed(len(trace))
 
 
 @given(spec=_specs_with_exploits(), data=st.data())
@@ -133,7 +130,7 @@ def test_passing_runs_share_one_result(spec, data):
 
 def test_oracle_observes_trace_plus_instrumentation_extras():
     spec = _spec(
-        {"r": RequestBehavior(trace=("read", "openat"), response="x")},
+        {"r": RequestBehavior(trace=("read", "openat"))},
         extra={"sigaltstack"},
     )
     outcome, elapsed = run_oracle(spec, "r")
@@ -143,7 +140,7 @@ def test_oracle_observes_trace_plus_instrumentation_extras():
 
 def test_oracle_detects_corruption_before_injected_syscall():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=0, injected=("ptrace",))
-    spec = _spec({"r": RequestBehavior(trace=("read",), response="x", exploit=exploit)})
+    spec = _spec({"r": RequestBehavior(trace=("read",), exploit=exploit)})
     outcome, elapsed = run_oracle(spec, "r")
     assert isinstance(outcome, Malicious)
     assert "ptrace" not in outcome.report
@@ -152,7 +149,7 @@ def test_oracle_detects_corruption_before_injected_syscall():
 
 def test_oracle_absorbs_undetectable_injection():
     exploit = ExploitSpec(kind="oracle_undetectable", corruption_index=1, injected=("mount",))
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x", exploit=exploit)})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"), exploit=exploit)})
     outcome, _ = run_oracle(spec, "r")
     assert isinstance(outcome, Benign)
     assert "mount" in outcome.observed
@@ -161,7 +158,7 @@ def test_oracle_absorbs_undetectable_injection():
 
 
 def test_oracle_watchdog_cuts_run_between_syscalls():
-    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"), response="x")})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"))})
     # budget covers base (3.0) plus one 6.0 syscall only
     outcome, elapsed = run_oracle(spec, "r", watchdog_ms=10.0)
     assert type(outcome) is WatchdogTimeout
@@ -169,7 +166,7 @@ def test_oracle_watchdog_cuts_run_between_syscalls():
 
 
 def test_a_cut_short_verdict_is_never_stored():
-    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"), response="x")})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"))})
     assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
     assert run_oracle(spec, "r") == (Benign(frozenset({"read", "write", "openat"})), 21.0)
     assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
@@ -184,7 +181,7 @@ def test_unknown_keys_add_no_verdict():
 
 
 def test_oracle_cost_dominates_production_cost():
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x")})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))})
     policy = _allow("read", "write")
     _, prod = run_production(spec, policy, "r")
     outcome, oracle = run_oracle(spec, "r")
@@ -193,7 +190,7 @@ def test_oracle_cost_dominates_production_cost():
 
 
 def test_runs_are_deterministic():
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="x")})
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))})
     policy = _allow("read")
     assert run_production(spec, policy, "r") == run_production(spec, policy, "r")
     assert run_oracle(spec, "r") == run_oracle(spec, "r")
@@ -212,7 +209,7 @@ def test_detection_precedence_over_random_exploits(trace, injected, detectable, 
         corruption_index=index,
         injected=tuple(injected),
     )
-    spec = _spec({"r": RequestBehavior(trace=tuple(trace), response="x", exploit=exploit)})
+    spec = _spec({"r": RequestBehavior(trace=tuple(trace), exploit=exploit)})
     outcome, _ = run_oracle(spec, "r", watchdog_ms=math.inf)
     if detectable:
         assert isinstance(outcome, Malicious)

@@ -55,7 +55,7 @@ STATES = {
     "halted": Halted(),
 }
 EVENTS = {
-    "completed": Completed("ok"),
+    "completed": Completed(),
     "violation": PolicyViolation("write", 0),
     "denied": DeniedSyscallHit("mount"),
     "benign": Benign(frozenset({"read"})),
@@ -273,8 +273,8 @@ def test_transition_trace_is_a_sequence_of_transitions():
 
 def test_trace_rows_hold_the_drivers_labels():
     driver = SessionDriver(_spec({}), SINGLE)
-    events = [PolicyViolation("read", 0), Benign(frozenset({"read"})), Completed("ok"),
-              Completed("ok"), DeniedSyscallHit("mount"), Shutdown()]
+    events = [PolicyViolation("read", 0), Benign(frozenset({"read"})), Completed(),
+              Completed(), DeniedSyscallHit("mount"), Shutdown()]
     for event in events:
         driver._transition(event)
     states = [cls.label for cls in (ProductionRunning, OracleRunning, Halted)]
@@ -330,7 +330,7 @@ def test_to_json_holds_little_beside_its_document(staticsite):
 
 def test_a_long_trace_stays_compact():
     driver = SessionDriver(_spec({}), SINGLE)
-    completed = Completed("ok")
+    completed = Completed()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -73,7 +73,7 @@ def _record(lid, latency, outcome="served", key="r"):
 def test_first_try_request_has_single_attempt_and_base_cost():
     cost = CostModel(base_request_ms=2.0, production_per_syscall_ms=3.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="ok")}, cost=cost)
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
     config = ControllerConfig(pretrain_requests=("r",))
     result = run_session(spec, [Request(0, "r")], config)
     record = result.latency_records[0]
@@ -84,7 +84,7 @@ def test_first_try_request_has_single_attempt_and_base_cost():
 def test_retry_after_violation_includes_restart_and_oracle_cost():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=3.0, restart_ms=50.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"), response="ok")},
+    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"))},
                  cost=cost)
     result = run_session(spec, [Request(0, "r")], ControllerConfig())
     record = result.latency_records[0]
@@ -96,7 +96,7 @@ def test_retry_after_violation_includes_restart_and_oracle_cost():
 
 
 def test_all_attempts_reuse_the_same_key():
-    spec = _spec({"r": RequestBehavior(trace=("read",), response="ok")})
+    spec = _spec({"r": RequestBehavior(trace=("read",))})
     result = run_session(spec, [Request(0, "r")], ControllerConfig())
     assert result.latency_records[0].key == "r"
     assert result.latency_records[0].attempts == 2
@@ -107,7 +107,7 @@ def test_attempts_exhausted_is_distinct_error():
     # so the request fails production, times out in the oracle, forever.
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=10.0,
                      oracle_slowdown_factor=2.0, restart_ms=1.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"), response="ok")}, cost=cost)
+    spec = _spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
     config = ControllerConfig(watchdog_ms=15.0)
     with pytest.raises(AttemptsExhausted):
         run_session(spec, [Request(0, "r")], config)
