@@ -13,8 +13,7 @@ pretrains by learning the oracle's verdicts on known-safe requests as it
 learns any benign verdict. ``run_session`` also runs the two deployments
 the controller is compared with, unhardened and hardened; they have no
 controller, so each is one plain loop over the workload. Every oracle run
-goes through ``run_oracle``, which keeps each handler's unbounded verdict
-on its ``ServiceSpec``, so the sessions of one spec walk each handler once.
+goes through ``run_oracle``.
 """
 
 from __future__ import annotations
@@ -321,9 +320,9 @@ class SessionDriver:
     The driver starts pretrained: each of ``config.pretrain_requests`` runs
     in the oracle before the clock starts, and ``_learn`` takes its verdict
     with source "pretrain", counting no consultation and writing no
-    transition. A deny-listed name raises :class:`DeniedSyscall`. The
-    driver keeps no verdicts of its own: each consultation calls
-    ``run_oracle`` with the watchdog budget left to the oracle's tenure.
+    transition. A deny-listed name raises :class:`DeniedSyscall`. Each
+    consultation calls ``run_oracle`` with the watchdog budget left to the
+    oracle's tenure.
     """
 
     def __init__(self, spec: ServiceSpec, config: ControllerConfig):

@@ -107,14 +107,19 @@ class RequestBehavior:
         return self.trace[: self.exploit.corruption_index] + self.exploit.injected
 
 
+#: what a request key with no handler runs: an empty trace, with no exploit
+_NO_HANDLER = RequestBehavior()
+
+
 @dataclass(frozen=True)
 class ServiceSpec:
     """A declared service: handlers, reachable-code universe, oracle extras.
 
-    The handlers are fixed at construction: each one's effective trace and
-    the result of a run that completes are computed once, into ``runs``.
-    ``verdicts`` is ``run_oracle``'s table; a ``dataclasses.replace`` copy
-    starts with an empty one.
+    The handlers are fixed at construction: each one's effective trace, the
+    result of a production run that completes it and the result of its
+    oracle run with no watchdog are computed once, into ``runs``. A handler,
+    or a key with no handler, whose production or oracle run takes a
+    non-finite time under the cost model is a :class:`ScenarioError`.
     """
 
     name: str
@@ -123,24 +128,19 @@ class ServiceSpec:
     oracle_extra: frozenset[str] = field(default_factory=frozenset)
     cost_model: CostModel = field(default_factory=CostModel)
     #: request key -> (effective trace, the shared ``(Completed, elapsed)``
-    #: result of a run that completes it)
-    runs: Mapping[str, tuple[tuple[str, ...], tuple[Completed, float]]] = field(
-        init=False, repr=False, compare=False
-    )
+    #: result of a run that completes it, the ``(outcome, elapsed)`` of its
+    #: oracle run with no watchdog)
+    runs: Mapping[str, Run] = field(init=False, repr=False, compare=False)
     #: the run of a request key with no declared handler
-    unknown_run: tuple[tuple[str, ...], tuple[Completed, float]] = field(
-        init=False, repr=False, compare=False
-    )
-    #: request key -> the ``(outcome, elapsed)`` of its oracle run with no watchdog
-    verdicts: dict[str, tuple[OracleOutcome, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    unknown_run: Run = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "static_universe", frozenset(_check_names(self.static_universe, "static universe")))
         object.__setattr__(self, "oracle_extra", frozenset(_check_names(self.oracle_extra, "oracle extra")))
+        cost = self.cost_model
         runs = {}
-        for key, behavior in self.handlers.items():
+        # None stands for every key with no handler, which runs as an empty one.
+        for key, behavior in [*self.handlers.items(), (None, _NO_HANDLER)]:
             stray = set(behavior.trace) - self.static_universe
             if stray:
                 raise ScenarioError(
@@ -148,9 +148,13 @@ class ServiceSpec:
                     + ", ".join(sorted(stray))
                 )
             trace = behavior.effective_trace()
-            runs[key] = trace, (Completed(), self.cost_model.production_elapsed(len(trace)))
+            elapsed, oracle = cost.production_elapsed(len(trace)), _walk_oracle(self, key)
+            if not (math.isfinite(elapsed) and math.isfinite(oracle[1])):
+                who = "a request with no handler" if key is None else f"handler {key!r}"
+                raise ScenarioError(f"{who}: its production or oracle run takes a non-finite time")
+            runs[key] = trace, (Completed(), elapsed), oracle
+        object.__setattr__(self, "unknown_run", runs.pop(None))
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "unknown_run", ((), (Completed(), self.cost_model.production_elapsed(0))))
 
     def benign_handlers(self) -> dict[str, RequestBehavior]:
         return {k: b for k, b in self.handlers.items() if b.exploit is None}
@@ -211,6 +215,7 @@ class WatchdogTimeout:
 
 
 OracleOutcome = Benign | Malicious | WatchdogTimeout
+Run = tuple[tuple[str, ...], tuple[Completed, float], tuple[OracleOutcome, float]]
 
 
 def run_production(
@@ -228,7 +233,7 @@ def run_production(
     when the check fails. The verdict and ``at_index`` are the same as a
     walk from the start would give.
     """
-    trace, completed = spec.runs.get(request, spec.unknown_run)
+    trace, completed, _ = spec.runs.get(request, spec.unknown_run)
     allow = policy.allow
     if allow.issuperset(trace):
         return completed
@@ -256,17 +261,11 @@ def run_oracle(
     ``watchdog_ms`` is never cut short, and equals the unbounded run bit
     for bit.
 
-    So each declared handler is walked without a budget once per spec, on
-    first use, into ``spec.verdicts``, and only a run the watchdog stops is
-    walked again. Neither a cut-short verdict nor one on a key with no
-    handler is stored, so the table holds at most one entry per handler.
-    Entries are deterministic, so sessions may share a spec; a race at
-    worst repeats one walk.
+    So each request's unbounded run is built with its spec, into
+    ``spec.runs``, and only a run the watchdog stops is walked here.
     """
-    verdict = spec.verdicts.get(request)
-    if verdict is None and request in spec.handlers:
-        verdict = spec.verdicts[request] = _walk_oracle(spec, request)
-    if verdict is not None and verdict[1] <= watchdog_ms:
+    verdict = spec.runs.get(request, spec.unknown_run)[2]
+    if verdict[1] <= watchdog_ms:
         return verdict
     return _walk_oracle(spec, request, watchdog_ms)
 
@@ -275,16 +274,14 @@ def _walk_oracle(
     spec: ServiceSpec, request: str, watchdog_ms: float = math.inf
 ) -> tuple[OracleOutcome, float]:
     """One oracle run of ``request`` within ``watchdog_ms``, walked without
-    the verdict table (see ``run_oracle``). A detectable corruption stops
-    the walk before the syscall at its index; any other walk covers the
-    whole effective trace."""
+    ``spec.runs`` (see ``run_oracle``). A detectable corruption stops the
+    walk before the syscall at its index; any other walk covers the whole
+    effective trace, and a key with no handler walks an empty one."""
     cost = spec.cost_model
     elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
     if elapsed > watchdog_ms:
         return WatchdogTimeout(), 0.0
-    behavior = spec.handlers.get(request)
-    if behavior is None:
-        return Benign(spec.oracle_extra), elapsed
+    behavior = spec.handlers.get(request, _NO_HANDLER)
     exploit = behavior.exploit
     detected = exploit is not None and exploit.kind == "oracle_detectable"
     trace = behavior.trace[: exploit.corruption_index] if detected else behavior.effective_trace()

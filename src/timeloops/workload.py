@@ -198,6 +198,9 @@ def generate_workload(
         raise ConfigError("mix weights must be finite and non-negative: " + ", ".join(bad))
     if not any(w > 0 for w in weights):
         raise EmptyMix("workload mix has no positive weight")
+    # random.choices sums the weights left to right and needs a finite total.
+    if not math.isfinite(list(accumulate(weights))[-1]):
+        raise ConfigError("mix weights must be finite in total: " + ", ".join(keys))
     unknown = [k for k in keys if k not in spec.handlers]
     if unknown:
         raise ConfigError("mix keys without handlers: " + ", ".join(unknown))

@@ -25,6 +25,27 @@ FIXTURE_HEADER = (
 )
 
 
+#: the cost model ``make_spec`` builds a service with, unless told otherwise
+COST = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
+                 oracle_slowdown_factor=2.0, restart_ms=5.0)
+
+
+def make_spec(handlers, extra=(), universe=None, cost=COST) -> ServiceSpec:
+    """A service named "svc"; its static universe defaults to the union of
+    the handlers' traces."""
+    if universe is None:
+        universe = set()
+        for behavior in handlers.values():
+            universe.update(behavior.trace)
+    return ServiceSpec(name="svc", handlers=handlers, static_universe=frozenset(universe),
+                       oracle_extra=frozenset(extra), cost_model=cost)
+
+
+def requests(*keys) -> list[Request]:
+    """A workload of ``keys``, in order, with logical ids from 0."""
+    return [Request(logical_id=i, key=k) for i, k in enumerate(keys)]
+
+
 def fixture_csv(rows) -> str:
     """A comparison-table CSV written with ``csv.writer``, one line per
     ``(syscall, cve_cell, flags)``."""

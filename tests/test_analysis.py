@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import spec_workload_deny
+from conftest import make_spec, spec_workload_deny
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,34 +16,14 @@ from timeloops.catalog import PolicyComparisonTable, TableRow
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import ExploitInTrainingSet
 from timeloops.policy import SyscallPolicy
-from timeloops.simruntime import (
-    CostModel,
-    ExploitSpec,
-    RequestBehavior,
-    ServiceSpec,
-)
+from timeloops.simruntime import ExploitSpec, RequestBehavior
 from timeloops.workload import Request
-
-
-def _spec(handlers, universe=None, extra=()):
-    if universe is None:
-        universe = set()
-        for b in handlers.values():
-            universe.update(b.trace)
-    return ServiceSpec(
-        name="svc",
-        handlers=handlers,
-        static_universe=frozenset(universe),
-        oracle_extra=frozenset(extra),
-        cost_model=CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
-                             oracle_slowdown_factor=2.0, restart_ms=5.0),
-    )
 
 
 # --- baselines -------------------------------------------------------------------
 
 def test_static_baseline_allows_unexercised_universe():
-    spec = _spec(
+    spec = make_spec(
         {"r": RequestBehavior(trace=("read", "write"))},
         universe={"read", "write", "shmat"},
     )
@@ -53,7 +33,7 @@ def test_static_baseline_allows_unexercised_universe():
 
 
 def test_static_baseline_respects_deny():
-    spec = _spec({"r": RequestBehavior(trace=("read",))}, universe={"read", "shmat"})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))}, universe={"read", "shmat"})
     p = static_baseline(spec, deny={"shmat"})
     assert p.allow == {"read"}
     assert "shmat" not in p.allow
@@ -71,7 +51,7 @@ def test_fixture_sysfilter_column_as_static_policy(table):
 
 
 def test_dynamic_baseline_misses_unexercised_handlers():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read",)),
         "b": RequestBehavior(trace=("write",)),
     })
@@ -80,7 +60,7 @@ def test_dynamic_baseline_misses_unexercised_handlers():
 
 
 def test_dynamic_baseline_full_coverage_is_trace_union():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read", "openat")),
         "b": RequestBehavior(trace=("write",)),
     }, extra={"sigaltstack"})
@@ -91,7 +71,7 @@ def test_dynamic_baseline_full_coverage_is_trace_union():
 
 def test_dynamic_baseline_rejects_exploit_training_requests():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=0, injected=("ptrace",))
-    spec = _spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
+    spec = make_spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
     with pytest.raises(ExploitInTrainingSet):
         dynamic_baseline(spec, ["evil"])
 

@@ -1,16 +1,16 @@
-import dataclasses
+import itertools
 import json
 import math
-from collections import Counter
 
 import pytest
-from conftest import DENY_POOL, SYSCALL_POOL, spec_workload_deny
+from conftest import DENY_POOL, SYSCALL_POOL, make_spec, requests, spec_workload_deny
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloops import controller, simruntime
 from timeloops.controller import (
     ORACLE_MODES,
+    SESSION_MODES,
     ControllerConfig,
     Halted,
     LogEvent,
@@ -48,29 +48,6 @@ from timeloops.workload import Request
 
 CFG = ControllerConfig()
 CFG_WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
-
-
-def _spec(handlers, extra=(), universe=None, cost=None):
-    if universe is None:
-        universe = set()
-        for b in handlers.values():
-            universe.update(b.trace)
-    return ServiceSpec(
-        name="svc",
-        handlers=handlers,
-        static_universe=frozenset(universe),
-        oracle_extra=frozenset(extra),
-        cost_model=cost or CostModel(
-            base_request_ms=1.0,
-            production_per_syscall_ms=1.0,
-            oracle_slowdown_factor=2.0,
-            restart_ms=5.0,
-        ),
-    )
-
-
-def _requests(*keys):
-    return [Request(logical_id=i, key=k) for i, k in enumerate(keys)]
 
 
 # --- step: the pure transition function ---------------------------------------
@@ -135,7 +112,7 @@ def test_illegal_transitions_raise():
 
 
 def test_attempt_returns_the_outcome_and_a_halted_driver_refuses():
-    driver = SessionDriver(_spec({"r": RequestBehavior(trace=("read",))}), CFG)
+    driver = SessionDriver(make_spec({"r": RequestBehavior(trace=("read",))}), CFG)
     assert driver.attempt(Request(0, "r")) is None  # a violation, retried
     assert driver.attempt(Request(0, "r")) == "served"
     driver.shutdown()
@@ -153,8 +130,8 @@ def test_denied_syscall_hit_alerts_and_restarts():
 # --- run_session ---------------------------------------------------------------
 
 def test_single_benign_request_consults_once():
-    spec = _spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
-    result = run_session(spec, _requests("r"), CFG)
+    spec = make_spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
+    result = run_session(spec, requests("r"), CFG)
     assert result.consultations == 1
     assert result.final_policy.allow == {"read", "sigaltstack"}
     assert result.final_policy.epoch == 1
@@ -166,8 +143,8 @@ def test_single_benign_request_consults_once():
 def test_violating_request_latency_closed_form():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
-    result = run_session(spec, _requests("r"), CFG)
+    spec = make_spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
+    result = run_session(spec, requests("r"), CFG)
     record = result.latency_records[0]
     # failed production attempt, oracle start, oracle-slowed full run: the
     # oracle charges the base cost, then each syscall, each times the factor
@@ -179,12 +156,12 @@ def test_violating_request_latency_closed_form():
 
 
 def test_consultations_bounded_by_new_syscall_requests():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read", "write")),
         "b": RequestBehavior(trace=("read",)),
         "c": RequestBehavior(trace=("openat",)),
     })
-    result = run_session(spec, _requests("a", "b", "c", "a", "b", "c"), CFG)
+    result = run_session(spec, requests("a", "b", "c", "a", "b", "c"), CFG)
     # b's trace is covered by a's learning; only a and c introduce syscalls
     assert result.consultations == 2
     assert len(result.policy_log) == 2
@@ -192,11 +169,11 @@ def test_consultations_bounded_by_new_syscall_requests():
 
 def test_category1_exploit_is_alerted_and_never_learned():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
-    spec = _spec({
+    spec = make_spec({
         "good": RequestBehavior(trace=("read", "write")),
         "evil": RequestBehavior(trace=("read", "write"), exploit=exploit),
     })
-    result = run_session(spec, _requests("good", "evil", "good"), CFG)
+    result = run_session(spec, requests("good", "evil", "good"), CFG)
     assert len(result.alerts) == 1
     assert "ptrace" not in result.final_policy.allow
     evil_record = result.latency_records[1]
@@ -212,11 +189,11 @@ def test_oracle_denied_syscall_mid_trace_alerts_without_update():
     exploit = ExploitSpec(
         kind="oracle_undetectable", corruption_index=1, injected=("execve", "mount")
     )
-    spec = _spec({
+    spec = make_spec({
         "evil": RequestBehavior(trace=("read", "write"), exploit=exploit),
     })
     config = ControllerConfig(deny=frozenset({"mount"}))
-    result = run_session(spec, _requests("evil"), config)
+    result = run_session(spec, requests("evil"), config)
     assert len(result.alerts) == 1
     assert result.final_policy.allow == frozenset()
     assert result.final_policy.epoch == 0
@@ -226,12 +203,12 @@ def test_oracle_denied_syscall_mid_trace_alerts_without_update():
 
 def test_production_denied_hit_skips_oracle():
     exploit = ExploitSpec(kind="oracle_undetectable", corruption_index=1, injected=("mount",))
-    spec = _spec({
+    spec = make_spec({
         "good": RequestBehavior(trace=("read",)),
         "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
     config = ControllerConfig(deny=frozenset({"mount"}))
-    result = run_session(spec, _requests("good", "evil"), config)
+    result = run_session(spec, requests("good", "evil"), config)
     assert len(result.alerts) == 1
     assert result.consultations == 1  # only the benign learning pass
     assert result.latency_records[1].outcome == "rejected_malicious"
@@ -241,51 +218,51 @@ def test_production_denied_hit_skips_oracle():
 def test_until_watchdog_mode_serves_from_oracle_then_switches_back():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
-    spec = _spec(
+    spec = make_spec(
         {"a": RequestBehavior(trace=("read",)),
          "b": RequestBehavior(trace=("write",))},
         cost=cost,
     )
     config = ControllerConfig(oracle_mode="until_watchdog", watchdog_ms=12.0)
-    result = run_session(spec, _requests("a", "a", "b", "a"), config)
+    result = run_session(spec, requests("a", "a", "b", "a"), config)
     assert result.final_policy.allow == {"read", "write"}
     assert any(t.event == "watchdog_fired" for t in result.transition_trace)
     assert all(r.outcome == "served" for r in result.latency_records)
 
 
 def test_oracle_mode_equivalence_on_benign_workload():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read", "write")),
         "b": RequestBehavior(trace=("openat", "read")),
     }, extra={"sigaltstack"})
-    workload = _requests("a", "b", "a", "b", "a")
+    workload = requests("a", "b", "a", "b", "a")
     single = run_session(spec, workload, ControllerConfig())
     watchdog = run_session(spec, workload, ControllerConfig(oracle_mode="until_watchdog"))
     assert single.final_policy.allow == watchdog.final_policy.allow
 
 
 def test_empty_workload_is_config_error():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
     with pytest.raises(ConfigError):
         run_session(spec, [], CFG)
 
 
 def test_denied_oracle_extras_are_config_error():
-    spec = _spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
     with pytest.raises(ConfigError):
-        run_session(spec, _requests("r"), ControllerConfig(deny=frozenset({"sigaltstack"})))
+        run_session(spec, requests("r"), ControllerConfig(deny=frozenset({"sigaltstack"})))
 
 
 def test_unknown_request_keys_are_served():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
-    result = run_session(spec, _requests("r", "missing"), CFG)
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
+    result = run_session(spec, requests("r", "missing"), CFG)
     assert result.latency_records[1].outcome == "served"
     assert result.latency_records[1].attempts == 1
 
 
 def test_session_json_shape():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
-    result = run_session(spec, _requests("r"), CFG)
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
+    result = run_session(spec, requests("r"), CFG)
     obj = json.loads(result.to_json())
     assert list(obj) == ["final_policy", "alerts", "transitions", "consultations"]
     assert obj["final_policy"]["allow"] == ["read"]
@@ -296,11 +273,11 @@ def test_session_json_shape():
 
 def test_unhardened_mode_serves_everything_without_learning():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
-    spec = _spec({
+    spec = make_spec({
         "good": RequestBehavior(trace=("read",)),
         "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
-    result = run_session(spec, _requests("good", "evil"), CFG, mode="unhardened")
+    result = run_session(spec, requests("good", "evil"), CFG, mode="unhardened")
     assert all(r.outcome == "served" for r in result.latency_records)
     assert all(r.attempts == 1 for r in result.latency_records)
     assert result.alerts == []
@@ -311,58 +288,60 @@ def test_unhardened_mode_serves_everything_without_learning():
 
 def test_hardened_mode_detects_exploits_and_pays_oracle_cost():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
-    spec = _spec({
+    spec = make_spec({
         "good": RequestBehavior(trace=("read",)),
         "evil": RequestBehavior(trace=("read",), exploit=exploit),
     })
-    hardened = run_session(spec, _requests("good", "evil"), CFG, mode="hardened")
+    hardened = run_session(spec, requests("good", "evil"), CFG, mode="hardened")
     assert hardened.latency_records[0].outcome == "served"
     assert hardened.latency_records[1].outcome == "rejected_malicious"
     assert len(hardened.alerts) == 1
     assert hardened.consultations == 0
 
-    unhardened = run_session(spec, _requests("good"), CFG, mode="unhardened")
+    unhardened = run_session(spec, requests("good"), CFG, mode="unhardened")
     slowdown = spec.cost_model.oracle_slowdown_factor
     assert hardened.latency_records[0].latency_ms == (
         unhardened.latency_records[0].latency_ms * slowdown
     )
 
 
-def test_hardened_session_consults_the_oracle_once_per_key(monkeypatch):
+def test_no_session_mutates_its_spec_or_walks_an_unbounded_run(monkeypatch):
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
-    spec = _spec({
+    spec = make_spec({
         "good": RequestBehavior(trace=("read", "write")),
+        "other": RequestBehavior(trace=("read", "openat")),
         "evil": RequestBehavior(trace=("read",), exploit=exploit),
-    })
-    walks = []
+    }, extra={"sigaltstack"})
+    fields, runs, unknown_run = dict(vars(spec)), spec.runs, spec.unknown_run
+    contents = dict(runs)
+    budgets = []
     real_walk = simruntime._walk_oracle
 
     def counted(spec, request, watchdog_ms=math.inf):
-        walks.append((request, watchdog_ms))
+        budgets.append(watchdog_ms)
         return real_walk(spec, request, watchdog_ms)
 
     monkeypatch.setattr(simruntime, "_walk_oracle", counted)
-    requests = _requests("good", "evil", "good", "nope", "evil", "good", "nope")
-    result = run_session(spec, requests, CFG, mode="hardened")
-    assert [r.outcome for r in result.latency_records].count("rejected_malicious") == 2
-    assert len(result.alerts) == 2
-    # The table lives on the spec, so a second session reads it, and so
-    # does pretraining.
-    run_session(spec, requests, CFG, mode="hardened")
-    run_session(spec, requests, ControllerConfig(pretrain_requests=("good",)), mode="hardened")
-    assert all(budget == math.inf for _, budget in walks)
-    # Each handler is walked once across the three sessions, not once per
-    # session; the key with no handler is walked at each of its 6
-    # consultations and never stored.
-    assert Counter(key for key, _ in walks) == {"good": 1, "evil": 1, "nope": 6}
-    assert spec.verdicts.keys() == {"good", "evil"}
-    # A copy is a new spec, with a table of its own.
-    copy = dataclasses.replace(spec)
-    assert copy == spec and copy.verdicts == {}
-    del walks[:]
-    run_session(copy, requests, CFG, mode="hardened")
-    assert Counter(key for key, _ in walks) == {"good": 1, "evil": 1, "nope": 2}
-    assert copy.verdicts == spec.verdicts
+    workload = requests("good", "evil", "other", "good", "nope", "other", "evil", "good", "nope")
+    # An oracle run takes at most 6 ms here: an 8 ms watchdog cuts a
+    # tenure's second run short, and 10 s cuts none.
+    for mode, oracle_mode, watchdog_ms, pretrain in itertools.product(
+        SESSION_MODES, ORACLE_MODES, (8.0, 10_000.0), ((), ("good",))
+    ):
+        config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms,
+                                  pretrain_requests=pretrain)
+        result = run_session(spec, workload, config, mode=mode)
+        if mode == "hardened":
+            assert [r.outcome for r in result.latency_records].count("rejected_malicious") == 2
+            assert len(result.alerts) == 2
+    # Only cut-short runs are walked, and each session found the spec as
+    # it was built.
+    assert budgets and math.inf not in budgets
+    assert vars(spec).keys() == fields.keys()
+    assert all(vars(spec)[name] is value for name, value in fields.items())
+    assert spec.runs is runs and spec.runs == contents
+    assert all(spec.runs[key] is run for key, run in contents.items())
+    assert spec.unknown_run is unknown_run
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,22 +377,9 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
         for i, key in enumerate(data.draw(st.lists(st.sampled_from(keys), max_size=15)))
     ]
     config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny)
-    unbounded_walks = Counter()
-    real_walk = simruntime._walk_oracle
+    cached = run_session(spec, workload, config, mode=mode)
 
-    def counted(spec, request, watchdog_ms=math.inf):
-        if watchdog_ms == math.inf and request in spec.handlers:
-            unbounded_walks[request] += 1
-        return real_walk(spec, request, watchdog_ms)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simruntime, "_walk_oracle", counted)
-        cached = run_session(spec, workload, config, mode=mode)
-    # Whatever the budgets, each handler is walked without one at most once.
-    assert all(count == 1 for count in unbounded_walks.values())
-    assert spec.verdicts.keys() == unbounded_walks.keys()
-
-    # The oracle walked afresh at every consultation, with no table.
+    # The oracle walked afresh at every consultation, without ``spec.runs``.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "run_oracle", simruntime._walk_oracle)
         walked = run_session(spec, workload, config, mode=mode)
@@ -425,7 +391,7 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
 # --- pretraining ---------------------------------------------------------------
 
 def test_pretrain_empty_equals_new_policy():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
     driver = SessionDriver(spec, ControllerConfig(pretrain_requests=()))
     assert driver.policy_log == []
     assert driver.policy == new_policy()
@@ -433,39 +399,39 @@ def test_pretrain_empty_equals_new_policy():
 
 def test_pretrain_rejects_exploit_requests():
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=0, injected=("ptrace",))
-    spec = _spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
+    spec = make_spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
     with pytest.raises(ExploitInTrainingSet):
         SessionDriver(spec, ControllerConfig(pretrain_requests=("evil",)))
 
 
 def test_pretrained_session_replays_without_consultation():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read", "write")),
         "b": RequestBehavior(trace=("openat",)),
     }, extra={"sigaltstack"})
     config = ControllerConfig(pretrain_requests=("a", "b"))
-    result = run_session(spec, _requests("a", "b", "a"), config)
+    result = run_session(spec, requests("a", "b", "a"), config)
     assert result.consultations == 0
     assert all(e.source == "pretrain" for e in result.policy_log)
 
 
 def test_pretrain_over_all_handlers_matches_full_session_policy():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read", "write")),
         "b": RequestBehavior(trace=("openat",)),
     }, extra={"sigaltstack"})
     trained = SessionDriver(spec, ControllerConfig(pretrain_requests=tuple(sorted(spec.handlers))))
-    session = run_session(spec, _requests("a", "b"), CFG)
+    session = run_session(spec, requests("a", "b"), CFG)
     assert trained.policy.allow == session.final_policy.allow
 
 
 def test_pretrain_log_replays_to_final_policy():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read", "write")),
         "b": RequestBehavior(trace=("openat",)),
     }, extra={"sigaltstack"})
     config = ControllerConfig(pretrain_requests=("a",))
-    result = run_session(spec, _requests("b", "a"), config)
+    result = run_session(spec, requests("b", "a"), config)
     assert replay_log(result.policy_log).allow == result.final_policy.allow
 
 

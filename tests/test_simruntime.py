@@ -1,8 +1,9 @@
 import dataclasses
 import math
+from functools import partial
 
 import pytest
-from conftest import DENY_POOL, SYSCALL_POOL, service_specs
+from conftest import DENY_POOL, SYSCALL_POOL, make_spec, service_specs
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from timeloops.simruntime import (
     Malicious,
     PolicyViolation,
     RequestBehavior,
-    ServiceSpec,
     WatchdogTimeout,
     _walk_oracle,
     exploit_category,
@@ -29,20 +29,7 @@ from timeloops.simruntime import (
 
 CHEAP = CostModel(base_request_ms=1.0, production_per_syscall_ms=2.0,
                   oracle_slowdown_factor=3.0, restart_ms=10.0)
-
-
-def _spec(handlers, universe=None, extra=(), cost=CHEAP):
-    if universe is None:
-        universe = set()
-        for b in handlers.values():
-            universe.update(b.trace)
-    return ServiceSpec(
-        name="svc",
-        handlers=handlers,
-        static_universe=frozenset(universe),
-        oracle_extra=frozenset(extra),
-        cost_model=cost,
-    )
+_spec = partial(make_spec, cost=CHEAP)
 
 
 def _allow(*names):
@@ -172,12 +159,12 @@ def test_a_cut_short_verdict_is_never_stored():
     assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
 
 
-def test_unknown_keys_add_no_verdict():
+def test_an_unknown_key_runs_in_the_oracle_as_an_empty_handler():
     spec = _spec({"r": RequestBehavior(trace=("read",))}, extra=("sigaltstack",))
     for budget in (math.inf, 2.0, math.inf):
-        run_oracle(spec, "nope", budget)
+        assert run_oracle(spec, "nope", budget) == _walk_oracle(spec, "nope", budget)
+    assert run_oracle(spec, "nope", 2.0) == (WatchdogTimeout(), 0.0)
     assert run_oracle(spec, "nope") == (Benign(frozenset({"sigaltstack"})), 3.0)
-    assert spec.verdicts == {}
 
 
 def test_oracle_cost_dominates_production_cost():
@@ -253,19 +240,18 @@ def test_oracle_run_within_its_budget_equals_the_unbounded_run(spec, data):
                         math.nextafter(elapsed, math.inf)))
     key = data.draw(st.sampled_from(keys))
     watchdog_ms = data.draw(st.sampled_from(sorted(budgets)))
-    # Both runs are walked: through the verdict table, which rests on this
-    # property, the first check would hold by construction.
+    # Both runs are walked: ``run_oracle``'s unbounded run, built with the
+    # spec, rests on this property, so through it the first check would hold
+    # by construction.
     unbounded = _walk_oracle(spec, key)
     bounded = _walk_oracle(spec, key, watchdog_ms)
     if unbounded[1] <= watchdog_ms:
         assert bounded == unbounded
     else:
         assert bounded[1] <= unbounded[1]
-    # The table gives what a walk gives, whichever budget comes first, and
-    # holds at most one entry per handler.
+    # ``run_oracle`` gives what a walk gives, whichever budget comes first.
     for budget in data.draw(st.permutations([watchdog_ms, math.inf])):
         assert run_oracle(spec, key, budget) == _walk_oracle(spec, key, budget)
-    assert spec.verdicts.keys() <= spec.handlers.keys()
 
 
 @given(spec=oracle_specs(), data=st.data())

@@ -6,7 +6,7 @@ import math
 import tracemalloc
 
 import pytest
-from conftest import spec_workload_deny
+from conftest import make_spec, requests, spec_workload_deny
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,16 +35,14 @@ from timeloops.policy import new_policy
 from timeloops.simruntime import (
     Benign,
     Completed,
-    CostModel,
     DeniedSyscallHit,
     ExploitSpec,
     Malicious,
     PolicyViolation,
     RequestBehavior,
-    ServiceSpec,
     WatchdogTimeout,
 )
-from timeloops.workload import Request, generate_workload
+from timeloops.workload import generate_workload
 
 SINGLE = ControllerConfig()
 WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
@@ -94,24 +92,6 @@ VOCABULARY = {
     ("halted", "shutdown", "single"): ("halted", "shutdown", "halted", ("log_event",)),
 }
 CONFIGS = {"single": SINGLE, "watchdog": WATCHDOG}
-
-
-def _spec(handlers, extra=()):
-    universe = set()
-    for behavior in handlers.values():
-        universe.update(behavior.trace)
-    return ServiceSpec(
-        name="svc",
-        handlers=handlers,
-        static_universe=frozenset(universe),
-        oracle_extra=frozenset(extra),
-        cost_model=CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
-                             oracle_slowdown_factor=2.0, restart_ms=5.0),
-    )
-
-
-def _requests(*keys):
-    return [Request(logical_id=i, key=k) for i, k in enumerate(keys)]
 
 
 def _trace(transitions):
@@ -174,7 +154,7 @@ def test_vocabulary_covers_every_pair_step_accepts():
 @pytest.mark.parametrize("pair", sorted(VOCABULARY), ids="-".join)
 def test_transition_labels_are_pinned(pair):
     state, event, mode = pair
-    driver = SessionDriver(_spec({}), CONFIGS[mode])
+    driver = SessionDriver(make_spec({}), CONFIGS[mode])
     driver.state = STATES[state]
     driver._transition(EVENTS[event])
     t = driver.transition_trace[-1]
@@ -184,7 +164,7 @@ def test_transition_labels_are_pinned(pair):
 def test_event_labels_are_interned():
     assert PolicyViolation("write", 0).label is PolicyViolation("write", 3).label
     assert DeniedSyscallHit("mount").label is DeniedSyscallHit("mount").label
-    driver = SessionDriver(_spec({}), SINGLE)
+    driver = SessionDriver(make_spec({}), SINGLE)
     for event in (PolicyViolation("write", 0), PolicyViolation("write", 1),
                   DeniedSyscallHit("mount"), DeniedSyscallHit("mount")):
         driver.state = ProductionRunning()
@@ -203,8 +183,8 @@ def test_to_json_equals_the_indented_dump(bundle, oracle_mode):
 
 
 def test_unhardened_session_renders_an_empty_transition_list():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
-    result = run_session(spec, _requests("r", "r"), mode="unhardened")
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
+    result = run_session(spec, requests("r", "r"), mode="unhardened")
     assert list(result.transition_trace) == []
     _assert_renders_like_json(result)
     assert '\n  "transitions": [],\n' in result.to_json()
@@ -215,12 +195,12 @@ def test_alerts_and_denied_syscall_events_render_like_json():
                                injected=("mount",))
     detectable = ExploitSpec(kind="oracle_detectable", corruption_index=1,
                              injected=("ptrace",))
-    spec = _spec({
+    spec = make_spec({
         "good": RequestBehavior(trace=("read", "write")),
         'deny "é"': RequestBehavior(trace=("read",), exploit=undetectable),
         "evil\n": RequestBehavior(trace=("read", "write"), exploit=detectable),
     })
-    result = run_session(spec, _requests("good", 'deny "é"', "evil\n", "good"),
+    result = run_session(spec, requests("good", 'deny "é"', "evil\n", "good"),
                          ControllerConfig(deny=frozenset({"mount"})))
     assert len(result.alerts) == 2
     assert any(t.event == "prod_exited:denied_syscall:mount" for t in result.transition_trace)
@@ -272,7 +252,7 @@ def test_transition_trace_is_a_sequence_of_transitions():
 
 
 def test_trace_rows_hold_the_drivers_labels():
-    driver = SessionDriver(_spec({}), SINGLE)
+    driver = SessionDriver(make_spec({}), SINGLE)
     events = [PolicyViolation("read", 0), Benign(frozenset({"read"})), Completed(),
               Completed(), DeniedSyscallHit("mount"), Shutdown()]
     for event in events:
@@ -329,7 +309,7 @@ def test_to_json_holds_little_beside_its_document(staticsite):
 
 
 def test_a_long_trace_stays_compact():
-    driver = SessionDriver(_spec({}), SINGLE)
+    driver = SessionDriver(make_spec({}), SINGLE)
     completed = Completed()
     tracemalloc.start()
     try:

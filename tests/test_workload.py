@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT, spec_workload_deny
+from conftest import REPO_ROOT, make_spec, spec_workload_deny
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from timeloops.controller import (
     run_session,
 )
 from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
-from timeloops.simruntime import CostModel, RequestBehavior, ServiceSpec
+from timeloops.simruntime import CostModel, RequestBehavior
 from timeloops.workload import (
     LATENCY_CSV_HEADER,
     OUTCOMES,
@@ -34,24 +34,6 @@ from timeloops.workload import (
     write_cumulative_csv,
     write_latency_csv,
 )
-
-
-def _spec(handlers, cost=None):
-    universe = set()
-    for b in handlers.values():
-        universe.update(b.trace)
-    return ServiceSpec(
-        name="svc",
-        handlers=handlers,
-        static_universe=frozenset(universe),
-        oracle_extra=frozenset(),
-        cost_model=cost or CostModel(
-            base_request_ms=1.0,
-            production_per_syscall_ms=1.0,
-            oracle_slowdown_factor=2.0,
-            restart_ms=5.0,
-        ),
-    )
 
 
 def _timed_record(lid, first, completion, outcome="served", key="r"):
@@ -73,7 +55,7 @@ def _record(lid, latency, outcome="served", key="r"):
 def test_first_try_request_has_single_attempt_and_base_cost():
     cost = CostModel(base_request_ms=2.0, production_per_syscall_ms=3.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
+    spec = make_spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
     config = ControllerConfig(pretrain_requests=("r",))
     result = run_session(spec, [Request(0, "r")], config)
     record = result.latency_records[0]
@@ -84,7 +66,7 @@ def test_first_try_request_has_single_attempt_and_base_cost():
 def test_retry_after_violation_includes_restart_and_oracle_cost():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=3.0, restart_ms=50.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"))},
+    spec = make_spec({"r": RequestBehavior(trace=("read", "write", "openat"))},
                  cost=cost)
     result = run_session(spec, [Request(0, "r")], ControllerConfig())
     record = result.latency_records[0]
@@ -96,7 +78,7 @@ def test_retry_after_violation_includes_restart_and_oracle_cost():
 
 
 def test_all_attempts_reuse_the_same_key():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
     result = run_session(spec, [Request(0, "r")], ControllerConfig())
     assert result.latency_records[0].key == "r"
     assert result.latency_records[0].attempts == 2
@@ -107,7 +89,7 @@ def test_attempts_exhausted_is_distinct_error():
     # so the request fails production, times out in the oracle, forever.
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=10.0,
                      oracle_slowdown_factor=2.0, restart_ms=1.0)
-    spec = _spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
+    spec = make_spec({"r": RequestBehavior(trace=("read", "write"))}, cost=cost)
     config = ControllerConfig(watchdog_ms=15.0)
     with pytest.raises(AttemptsExhausted):
         run_session(spec, [Request(0, "r")], config)
@@ -116,19 +98,19 @@ def test_attempts_exhausted_is_distinct_error():
 # --- workload generation --------------------------------------------------------
 
 def test_generate_zero_requests():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
     assert generate_workload(spec, 0, 1, {"r": 1.0}) == []
 
 
 def test_single_key_mix_is_forced():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
     workload = generate_workload(spec, 5, 9, {"r": 2.5})
     assert [r.key for r in workload] == ["r"] * 5
     assert [r.logical_id for r in workload] == [0, 1, 2, 3, 4]
 
 
 def test_same_seed_same_sequence():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read",)),
         "b": RequestBehavior(trace=("write",)),
     })
@@ -138,7 +120,7 @@ def test_same_seed_same_sequence():
 
 
 def test_weight_fidelity_over_fixed_seed_corpus():
-    spec = _spec({
+    spec = make_spec({
         "a": RequestBehavior(trace=("read",)),
         "b": RequestBehavior(trace=("write",)),
     })
@@ -150,7 +132,7 @@ def test_weight_fidelity_over_fixed_seed_corpus():
 
 
 def test_empty_mix_errors():
-    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
     with pytest.raises(EmptyMix):
         generate_workload(spec, 5, 1, {})
     with pytest.raises(EmptyMix):
