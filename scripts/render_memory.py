@@ -16,7 +16,7 @@ import timeit
 import tracemalloc
 
 from timeloops.cli import _default_mix, _parse_mix
-from timeloops.controller import ControllerConfig, run_session
+from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.policy import export_seccomp
 from timeloops.simruntime import load_scenario
@@ -32,7 +32,7 @@ def main():
     parser.add_argument("--n", type=int, required=True, help="number of logical requests")
     parser.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     parser.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
-    parser.add_argument("--oracle-mode", choices=("single", "watchdog"), default="single")
+    parser.add_argument("--oracle-mode", choices=ORACLE_MODES, default="single")
     args = parser.parse_args()
 
     try:
@@ -41,10 +41,8 @@ def main():
         requests = generate_workload(spec, args.n, args.seed, mix)
     except TimeloopsError as exc:
         parser.error(str(exc))
-    config = ControllerConfig(
-        oracle_mode="until_watchdog" if args.oracle_mode == "watchdog" else "single_request")
     tracemalloc.start()
-    result = run_session(spec, requests, config)
+    result = run_session(spec, requests, ControllerConfig(oracle_mode=args.oracle_mode))
     del requests
     held = tracemalloc.get_traced_memory()[0]
     renders = {

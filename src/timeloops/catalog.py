@@ -128,7 +128,7 @@ def load_fixture(path: str | Path) -> PolicyComparisonTable:
     """Load a comparison-table CSV (see the bundled fixture for the format)."""
     try:
         return parse_fixture(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"fixture {path}: {exc}") from exc
 
 

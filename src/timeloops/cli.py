@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, catalog, workload
-from .controller import SESSION_MODES, ControllerConfig, SessionResult, run_session
+from .controller import ORACLE_MODES, SESSION_MODES, ControllerConfig, SessionResult, run_session
 from .errors import AttemptsExhausted, ConfigError, MissingCategory, ParseError
 from .policy import SyscallPolicy, export_seccomp, save_log
 from .simruntime import ServiceSpec, exploit_category, load_scenario, pick_service
@@ -45,17 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     sim.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
     sim.add_argument("--mode", choices=SESSION_MODES, default="timeloops")
-    sim.add_argument("--oracle-mode", choices=("single", "watchdog"), default="single")
+    sim.add_argument("--oracle-mode", choices=ORACLE_MODES, default="single",
+                     help="the oracle serves one request, or every request until its watchdog")
     sim.add_argument("--watchdog-ms", type=float, default=10_000.0)
     sim.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     sim.add_argument("--pretrain", default=None, help="key[,key...] pretraining requests")
     sim.add_argument("--out", default="./out", help="output directory")
-    sim.add_argument("--fixture", default=None, help="comparison-table CSV for the podman preset")
 
     dif = sub.add_parser("diff", help="compare two policy files")
     dif.add_argument("policy_a")
     dif.add_argument("policy_b")
-    dif.add_argument("--fixture", default=None, help="comparison-table CSV for CVE annotations")
 
     exp = sub.add_parser("export-seccomp", help="print the seccomp profile of a policy file")
     exp.add_argument("policy")
@@ -68,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--seed", type=int, default=0, help="warmup workload seed")
     atk.add_argument("--service", default=None, help="service name (default: first)")
     return parser
-
-
-def _load_table(fixture: str | None) -> catalog.PolicyComparisonTable:
-    if fixture is None:
-        return catalog.load_default_fixture()
-    return catalog.load_fixture(fixture)
 
 
 def _parse_mix(text: str) -> dict[str, float]:
@@ -105,8 +98,9 @@ def _default_mix(spec: ServiceSpec) -> dict[str, float]:
 def _load_policy_file(path: str) -> SyscallPolicy:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    # ValueError covers undecodable bytes and malformed JSON.
-    except (ValueError, RecursionError) as exc:
+    # OSError covers a path that cannot be read; ValueError undecodable
+    # bytes and malformed JSON.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if isinstance(obj, dict) and "final_policy" in obj:
         obj = obj["final_policy"]
@@ -125,10 +119,10 @@ def cmd_simulate(args) -> int:
     spec = pick_service(specs, args.service)
     deny = frozenset()
     if args.deny_preset == "podman":
-        deny = catalog.podman_default_deny(_load_table(args.fixture))
+        deny = catalog.podman_default_deny(catalog.load_default_fixture())
     pretrain_keys = tuple(k for k in args.pretrain.split(",") if k) if args.pretrain else ()
     config = ControllerConfig(
-        oracle_mode="until_watchdog" if args.oracle_mode == "watchdog" else "single_request",
+        oracle_mode=args.oracle_mode,
         watchdog_ms=args.watchdog_ms,
         deny=deny,
         pretrain_requests=pretrain_keys,
@@ -180,7 +174,7 @@ def _write_in_slices(f, text: str) -> None:
 def cmd_diff(args) -> int:
     a = _load_policy_file(args.policy_a)
     b = _load_policy_file(args.policy_b)
-    table = _load_table(args.fixture)
+    table = catalog.load_default_fixture()
     report = analysis.compare([("A", a), ("B", b)], table=table)
     sys.stdout.write(report.to_text())
     return 0
@@ -194,7 +188,10 @@ def cmd_export_seccomp(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    table = _load_table(args.fixture)
+    if args.fixture is None:
+        table = catalog.load_default_fixture()
+    else:
+        table = catalog.load_fixture(args.fixture)
     report = analysis.verify_paper_claims(table)
     sys.stdout.write(report.to_text())
     return 0 if report.all_pass else 1
@@ -334,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # An input path that names no readable file is malformed input, like its bytes.
-    except (ParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    # Each loader reports an input path it cannot read as a ParseError, like
+    # malformed bytes, so that a failed write is never taken for bad input.
+    except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AttemptsExhausted as exc:

@@ -50,7 +50,7 @@ from .simruntime import (
     run_unrestricted,
 )
 
-ORACLE_MODES = ("single_request", "until_watchdog")
+ORACLE_MODES = ("single", "watchdog")
 SESSION_MODES = ("timeloops", "unhardened", "hardened")
 
 
@@ -125,7 +125,7 @@ ControllerAction = StartProduction | StartOracle | UpdatePolicy | RaiseAlert | L
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    oracle_mode: str = "single_request"
+    oracle_mode: str = "single"
     watchdog_ms: float = 10_000.0
     deny: frozenset[str] = field(default_factory=frozenset)
     pretrain_requests: tuple[str, ...] = ()
@@ -160,7 +160,7 @@ def step(
             )
     elif type(state) is OracleRunning:
         if type(event) is Benign:
-            if config.oracle_mode == "until_watchdog":
+            if config.oracle_mode == "watchdog":
                 return state, (UpdatePolicy(event.observed),)
             return ProductionRunning(), (UpdatePolicy(event.observed), StartProduction())
         if type(event) is Malicious:
@@ -308,6 +308,9 @@ class SessionDriver:
     The driver owns the policy, the controller state and the virtual clock.
     ``attempt`` processes one client attempt, advancing the clock by run
     costs, restart costs and any queueing delay while a container starts.
+    ``ready_at`` is when the last container started is ready; every way out
+    of ``OracleRunning`` starts production, so while the oracle runs it is
+    when the oracle started, and its watchdog tenure counts from there.
     ``shutdown`` halts the controller at the end of the session.
 
     The driver learns into a live allow-list: ``_learn`` adds the new names
@@ -335,8 +338,6 @@ class SessionDriver:
         # Initial start is free; restart cost applies only to violation- and
         # oracle-triggered starts.
         self.ready_at = 0.0
-        # When the running oracle container started; set by StartOracle.
-        self._oracle_started_ms = 0.0
         self.policy_log: list[PolicyLogEntry] = []
         self.alerts: list[Alert] = []
         self.transition_trace = TransitionTrace()
@@ -383,11 +384,10 @@ class SessionDriver:
         restart = self.spec.cost_model.restart_ms
         for action in actions:
             kind = type(action)
-            if kind is StartOracle:
-                self._oracle_started_ms = self.ready_at = self.now + restart
-            elif kind is StartProduction:
+            if kind is StartProduction or kind is StartOracle:
                 self.ready_at = self.now + restart
-                self.policy = self.snapshot()
+                if kind is StartProduction:
+                    self.policy = self.snapshot()
             elif kind is UpdatePolicy:
                 try:
                     self._learn(action.new_syscalls, "oracle")
@@ -420,7 +420,7 @@ class SessionDriver:
         if self.now < self.ready_at:
             self.now = self.ready_at
         state = type(self.state)
-        if state is OracleRunning and self.now - self._oracle_started_ms >= self.config.watchdog_ms:
+        if state is OracleRunning and self.now - self.ready_at >= self.config.watchdog_ms:
             self._transition(WatchdogFired())
             self.now = self.ready_at
             state = ProductionRunning
@@ -432,7 +432,7 @@ class SessionDriver:
             if type(event) is PolicyViolation and event.syscall in self.policy.deny:
                 event = DeniedSyscallHit(event.syscall)
         elif state is OracleRunning:
-            remaining = self.config.watchdog_ms - (self.now - self._oracle_started_ms)
+            remaining = self.config.watchdog_ms - (self.now - self.ready_at)
             event, elapsed = run_oracle(self.spec, request.key, remaining)
             self.consultations += 1
         else:
@@ -487,7 +487,8 @@ def run_session(
     rejected by an alert, or ``workload.MAX_ATTEMPTS`` attempts fail; the
     baseline modes run each request once. Every mode starts from the
     pretrained policy. Fully deterministic for a given (spec, workload,
-    config, mode).
+    config, mode). A session whose virtual clock does not stay finite is a
+    :class:`ConfigError`.
     """
     config = config if config is not None else ControllerConfig()
     if mode not in SESSION_MODES:
@@ -501,17 +502,18 @@ def run_session(
         )
     driver = SessionDriver(spec, config)
     if mode != "timeloops":
-        # Nothing is learned: the policy stays the pretrained one.
-        alerts: list[Alert] = []
+        # Nothing is learned or traced: the result holds the pretrained
+        # policy and an empty trace.
         records = workload_mod.LatencyTable(
-            _baseline_rows(spec, workload, mode, alerts))
-        return SessionResult(final_policy=driver.policy, policy_log=driver.policy_log,
-                             latency_records=records, alerts=alerts,
-                             transition_trace=TransitionTrace(), consultations=0)
-    records = workload_mod.LatencyTable(
-        workload_mod.send_with_retry(request, driver) for request in workload
-    )
-    driver.shutdown()
+            _baseline_rows(spec, workload, mode, driver.alerts))
+    else:
+        records = workload_mod.LatencyTable(
+            workload_mod.send_with_retry(request, driver) for request in workload
+        )
+        driver.shutdown()
+    # The clock never runs back, so the last record's completion is its largest value.
+    if not math.isfinite(records.completion_ms[-1]):
+        raise ConfigError(f"the virtual clock overflows within {len(records)} requests")
     return SessionResult(
         # A session can end while the oracle runs, after the last snapshot.
         final_policy=driver.snapshot(),

@@ -181,7 +181,7 @@ def save_log(entries: Iterable[PolicyLogEntry], path: str | Path) -> None:
 def load_log(path: str | Path) -> list[PolicyLogEntry]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"policy log {path}: {exc}") from exc
     entries: list[PolicyLogEntry] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

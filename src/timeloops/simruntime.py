@@ -390,8 +390,9 @@ def load_scenario(path: str | Path) -> list[ServiceSpec]:
     """Load and validate a scenario file (one or more service definitions)."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    # ValueError covers undecodable bytes and malformed JSON.
-    except (ValueError, RecursionError) as exc:
+    # OSError covers a path that cannot be read; ValueError undecodable
+    # bytes and malformed JSON.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"scenario {path}: {exc}") from exc
     if not isinstance(obj, dict) or "services" not in obj:
         raise ScenarioError(f"scenario {path}: top-level object must contain 'services'")

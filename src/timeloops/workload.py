@@ -90,14 +90,13 @@ def _like(column, values: Iterable):
 
 class LatencyTable(Sequence[LatencyRecord]):
     """Latency records as a read-only sequence of :class:`LatencyRecord`,
-    ordered by logical id, in columns: ``ids``, ``first_ms`` and
+    in the order they are given, in columns: ``ids``, ``first_ms`` and
     ``completion_ms`` are arrays, ``keys``, ``attempts`` and ``outcomes``
-    lists.
+    lists. A session gives them in the order it ran them, which is
+    logical-id order for any generated workload.
 
-    The records, or tuples of their fields, are transposed once, and sorted
-    only if their ids are not already ascending; the sort is stable, so
-    records that share an id keep their order. An id must fit in a signed
-    64-bit integer, and the times are kept as floats.
+    The records, or tuples of their fields, are transposed once. An id must
+    fit in a signed 64-bit integer, and the times are kept as floats.
 
     This is where records are checked, once, on the columns: attempts
     must be at least 1, a completion time must not precede its first
@@ -115,11 +114,6 @@ class LatencyTable(Sequence[LatencyRecord]):
         if not set(self.outcomes).issubset(OUTCOMES):
             unknown = next(o for o in self.outcomes if o not in OUTCOMES)
             raise ValueError(f"unknown outcome: {unknown!r}")
-        ids = self.ids.tolist()
-        if ids != sorted(ids):
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            self._set([_like(column, map(column.__getitem__, order))
-                       for column in self._columns()])
 
     def _set(self, columns) -> None:
         self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes = columns
@@ -235,7 +229,7 @@ def _percentile(ordered: list[float], q: float) -> float:
 def summarize(records: Sequence[LatencyRecord]) -> LatencyStats:
     """Latency statistics; percentiles use linear interpolation between
     order statistics, so e.g. the p50 of [1, 2, 3, 4] is 2.5. The cumulative
-    series runs in logical-id order."""
+    series runs in record order, the order the session ran its requests."""
     if not records:
         raise EmptyRecords("no latency records to summarize")
     table = _table(records)
@@ -262,7 +256,8 @@ def _csv_field(value) -> str:
 
 
 def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
-    """The latency CSV, byte-identical to writing each row with ``csv.writer``.
+    """The latency CSV, one row per record in record order, byte-identical
+    to writing each row with ``csv.writer``.
 
     Only the key can need quoting; each distinct key is quoted once. A start
     time equal to its predecessor's completion time is written once, unless
@@ -298,7 +293,7 @@ def write_latency_csv(records: Sequence[LatencyRecord], path: str | Path) -> Non
 
 
 def render_cumulative_csv(records: Sequence[LatencyRecord]) -> str:
-    """Running latency sum by request order: the convergence-plot series."""
+    """Running latency sum in record order: the convergence-plot series."""
     table = _table(records)
     rows = ["logical_id,cumulative_latency_ms\n"]
     total = 0.0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, fixture_csv
@@ -9,7 +10,7 @@ from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, fixture_csv
 from timeloops import cli, errors
 from timeloops.catalog import load_default_fixture
 from timeloops.cli import main
-from timeloops.controller import ControllerConfig, run_session
+from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.simruntime import load_scenario
 from timeloops.workload import MAX_ATTEMPTS, generate_workload
 
@@ -76,6 +77,19 @@ def test_simulate_watchdog_oracle_mode(tmp_path):
          "pread64", "pipe", "socketpair", "umask", "mkdir", "pwrite64", "rename",
          "utimes", "sigaltstack", "madvise", "readlink"}
     )
+
+
+@pytest.mark.parametrize("oracle_mode", ORACLE_MODES)
+def test_each_oracle_mode_choice_is_the_config_value(tmp_path, monkeypatch, oracle_mode):
+    configs = []
+
+    def session(spec, requests, config, mode):
+        configs.append(config)
+        return run_session(spec, requests, config, mode)
+
+    monkeypatch.setattr(cli, "run_session", session)
+    assert _simulate(tmp_path, ["--oracle-mode", oracle_mode]) == 0
+    assert [config.oracle_mode for config in configs] == [oracle_mode]
 
 
 def test_simulate_unknown_service_exits_2(tmp_path):
@@ -206,6 +220,21 @@ def test_malformed_scenario_exits_2(tmp_path):
 def test_unknown_flag_exits_1(capsys):
     assert main(["simulate", "--bogus"]) == 1
     assert "error" in capsys.readouterr().err
+    # Only verify-paper reads a comparison table other than the bundled one.
+    assert main(["simulate", "--scenario", STATICSITE, "--fixture", "F"]) == 1
+    assert main(["diff", "A", "B", "--fixture", "F"]) == 1
+    assert capsys.readouterr().err.count("unrecognized arguments: --fixture F") == 2
+
+
+def test_an_unreadable_scenario_exits_2(tmp_path, capsys, monkeypatch):
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert main(["simulate", "--scenario", STATICSITE, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: scenario {STATICSITE}: [Errno 13] Permission denied: '{STATICSITE}'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_diff_identical_files(tmp_path, capsys):

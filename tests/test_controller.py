@@ -47,7 +47,7 @@ from timeloops.simruntime import (
 from timeloops.workload import Request
 
 CFG = ControllerConfig()
-CFG_WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
+CFG_WATCHDOG = ControllerConfig(oracle_mode="watchdog")
 
 
 # --- step: the pure transition function ---------------------------------------
@@ -71,7 +71,7 @@ def test_benign_outcome_updates_policy_and_restarts_production():
     assert actions == (UpdatePolicy(observed), StartProduction())
 
 
-def test_benign_outcome_keeps_oracle_alive_until_watchdog():
+def test_benign_outcome_keeps_oracle_alive_in_watchdog_mode():
     observed = frozenset({"read"})
     before = OracleRunning()
     state, actions = step(before, Benign(observed), CFG_WATCHDOG)
@@ -215,7 +215,7 @@ def test_production_denied_hit_skips_oracle():
     assert any(t.event == "prod_exited:denied_syscall:mount" for t in result.transition_trace)
 
 
-def test_until_watchdog_mode_serves_from_oracle_then_switches_back():
+def test_watchdog_mode_serves_from_oracle_then_switches_back():
     cost = CostModel(base_request_ms=1.0, production_per_syscall_ms=1.0,
                      oracle_slowdown_factor=2.0, restart_ms=5.0)
     spec = make_spec(
@@ -223,7 +223,7 @@ def test_until_watchdog_mode_serves_from_oracle_then_switches_back():
          "b": RequestBehavior(trace=("write",))},
         cost=cost,
     )
-    config = ControllerConfig(oracle_mode="until_watchdog", watchdog_ms=12.0)
+    config = ControllerConfig(oracle_mode="watchdog", watchdog_ms=12.0)
     result = run_session(spec, requests("a", "a", "b", "a"), config)
     assert result.final_policy.allow == {"read", "write"}
     assert any(t.event == "watchdog_fired" for t in result.transition_trace)
@@ -237,7 +237,7 @@ def test_oracle_mode_equivalence_on_benign_workload():
     }, extra={"sigaltstack"})
     workload = requests("a", "b", "a", "b", "a")
     single = run_session(spec, workload, ControllerConfig())
-    watchdog = run_session(spec, workload, ControllerConfig(oracle_mode="until_watchdog"))
+    watchdog = run_session(spec, workload, ControllerConfig(oracle_mode="watchdog"))
     assert single.final_policy.allow == watchdog.final_policy.allow
 
 
@@ -484,7 +484,7 @@ def test_oracle_modes_converge_to_equal_policies(bundle):
     spec, workload, deny = bundle
     single = run_session(spec, workload, ControllerConfig(deny=deny))
     watchdog = run_session(
-        spec, workload, ControllerConfig(oracle_mode="until_watchdog", deny=deny)
+        spec, workload, ControllerConfig(oracle_mode="watchdog", deny=deny)
     )
     assert single.final_policy.allow == watchdog.final_policy.allow
 

@@ -64,6 +64,21 @@ def test_finite_costs_that_give_a_non_finite_run_exit_2(tmp_path, capsys, cost, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--mode", "unhardened"],
+    ["--mode", "timeloops", "--watchdog-ms", "1e308"],
+])
+def test_a_session_clock_that_overflows_exits_1(tmp_path, capsys, args):
+    # Each run is finite, but 5000 of them pass the largest float.
+    scenario = _scenario_with_cost(tmp_path, base_request_ms=1e305)
+    code = main(["simulate", "--scenario", str(scenario), "--n", "5000", *args,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: the virtual clock overflows within 5000 requests\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_non_finite_run_with_no_handler_is_scenario_error():
     cost = CostModel(base_request_ms=1e10, oracle_slowdown_factor=1e300)
     with pytest.raises(ScenarioError, match="a request with no handler: its production or oracle"):

@@ -45,7 +45,7 @@ from timeloops.simruntime import (
 from timeloops.workload import generate_workload
 
 SINGLE = ControllerConfig()
-WATCHDOG = ControllerConfig(oracle_mode="until_watchdog")
+WATCHDOG = ControllerConfig(oracle_mode="watchdog")
 
 STATES = {
     "production": ProductionRunning(),
@@ -286,7 +286,7 @@ def test_to_json_joins_fragments_like_json(name):
 
 def _long_session(staticsite):
     requests = generate_workload(staticsite, 10_000, 7, {"home": 8, "search": 1, "upload": 1})
-    return run_session(staticsite, requests, ControllerConfig(oracle_mode="until_watchdog"))
+    return run_session(staticsite, requests, ControllerConfig(oracle_mode="watchdog"))
 
 
 def test_long_session_renders_like_json(staticsite):

@@ -218,13 +218,31 @@ def test_cumulative_csv_running_sum():
     ]
 
 
+@pytest.mark.parametrize("mode", SESSION_MODES)
+def test_a_workload_out_of_id_order_is_written_in_run_order(tmp_path, mode):
+    spec = make_spec({"a": RequestBehavior(trace=("read",)),
+                      "b": RequestBehavior(trace=("write", "read"))})
+    workload = [Request(2, "b"), Request(0, "a"), Request(1, "b"), Request(5, "a")]
+    records = run_session(spec, workload, ControllerConfig(), mode=mode).latency_records
+    write_latency_csv(records, tmp_path / "latency.csv")
+    write_cumulative_csv(records, tmp_path / "cumulative.csv")
+    latency = [row.split(",") for row in (tmp_path / "latency.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[1]) for row in latency] == [("2", "b"), ("0", "a"), ("1", "b"), ("5", "a")]
+    completions = [float(row[4]) for row in latency]
+    assert all(a < b for a, b in zip(completions, completions[1:]))
+    cumulative = (tmp_path / "cumulative.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in cumulative] == ["2", "0", "1", "5"]
+    assert [float(row.split(",")[1]) for row in cumulative] == list(
+        summarize(records).cumulative)
+
+
 # Both renderers must stay byte-identical to writing every row with csv.writer.
 
 def _reference_latency_csv(records):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LATENCY_CSV_HEADER.split(","))
-    for r in sorted(records, key=lambda r: r.logical_id):
+    for r in records:
         writer.writerow([r.logical_id, r.key, r.attempts, r.first_attempt_ms,
                          r.completion_ms, r.latency_ms, r.outcome])
     return out.getvalue()
@@ -235,7 +253,7 @@ def _reference_cumulative_csv(records):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["logical_id", "cumulative_latency_ms"])
     total = 0.0
-    for r in sorted(records, key=lambda r: r.logical_id):
+    for r in records:
         total += r.latency_ms
         writer.writerow([r.logical_id, total])
     return out.getvalue()
@@ -273,10 +291,10 @@ def _records(draw):
 # Each boundary time shared by consecutive records, as in a closed loop,
 # then a start at -0.0: equal to the completion before it, written otherwise.
 @example([_timed_record(0, -1.0, 0.0), _timed_record(1, 0.0, 0.0), _timed_record(2, -0.0, 2.0)])
-# Ids out of order and shared, so the table sorts them, stably; the sort
-# brings a start time next to an equal completion time.
-@example([_timed_record(3, 2.0, 5.0, key="c"), _timed_record(1, 0.0, 2.0, key="a"),
-          _timed_record(3, 5.0, 5.0, key="d"), _timed_record(1, 2.0, 2.5, key="b"),
+# Ids out of order and shared: the rows keep the order given, each start
+# time next to an equal completion time.
+@example([_timed_record(3, 0.0, 2.0, key="c"), _timed_record(1, 2.0, 5.0, key="a"),
+          _timed_record(3, 5.0, 5.0, key="d"), _timed_record(1, 5.0, 5.5, key="b"),
           _timed_record(0, -0.0, 0.0)])
 @settings(max_examples=300)
 def test_renderers_match_csv_writer(records):
@@ -284,32 +302,31 @@ def test_renderers_match_csv_writer(records):
     assert render_cumulative_csv(records) == _reference_cumulative_csv(records)
 
 
-def test_latency_table_is_a_sequence_of_records_by_id():
+def test_latency_table_is_a_sequence_of_records_in_the_order_given():
     records = [_timed_record(2, 1.0, 3.0, key="b"), _timed_record(0, 0.0, 1.0),
                _timed_record(2, 3.0, 4.0, outcome="rejected_malicious"), _timed_record(1, 4.0, 9.0)]
-    by_id = sorted(records, key=lambda r: r.logical_id)
     table = LatencyTable(records)
-    assert len(table) == 4 and list(table) == by_id
+    assert len(table) == 4 and list(table) == records
     assert all(type(r) is LatencyRecord for r in table)
     for index in range(-4, 4):
-        assert table[index] == by_id[index]
+        assert table[index] == records[index]
     with pytest.raises(IndexError):
         table[4]
     with pytest.raises(TypeError):
         table[1:3]
-    assert table.index(by_id[2]) == 2 and by_id[3] in table
-    # The cumulative series follows the table, in id order.
-    assert summarize(records).cumulative == (1.0, 6.0, 8.0, 9.0)
+    assert table.index(records[2]) == 2 and records[3] in table
+    # The cumulative series follows the table, in the order given.
+    assert summarize(records).cumulative == (2.0, 3.0, 4.0, 9.0)
     served = table.served()
-    assert list(served) == [r for r in by_id if r.outcome == "served"]
+    assert list(served) == [r for r in records if r.outcome == "served"]
     assert served.served() is served
     assert not LatencyTable() and list(LatencyTable()) == []
 
 
 def test_latency_table_ids_are_signed_64_bit():
     # Ids live in an array of signed 64-bit integers, which rejects a larger one.
-    assert list(LatencyTable([_record(2**63 - 1, 1.0), _record(-2**63, 2.0)])) == [
-        _record(-2**63, 2.0), _record(2**63 - 1, 1.0)]
+    records = [_record(2**63 - 1, 1.0), _record(-2**63, 2.0)]
+    assert list(LatencyTable(records)) == records
     for logical_id in (2**63, -2**63 - 1):
         with pytest.raises(OverflowError):
             LatencyTable([_record(logical_id, 1.0)])
