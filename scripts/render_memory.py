@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
 """Wall time and memory of each `simulate` renderer, for one session.
 
-Runs one session as `timeloops simulate` does, then renders its artifacts
-one at a time: `SessionResult.to_json`, the latency and cumulative CSVs and
-`export_seccomp`. For each it prints the output size, the best wall time of
-three renders with tracing off, and the tracemalloc peak above what was
+Loads a scenario and runs one session as `timeloops simulate` does, then
+renders its artifacts one at a time: `SessionResult.to_json`, the latency
+and cumulative CSVs and `export_seccomp`. It prints what the loaded spec
+holds and, with the spec freed as `simulate` frees it, what is held after
+the session. For each renderer it prints the output size, the best wall time
+of three renders with tracing off, and the tracemalloc peak above what was
 held before the render, that is, what the render adds to the process peak.
 
     python3 scripts/render_memory.py --scenario S --n N [--seed K] [--mix key=w,...]
-                                     [--oracle-mode single|watchdog]
+                                     [--oracle-mode single|watchdog] [--watchdog-ms MS]
+                                     [--deny-preset none|podman]
 """
 
 import argparse
 import timeit
 import tracemalloc
 
+from timeloops.catalog import load_default_fixture, podman_default_deny
 from timeloops.cli import _default_mix, _parse_mix
 from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
@@ -33,17 +37,25 @@ def main():
     parser.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     parser.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
     parser.add_argument("--oracle-mode", choices=ORACLE_MODES, default="single")
+    parser.add_argument("--watchdog-ms", type=float, default=10_000.0)
+    parser.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     args = parser.parse_args()
 
+    tracemalloc.start()
     try:
         spec = load_scenario(args.scenario)[0]
+        loaded = tracemalloc.get_traced_memory()[0]
+        deny = frozenset()
+        if args.deny_preset == "podman":
+            deny = podman_default_deny(load_default_fixture())
+        config = ControllerConfig(oracle_mode=args.oracle_mode, watchdog_ms=args.watchdog_ms,
+                                  deny=deny)
         mix = _parse_mix(args.mix) if args.mix else _default_mix(spec)
         requests = generate_workload(spec, args.n, args.seed, mix)
+        result = run_session(spec, requests, config)
     except TimeloopsError as exc:
         parser.error(str(exc))
-    tracemalloc.start()
-    result = run_session(spec, requests, ControllerConfig(oracle_mode=args.oracle_mode))
-    del requests
+    del spec, requests
     held = tracemalloc.get_traced_memory()[0]
     renders = {
         "to_json": result.to_json,
@@ -59,8 +71,9 @@ def main():
         measured[name] = size, tracemalloc.get_traced_memory()[1] - before
     tracemalloc.stop()
 
-    print(f"held after the session: {held / MB:.2f} MB "
-          f"({len(result.transition_trace)} transitions, {len(result.latency_records)} records)")
+    print(f"held by the loaded spec: {loaded / MB:.2f} MB; held after the session: "
+          f"{held / MB:.2f} MB ({len(result.transition_trace)} transitions, "
+          f"{len(result.latency_records)} records)")
     print(f"{'renderer':<16} {'out_mb':>8} {'wall_ms':>8} {'peak_mb':>8} {'peak/out':>8}")
     for name, render in renders.items():
         size, peak = measured[name]

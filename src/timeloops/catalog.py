@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -40,9 +41,12 @@ DEFAULT_FIXTURE = "policy_comparison.csv"
 
 
 def validate_syscall_name(name: str) -> str:
+    """``name`` if it is a valid syscall name, as the one interned string of
+    its text, so that every occurrence of a name shares one object."""
     if not isinstance(name, str) or not SYSCALL_NAME_RE.match(name):
         raise ParseError(f"invalid syscall name: {name!r}")
-    return name
+    # str() makes an exact str of a subclass, which sys.intern refuses.
+    return sys.intern(str(name))
 
 
 def validate_name_list(value, what: str) -> tuple[str, ...]:

@@ -1,7 +1,7 @@
 """Operator-facing command line: sessions, diffs, exports, claim checks.
 
-Exit codes are a stable contract: 0 success, 1 usage or configuration
-problem, 2 malformed input data. ``verify-paper`` additionally exits 1
+Exit codes are a stable contract: 0 success, 1 usage, configuration or
+output problem, 2 malformed input data. ``verify-paper`` additionally exits 1
 when any claim fails, so CI can gate on it.
 """
 
@@ -114,7 +114,9 @@ def _load_policy_file(path: str) -> SyscallPolicy:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def cmd_simulate(args) -> int:
+# Each command returns its exit status and what it prints; ``main`` prints it.
+
+def cmd_simulate(args) -> tuple[int, str]:
     specs = load_scenario(args.scenario)
     spec = pick_service(specs, args.service)
     deny = frozenset()
@@ -131,6 +133,9 @@ def cmd_simulate(args) -> int:
     # Passed straight on, so that no request list outlives the session.
     result = run_session(spec, workload.generate_workload(spec, args.n, args.seed, mix), config,
                          mode=args.mode)
+    # The summary needs only the name; the spec is freed before the renders.
+    service = spec.name
+    del specs, spec
 
     out = Path(args.out)
     try:
@@ -153,15 +158,15 @@ def cmd_simulate(args) -> int:
 
     served = result.latency_records.served()
     # Every mode writes one record per logical request.
-    print(f"mode={args.mode} service={spec.name} requests={len(result.latency_records)} "
-          f"consultations={result.consultations} alerts={len(result.alerts)} "
-          f"policy_size={len(result.final_policy.allow)} epoch={result.final_policy.epoch}")
+    lines = [f"mode={args.mode} service={service} requests={len(result.latency_records)} "
+             f"consultations={result.consultations} alerts={len(result.alerts)} "
+             f"policy_size={len(result.final_policy.allow)} epoch={result.final_policy.epoch}\n"]
     if served:
         stats = workload.summarize(served)
-        print(f"served={len(served)} mean={stats.mean:.3f}ms p50={stats.p50:.3f}ms "
-              f"p99={stats.p99:.3f}ms max={stats.max:.3f}ms")
-    print(f"artifacts written to {out}")
-    return 0
+        lines.append(f"served={len(served)} mean={stats.mean:.3f}ms p50={stats.p50:.3f}ms "
+                     f"p99={stats.p99:.3f}ms max={stats.max:.3f}ms\n")
+    lines.append(f"artifacts written to {out}\n")
+    return 0, "".join(lines)
 
 
 def _write_in_slices(f, text: str) -> None:
@@ -171,30 +176,25 @@ def _write_in_slices(f, text: str) -> None:
         f.write(text[start:start + _WRITE_CHARS])
 
 
-def cmd_diff(args) -> int:
+def cmd_diff(args) -> tuple[int, str]:
     a = _load_policy_file(args.policy_a)
     b = _load_policy_file(args.policy_b)
     table = catalog.load_default_fixture()
     report = analysis.compare([("A", a), ("B", b)], table=table)
-    sys.stdout.write(report.to_text())
-    return 0
+    return 0, report.to_text()
 
 
-def cmd_export_seccomp(args) -> int:
-    policy = _load_policy_file(args.policy)
-    sys.stdout.buffer.write(export_seccomp(policy))
-    sys.stdout.buffer.flush()
-    return 0
+def cmd_export_seccomp(args) -> tuple[int, bytes]:
+    return 0, export_seccomp(_load_policy_file(args.policy))
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> tuple[int, str]:
     if args.fixture is None:
         table = catalog.load_default_fixture()
     else:
         table = catalog.load_fixture(args.fixture)
     report = analysis.verify_paper_claims(table)
-    sys.stdout.write(report.to_text())
-    return 0 if report.all_pass else 1
+    return 0 if report.all_pass else 1, report.to_text()
 
 
 # --- attack-scenario harness ---------------------------------------------------
@@ -302,13 +302,12 @@ def _verdict_line(v: CategoryVerdict) -> str:
     return f"{label} [{v.key}]: {body} [{status}]"
 
 
-def cmd_attack_scenarios(args) -> int:
+def cmd_attack_scenarios(args) -> tuple[int, str]:
     specs = load_scenario(args.scenario)
     spec = pick_service(specs, args.service)
     verdicts = run_attack_scenarios(spec, args.seed)
-    for v in verdicts:
-        print(_verdict_line(v))
-    return 0 if all(v.as_expected for v in verdicts) else 1
+    return (0 if all(v.as_expected for v in verdicts) else 1,
+            "".join(_verdict_line(v) + "\n" for v in verdicts))
 
 
 _COMMANDS = {
@@ -324,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        status, output = _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -339,6 +338,17 @@ def main(argv: list[str] | None = None) -> int:
     except AttemptsExhausted as exc:
         print(f"session did not converge: {exc}", file=sys.stderr)
         return 1
+    try:
+        if isinstance(output, bytes):
+            sys.stdout.buffer.write(output)
+        else:
+            sys.stdout.write(output)
+        # A buffered write may fail only when it is flushed.
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"output error: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping
 
-from .catalog import SYSCALL_NAME_RE, json_float, json_int
+from .catalog import json_float, json_int, validate_syscall_name
 from .errors import ParseError, ScenarioError
 from .policy import SyscallPolicy
 
@@ -25,11 +25,13 @@ EXPLOIT_KINDS = ("oracle_detectable", "oracle_undetectable")
 
 
 def _check_names(names, what: str) -> tuple[str, ...]:
+    """``names`` as a tuple of validated, interned syscall names."""
     out = []
     for name in names:
-        if not isinstance(name, str) or not SYSCALL_NAME_RE.match(name):
-            raise ScenarioError(f"{what}: invalid syscall name {name!r}")
-        out.append(name)
+        try:
+            out.append(validate_syscall_name(name))
+        except ParseError:
+            raise ScenarioError(f"{what}: invalid syscall name {name!r}") from None
     return tuple(out)
 
 
@@ -152,7 +154,7 @@ class ServiceSpec:
             if not (math.isfinite(elapsed) and math.isfinite(oracle[1])):
                 who = "a request with no handler" if key is None else f"handler {key!r}"
                 raise ScenarioError(f"{who}: its production or oracle run takes a non-finite time")
-            runs[key] = trace, (Completed(), elapsed), oracle
+            runs[key] = trace, (_COMPLETED, elapsed), oracle
         object.__setattr__(self, "unknown_run", runs.pop(None))
         object.__setattr__(self, "runs", runs)
 
@@ -171,6 +173,11 @@ class ServiceSpec:
 @dataclass(frozen=True)
 class Completed:
     label: ClassVar[str] = "prod_exited:completed"
+
+
+#: the one ``Completed`` every handler's completed run holds; it has no
+#: fields and is frozen, so all of them can share it
+_COMPLETED = Completed()
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from conftest import FIXTURE_HEADER as HEADER
 from conftest import fixture_csv
@@ -12,8 +14,20 @@ from timeloops.catalog import (
     load_fixture,
     parse_fixture,
     podman_default_deny,
+    validate_syscall_name,
 )
 from timeloops.errors import ParseError, UnknownColumn
+
+
+def test_a_valid_name_is_its_interned_text():
+    class Name(str):
+        pass
+
+    # Built at run time, so that the text is not a constant the compiler interned.
+    text = "".join(["mm", "ap"])
+    assert validate_syscall_name(text) is sys.intern("mmap")
+    # A str subclass, as an enum of names would give, is held as the str of its text.
+    assert validate_syscall_name(Name("mmap")) is sys.intern("mmap")
 
 
 def test_shmat_row(table):

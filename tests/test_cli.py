@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,8 @@ from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, fixture_csv
 from timeloops import cli, errors
 from timeloops.catalog import load_default_fixture
 from timeloops.cli import main
-from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
-from timeloops.simruntime import load_scenario
+from timeloops.controller import ORACLE_MODES, ControllerConfig, SessionResult, run_session
+from timeloops.simruntime import load_scenario, pick_service
 from timeloops.workload import MAX_ATTEMPTS, generate_workload
 
 STATICSITE = str(SCENARIO_DIR / "staticsite.json")
@@ -183,6 +185,56 @@ def test_input_path_under_a_regular_file_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_simulate_holds_no_spec_while_it_renders(tmp_path, monkeypatch):
+    specs, alive = [], []
+
+    def picked(scenario, name):
+        spec = pick_service(scenario, name)
+        specs.append(weakref.ref(spec))
+        return spec
+
+    def rendered(result):
+        alive.append(specs[0]() is not None)
+        return to_json(result)
+
+    to_json = SessionResult.to_json
+    monkeypatch.setattr(cli, "pick_service", picked)
+    monkeypatch.setattr(SessionResult, "to_json", rendered)
+    assert _simulate(tmp_path) == 0
+    assert alive == [False]
+
+
+class _FullStdout:
+    """A standard output whose every write fails as on a full device."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    @property
+    def buffer(self):
+        return self
+
+
+@pytest.mark.parametrize("command", [
+    "simulate", "diff", "export-seccomp", "verify-paper", "attack-scenarios"])
+def test_a_failed_write_to_stdout_is_an_output_error(tmp_path, capsys, monkeypatch, command):
+    policy = tmp_path / "p.json"
+    policy.write_text(json.dumps({"allow": ["read"]}))
+    argv = {
+        "simulate": ["simulate", "--scenario", STATICSITE, "--out", str(tmp_path / "out")],
+        "diff": ["diff", str(policy), str(policy)],
+        "export-seccomp": ["export-seccomp", str(policy)],
+        "verify-paper": ["verify-paper"],
+        "attack-scenarios": ["attack-scenarios", "--scenario", ATTACKS],
+    }[command]
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"output error: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_session_json_written_in_slices_is_the_document(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from conftest import DENY_POOL, SYSCALL_POOL, make_spec, requests, spec_workload_deny
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloops import controller, simruntime
+from timeloops.catalog import load_default_fixture, podman_default_deny
 from timeloops.controller import (
     ORACLE_MODES,
     SESSION_MODES,
@@ -251,6 +253,28 @@ def test_denied_oracle_extras_are_config_error():
     spec = make_spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
     with pytest.raises(ConfigError):
         run_session(spec, requests("r"), ControllerConfig(deny=frozenset({"sigaltstack"})))
+
+
+def test_every_syscall_name_is_one_object(attacks_spec):
+    spec = attacks_spec
+    names = [*spec.static_universe, *spec.oracle_extra]
+    for behavior in spec.handlers.values():
+        names += behavior.trace
+        if behavior.exploit is not None:
+            names += behavior.exploit.injected
+    for trace, _, (outcome, _) in [*spec.runs.values(), spec.unknown_run]:
+        names += trace
+        if type(outcome) is Benign:
+            names += outcome.observed
+    deny = podman_default_deny(load_default_fixture())
+    result = run_session(spec, requests(*sorted(spec.handlers) * 2), ControllerConfig(deny=deny))
+    assert result.policy_log and result.alerts
+    names += [*result.final_policy.allow, *result.final_policy.deny]
+    for entry in result.policy_log:
+        names += entry.added
+    # The interned string is the one object of its text: the loaded
+    # scenario, the deny-list and the session all hold it and no copy.
+    assert all(name is sys.intern(name) for name in names)
 
 
 def test_unknown_request_keys_are_served():

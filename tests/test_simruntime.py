@@ -3,6 +3,7 @@ import math
 from functools import partial
 
 import pytest
+import reference
 from conftest import DENY_POOL, SYSCALL_POOL, make_spec, service_specs
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,24 +85,13 @@ def _specs_with_exploits(draw):
     return dataclasses.replace(spec, handlers=handlers)
 
 
-def _walk(spec, policy, request):
-    """Production run by a plain walk of the trace from its first syscall."""
-    cost = spec.cost_model
-    behavior = spec.handlers.get(request)
-    trace = () if behavior is None else behavior.effective_trace()
-    for index, syscall in enumerate(trace):
-        if syscall not in policy.allow:
-            return PolicyViolation(syscall, index), cost.production_elapsed(index)
-    return Completed(), cost.production_elapsed(len(trace))
-
-
 @given(spec=_specs_with_exploits(), data=st.data())
 def test_production_and_unrestricted_runs_match_a_trace_walk(spec, data):
     allow = frozenset(data.draw(st.lists(st.sampled_from(SYSCALL_POOL + DENY_POOL))))
     policy = SyscallPolicy(epoch=data.draw(st.integers(0, 9)), allow=allow)
     request = data.draw(st.sampled_from(sorted(spec.handlers) + ["nope"]))
-    assert run_production(spec, policy, request) == _walk(spec, policy, request)
-    unrestricted = _walk(spec, SyscallPolicy(allow=frozenset(SYSCALL_POOL + DENY_POOL)), request)
+    assert run_production(spec, policy, request) == reference.production_run(spec, allow, request)
+    unrestricted = reference.production_run(spec, frozenset(SYSCALL_POOL + DENY_POOL), request)
     assert run_unrestricted(spec, request) == unrestricted
 
 
@@ -113,6 +103,8 @@ def test_passing_runs_share_one_result(spec, data):
     assert isinstance(first[0], Completed)
     assert run_production(spec, SyscallPolicy(epoch=1, allow=everything.allow), request) is first
     assert run_unrestricted(spec, request) is run_unrestricted(spec, request) is first
+    # Every handler's completed run, and that of a key with no handler, share one Completed.
+    assert all(run[1][0] is first[0] for run in [*spec.runs.values(), spec.unknown_run])
 
 
 def test_oracle_observes_trace_plus_instrumentation_extras():
@@ -263,35 +255,6 @@ def test_no_oracle_run_overruns_a_finite_budget(spec, data):
     assert elapsed <= watchdog_ms
 
 
-def _reference_walk(spec, request, watchdog_ms=math.inf):
-    """The oracle walk written syscall by syscall: a detectable corruption
-    is tested at every index, and a second ``Malicious`` exit follows the
-    loop. ``_walk_oracle`` must give the same runs bit for bit."""
-    cost = spec.cost_model
-    elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
-    if elapsed > watchdog_ms:
-        return WatchdogTimeout(), 0.0
-    behavior = spec.handlers.get(request)
-    if behavior is None:
-        return Benign(frozenset(spec.oracle_extra)), elapsed
-    exploit = behavior.exploit
-    detectable_at = (exploit.corruption_index
-                     if exploit is not None and exploit.kind == "oracle_detectable" else None)
-    report = f"memory corruption detected in handler {request!r} at trace position {detectable_at}"
-    per = cost.production_per_syscall_ms * cost.oracle_slowdown_factor
-    observed = set()
-    for index, syscall in enumerate(behavior.effective_trace()):
-        if index == detectable_at:
-            return Malicious(report), elapsed
-        if elapsed + per > watchdog_ms:
-            return WatchdogTimeout(), elapsed
-        observed.add(syscall)
-        elapsed += per
-    if detectable_at is not None:
-        return Malicious(report), elapsed
-    return Benign(frozenset(observed) | spec.oracle_extra), elapsed
-
-
 @given(spec=oracle_specs())
 def test_oracle_walk_equals_a_syscall_by_syscall_walk(spec):
     cost = spec.cost_model
@@ -307,7 +270,7 @@ def test_oracle_walk_equals_a_syscall_by_syscall_walk(spec):
     for key in sorted(spec.handlers) + ["unknown"]:
         for budget in budgets:
             (outcome, elapsed), (expected, expected_elapsed) = (
-                _walk_oracle(spec, key, budget), _reference_walk(spec, key, budget))
+                _walk_oracle(spec, key, budget), reference.oracle_run(spec, key, budget))
             assert type(outcome) is type(expected)
             assert outcome == expected
             assert elapsed.hex() == expected_elapsed.hex()

@@ -1,11 +1,11 @@
 """The transition vocabulary of session.json, and the renderer that writes it."""
 
 import itertools
-import json
 import math
 import tracemalloc
 
 import pytest
+import reference
 from conftest import make_spec, requests, spec_workload_deny
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,35 +102,8 @@ def _trace(transitions):
     return trace
 
 
-def _session_dict(result):
-    """The session document as plain dicts: the oracle for ``to_json``."""
-    return {
-        "final_policy": {
-            "allow": sorted(result.final_policy.allow),
-            "deny": sorted(result.final_policy.deny),
-            "epoch": result.final_policy.epoch,
-        },
-        "alerts": [
-            {"request": a.request, "report": a.report, "at_ms": a.at_ms}
-            for a in result.alerts
-        ],
-        "transitions": [
-            {
-                "at_ms": t.at_ms,
-                "from": t.from_state,
-                "event": t.event,
-                "to": t.to_state,
-                "actions": list(t.actions),
-                "epoch": t.epoch,
-            }
-            for t in result.transition_trace
-        ],
-        "consultations": result.consultations,
-    }
-
-
 def _assert_renders_like_json(result):
-    assert result.to_json() == json.dumps(_session_dict(result), indent=2)
+    assert result.to_json() == reference.session_json(result)
 
 
 def test_vocabulary_covers_every_pair_step_accepts():

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import os
 import subprocess
@@ -8,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import reference
 from conftest import REPO_ROOT, make_spec, spec_workload_deny
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,6 @@ from timeloops.controller import (
 from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from timeloops.simruntime import CostModel, RequestBehavior
 from timeloops.workload import (
-    LATENCY_CSV_HEADER,
     OUTCOMES,
     LatencyRecord,
     LatencyTable,
@@ -238,27 +236,6 @@ def test_a_workload_out_of_id_order_is_written_in_run_order(tmp_path, mode):
 
 # Both renderers must stay byte-identical to writing every row with csv.writer.
 
-def _reference_latency_csv(records):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LATENCY_CSV_HEADER.split(","))
-    for r in records:
-        writer.writerow([r.logical_id, r.key, r.attempts, r.first_attempt_ms,
-                         r.completion_ms, r.latency_ms, r.outcome])
-    return out.getvalue()
-
-
-def _reference_cumulative_csv(records):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["logical_id", "cumulative_latency_ms"])
-    total = 0.0
-    for r in records:
-        total += r.latency_ms
-        writer.writerow([r.logical_id, total])
-    return out.getvalue()
-
-
 _KEYS = st.one_of(
     st.sampled_from(["", ",", '"', 'say "hi"', "a,b", "line\r\nbreak", "\r", "\n",
                      " padded ", "clé", "日本語", "home"]),
@@ -298,8 +275,8 @@ def _records(draw):
           _timed_record(0, -0.0, 0.0)])
 @settings(max_examples=300)
 def test_renderers_match_csv_writer(records):
-    assert render_latency_csv(records) == _reference_latency_csv(records)
-    assert render_cumulative_csv(records) == _reference_cumulative_csv(records)
+    assert render_latency_csv(records) == reference.latency_csv(records)
+    assert render_cumulative_csv(records) == reference.cumulative_csv(records)
 
 
 def test_latency_table_is_a_sequence_of_records_in_the_order_given():
