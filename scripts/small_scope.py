@@ -1,0 +1,45 @@
+#!/usr/bin/env python3
+"""Check every session within a bound against the reference model.
+
+Runs the enumeration of `tests/test_small_scope.py`, whose docstring defines
+the bound, through `run_session` and the reference model of
+`tests/reference.py`. Tier-1 runs bound 2; a larger bound runs far more
+sessions. Prints the number of sessions and the wall time. At the first
+mismatch it prints the session's configuration and exits 1.
+
+    python3 scripts/small_scope.py [--bound K]      # K defaults to 3
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
+
+from test_small_scope import cases, check  # noqa: E402
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--bound", type=int, default=3, help="the bound K, at least 1")
+    args = parser.parse_args()
+    if args.bound < 1:
+        parser.error("--bound must be at least 1")
+    started = time.perf_counter()
+    count = 0
+    for count, case in enumerate(cases(args.bound), 1):
+        try:
+            check(case)
+        except AssertionError as exc:
+            print(f"mismatch in session {count}: {exc}", file=sys.stderr)
+            return 1
+    print(f"bound {args.bound}: {count} sessions match the reference model "
+          f"in {time.perf_counter() - started:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

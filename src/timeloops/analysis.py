@@ -107,14 +107,12 @@ def _name_list(names: frozenset[str]) -> str:
 
 
 def compare(
-    policies: Sequence[tuple[str, SyscallPolicy]],
-    table: PolicyComparisonTable | None = None,
+    policies: Sequence[tuple[str, SyscallPolicy]], table: PolicyComparisonTable
 ) -> ComparisonReport:
     """Pairwise comparison of named policies, in input order.
 
     The percentage is computed relative to the second policy of each pair.
-    CVE annotations for differing syscalls come from the comparison table
-    when one is supplied.
+    CVE annotations for differing syscalls come from the comparison table.
     """
     if len(policies) < 2:
         raise ValueError("compare needs at least two policies")
@@ -123,11 +121,10 @@ def compare(
         d = diff(a, b)
         pct = (len(a.allow) - len(b.allow)) / len(b.allow) if b.allow else None
         annotated = []
-        if table is not None:
-            for syscall in sorted(d.only_a | d.only_b):
-                cve = table.cve_for(syscall)
-                if cve is not None:
-                    annotated.append(SyscallAnnotation(syscall, cve))
+        for syscall in sorted(d.only_a | d.only_b):
+            cve = table.cve_for(syscall)
+            if cve is not None:
+                annotated.append(SyscallAnnotation(syscall, cve))
         entries.append(
             ComparisonEntry(
                 name_a=name_a,

@@ -168,14 +168,18 @@ def export_seccomp(policy: SyscallPolicy, default_action: str = "kill_process") 
     return json.dumps(profile, separators=(",", ":")).encode("utf-8")
 
 
-def save_log(entries: Iterable[PolicyLogEntry], path: str | Path) -> None:
-    """Write a policy log as JSON-lines; kept outside any runtime state."""
-    lines = [
+def render_log(entries: Iterable[PolicyLogEntry]) -> str:
+    """A policy log as JSON-lines, one compact object per entry."""
+    return "".join(
         json.dumps({"epoch": e.epoch, "added": list(e.added), "source": e.source,
-                    "timestamp_ms": e.timestamp_ms}, separators=(",", ":"))
+                    "timestamp_ms": e.timestamp_ms}, separators=(",", ":")) + "\n"
         for e in entries
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    )
+
+
+def save_log(entries: Iterable[PolicyLogEntry], path: str | Path) -> None:
+    """Write a policy log; kept outside any runtime state."""
+    Path(path).write_text(render_log(entries), encoding="utf-8")
 
 
 def load_log(path: str | Path) -> list[PolicyLogEntry]:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping
 
@@ -166,9 +164,7 @@ class ServiceSpec:
 #
 # A production run's exit reason and an oracle run's outcome are the
 # controller's events as they are. Each carries the ``label`` that names it
-# in the transition trace; a label that includes a syscall name is computed
-# once per value and interned, so that a long trace holds one copy of each
-# distinct label.
+# in the transition trace.
 
 @dataclass(frozen=True)
 class Completed:
@@ -185,18 +181,18 @@ class PolicyViolation:
     syscall: str
     at_index: int
 
-    @cached_property
+    @property
     def label(self) -> str:
-        return sys.intern(f"prod_exited:policy_violation:{self.syscall}")
+        return f"prod_exited:policy_violation:{self.syscall}"
 
 
 @dataclass(frozen=True)
 class DeniedSyscallHit:
     syscall: str
 
-    @cached_property
+    @property
     def label(self) -> str:
-        return sys.intern(f"prod_exited:denied_syscall:{self.syscall}")
+        return f"prod_exited:denied_syscall:{self.syscall}"
 
 
 ExitReason = Completed | PolicyViolation | DeniedSyscallHit

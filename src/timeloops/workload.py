@@ -141,10 +141,6 @@ class LatencyTable(Sequence[LatencyRecord]):
         return served
 
 
-def _table(records: Sequence[LatencyRecord]) -> LatencyTable:
-    return records if isinstance(records, LatencyTable) else LatencyTable(records)
-
-
 @dataclass(frozen=True)
 class LatencyStats:
     mean: float
@@ -226,13 +222,13 @@ def _percentile(ordered: list[float], q: float) -> float:
     return a + (b - a) * t
 
 
-def summarize(records: Sequence[LatencyRecord]) -> LatencyStats:
-    """Latency statistics; percentiles use linear interpolation between
-    order statistics, so e.g. the p50 of [1, 2, 3, 4] is 2.5. The cumulative
-    series runs in record order, the order the session ran its requests."""
-    if not records:
+def summarize(table: LatencyTable) -> LatencyStats:
+    """Latency statistics of a session's table; percentiles use linear
+    interpolation between order statistics, so e.g. the p50 of [1, 2, 3, 4]
+    is 2.5. The cumulative series runs in record order, the order the
+    session ran its requests."""
+    if not table:
         raise EmptyRecords("no latency records to summarize")
-    table = _table(records)
     latencies = list(map(operator.sub, table.completion_ms, table.first_ms))
     ordered = sorted(latencies)
     return LatencyStats(
@@ -255,19 +251,15 @@ def _csv_field(value) -> str:
     return out.getvalue()[:-2]
 
 
-def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
-    """The latency CSV, one row per record in record order, byte-identical
-    to writing each row with ``csv.writer``.
+def render_latency_csv(table: LatencyTable) -> str:
+    """The latency CSV of a session's table, one row per record in record
+    order, byte-identical to writing each row with ``csv.writer``.
 
     Only the key can need quoting; each distinct key is quoted once. A start
     time equal to its predecessor's completion time is written once, unless
-    it is zero: ``repr`` tells -0.0 from 0.0, which compare equal. Each
-    distinct positive latency is formatted once: as a dict key, -0.0 would
-    find the text of 0.0, and a NaN would find nothing.
+    it is zero: ``repr`` tells -0.0 from 0.0, which compare equal.
     """
-    table = _table(records)
     keys: dict = {}
-    latencies: dict = {}
     rows = [LATENCY_CSV_HEADER + "\n"]
     last = last_text = None
     for logical_id, key, attempts, first, completion, outcome in zip(*table._columns()):
@@ -276,25 +268,18 @@ def render_latency_csv(records: Sequence[LatencyRecord]) -> str:
             quoted = keys[key] = _csv_field(key)
         first_text = last_text if first == last and first else repr(first)
         last, last_text = completion, repr(completion)
-        latency = completion - first
-        if latency > 0:
-            latency_text = latencies.get(latency)
-            if latency_text is None:
-                latency_text = latencies[latency] = repr(latency)
-        else:
-            latency_text = repr(latency)
         rows.append(f"{logical_id},{quoted},{attempts},{first_text},{last_text},"
-                    f"{latency_text},{outcome}\n")
+                    f"{completion - first!r},{outcome}\n")
     return "".join(rows)
 
 
-def write_latency_csv(records: Sequence[LatencyRecord], path: str | Path) -> None:
-    Path(path).write_text(render_latency_csv(records), encoding="utf-8")
+def write_latency_csv(table: LatencyTable, path: str | Path) -> None:
+    Path(path).write_text(render_latency_csv(table), encoding="utf-8")
 
 
-def render_cumulative_csv(records: Sequence[LatencyRecord]) -> str:
-    """Running latency sum in record order: the convergence-plot series."""
-    table = _table(records)
+def render_cumulative_csv(table: LatencyTable) -> str:
+    """Running latency sum of a session's table in record order: the
+    convergence-plot series."""
     rows = ["logical_id,cumulative_latency_ms\n"]
     total = 0.0
     for logical_id, first, completion in zip(table.ids, table.first_ms, table.completion_ms):
@@ -303,5 +288,5 @@ def render_cumulative_csv(records: Sequence[LatencyRecord]) -> str:
     return "".join(rows)
 
 
-def write_cumulative_csv(records: Sequence[LatencyRecord], path: str | Path) -> None:
-    Path(path).write_text(render_cumulative_csv(records), encoding="utf-8")
+def write_cumulative_csv(table: LatencyTable, path: str | Path) -> None:
+    Path(path).write_text(render_cumulative_csv(table), encoding="utf-8")

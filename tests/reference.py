@@ -3,7 +3,7 @@
 Production and the oracle walk every trace syscall by syscall. The policy is
 a new set on each growth, the oracle runs on every consultation with no table
 of verdicts, and the controller's decisions come from ``step``. The client,
-the driver and the two baseline deployments are one loop each, and the
+the driver and the two baseline deployments are one loop each, and all five
 artifacts are rendered from plain dicts with ``json`` and ``csv.writer``.
 Nothing is cached, columnar or shared, so the model states what a session
 means; ``run_session`` must give the same results.
@@ -237,3 +237,20 @@ def cumulative_csv(records):
         rows.append([r.logical_id, total])
     return _csv(["logical_id", "cumulative_latency_ms"], rows)
 
+
+def policy_log(result):
+    """The policy log of ``result``: one line of compact JSON per entry."""
+    return "".join(json.dumps({"epoch": e.epoch, "added": list(e.added), "source": e.source,
+                               "timestamp_ms": e.timestamp_ms}, separators=(",", ":")) + "\n"
+                   for e in result.policy_log)
+
+
+def profile_json(result):
+    """The seccomp profile of ``result``'s final policy, with the default
+    action that kills the process."""
+    allow = sorted(result.final_policy.allow)
+    return json.dumps({
+        "defaultAction": "SCMP_ACT_KILL_PROCESS",
+        "architectures": ["SCMP_ARCH_X86_64"],
+        "syscalls": [{"names": allow, "action": "SCMP_ACT_ALLOW"}] if allow else [],
+    }, separators=(",", ":")).encode()

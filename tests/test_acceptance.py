@@ -187,7 +187,7 @@ def test_criterion_4_amortization_shape():
     tl = list(sessions["timeloops"].latency_records)
     first_latency = tl[0].latency_ms
     steady_p50 = float(np.percentile([r.latency_ms for r in tl[len(tl) // 2:]], 50))
-    stats_tl = summarize(tl)
+    stats_tl = summarize(sessions["timeloops"].latency_records)
     stats_un = summarize(sessions["unhardened"].latency_records)
     stats_hd = summarize(sessions["hardened"].latency_records)
 

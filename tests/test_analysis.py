@@ -86,9 +86,9 @@ def test_learned_minus_dynamic_is_oracle_extra(staticsite):
 
 # --- compare ---------------------------------------------------------------------
 
-def test_compare_self_is_neutral():
+def test_compare_self_is_neutral(table):
     p = SyscallPolicy(allow=frozenset({"read", "write"}))
-    report = compare([("x", p), ("y", p)])
+    report = compare([("x", p), ("y", p)], table)
     entry = report.entries[0]
     assert entry.pct_larger == 0.0
     assert entry.diff.only_a == frozenset()
@@ -107,13 +107,13 @@ def test_compare_fixture_nginx_gap(table):
     assert cves["pipe"] == "CVE-2015-1805"
 
 
-def test_compare_pct_uses_second_policy_as_denominator():
+def test_compare_pct_uses_second_policy_as_denominator(table):
     a = SyscallPolicy(allow=frozenset({"a1", "a2", "a3", "a4"}))
     b = SyscallPolicy(allow=frozenset({"a1", "a2"}))
-    report = compare([("big", a), ("small", b)])
+    report = compare([("big", a), ("small", b)], table)
     assert report.entries[0].pct_larger == 1.0
     empty = SyscallPolicy()
-    report = compare([("big", a), ("empty", empty)])
+    report = compare([("big", a), ("empty", empty)], table)
     assert report.entries[0].pct_larger is None
 
 
@@ -121,10 +121,10 @@ def test_compare_pct_uses_second_policy_as_denominator():
     a=st.sets(st.sampled_from([f"c{i}" for i in range(8)]), max_size=8),
     b=st.sets(st.sampled_from([f"c{i}" for i in range(8)]), max_size=8),
 )
-def test_compare_only_sets_are_antisymmetric(a, b):
+def test_compare_only_sets_are_antisymmetric(table, a, b):
     pa, pb = SyscallPolicy(allow=frozenset(a)), SyscallPolicy(allow=frozenset(b))
-    ab = compare([("a", pa), ("b", pb)]).entries[0]
-    ba = compare([("b", pb), ("a", pa)]).entries[0]
+    ab = compare([("a", pa), ("b", pb)], table).entries[0]
+    ba = compare([("b", pb), ("a", pa)], table).entries[0]
     assert ab.diff.only_a == ba.diff.only_b
     assert ab.diff.only_b == ba.diff.only_a
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import AttemptsExhausted
-from timeloops.policy import replay_log
+from timeloops.policy import export_seccomp, render_log, replay_log
 from timeloops.simruntime import EXPLOIT_KINDS, Benign, CostModel, ExploitSpec, RequestBehavior
 from timeloops.workload import OUTCOMES, render_cumulative_csv, render_latency_csv
 
@@ -72,7 +72,13 @@ _DENIED_FIRST = (make_spec({"evil": RequestBehavior(trace=("read",), exploit=Exp
 @example(_WATCHDOG_FIRES)
 @example(_DENIED_FIRST)
 def test_run_session_matches_the_reference_model(case):
-    spec, workload, config, mode = case
+    assert_matches_model(*case)
+
+
+def assert_matches_model(spec, workload, config, mode):
+    """Run one session in ``run_session`` and in the model: the two must
+    give the same results and the same five artifacts, and the session
+    must keep the paper's invariants."""
     try:
         model = reference.Session(spec, workload, config, mode)
     except AttemptsExhausted as exc:
@@ -92,6 +98,8 @@ def test_run_session_matches_the_reference_model(case):
     assert render_latency_csv(result.latency_records) == reference.latency_csv(model.latency_records)
     assert (render_cumulative_csv(result.latency_records)
             == reference.cumulative_csv(model.latency_records))
+    assert render_log(result.policy_log) == reference.policy_log(model)
+    assert export_seccomp(result.final_policy) == reference.profile_json(model)
 
     # The policy grows only on a benign verdict: pretraining, then a
     # transition whose event is one.
