@@ -8,8 +8,12 @@ when any claim fails, so CI can gate on it.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,19 +146,35 @@ def cmd_simulate(args) -> tuple[int, str]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    try:
+    writers = {
         # session.json is the largest artifact, so it is written first, while
         # the least else is held.
-        with open(out / "session.json", "w", encoding="utf-8") as f:
-            _write_in_slices(f, result.to_json())
-            f.write("\n")
-        workload.write_latency_csv(result.latency_records, out / "latency.csv")
-        workload.write_cumulative_csv(result.latency_records, out / "cumulative.csv")
-        save_log(result.policy_log, out / "policy.log")
-        (out / "profile.json").write_bytes(export_seccomp(result.final_policy))
+        "session.json": lambda path: _write_in_slices(path, result.to_json()),
+        "latency.csv": lambda path: workload.write_latency_csv(result.latency_records, path),
+        "cumulative.csv": lambda path: workload.write_cumulative_csv(result.latency_records, path),
+        "policy.log": lambda path: save_log(result.policy_log, path),
+        "profile.json": lambda path: path.write_bytes(export_seccomp(result.final_policy)),
+    }
+    # The artifacts are written into a new directory in ``out`` and moved
+    # into place once all are written, so a failed write leaves ``out`` as it
+    # was. A directory in an artifact's place would fail only its move.
+    for name in writers:
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write artifact {out / name}: {os.strerror(errno.EISDIR)}")
+    try:
+        staging = Path(tempfile.mkdtemp(dir=out))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out}: {exc.strerror}") from exc
+    try:
+        for name, write in writers.items():
+            write(staging / name)
+        for name in writers:
+            os.replace(staging / name, out / name)
     except OSError as exc:
         # An output problem, not malformed input: the inputs were all read.
-        raise ConfigError(f"cannot write artifact {exc.filename or out}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot write artifact {out / name}: {exc.strerror}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     served = result.latency_records.served()
     # Every mode writes one record per logical request.
@@ -169,11 +189,13 @@ def cmd_simulate(args) -> tuple[int, str]:
     return 0, "".join(lines)
 
 
-def _write_in_slices(f, text: str) -> None:
-    """Write ``text`` to the text file ``f`` without encoding it whole; the
-    caller's ``to_json()`` result is freed when this returns."""
-    for start in range(0, len(text), _WRITE_CHARS):
-        f.write(text[start:start + _WRITE_CHARS])
+def _write_in_slices(path: Path, text: str) -> None:
+    """Write ``text`` and a newline to ``path`` without encoding the text
+    whole; the caller's ``to_json()`` result is freed when this returns."""
+    with open(path, "w", encoding="utf-8") as f:
+        for start in range(0, len(text), _WRITE_CHARS):
+            f.write(text[start:start + _WRITE_CHARS])
+        f.write("\n")
 
 
 def cmd_diff(args) -> tuple[int, str]:

@@ -36,15 +36,16 @@ from .errors import (
 from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy
 from .policy import extend  # noqa: F401  (unused; the bench tracer wraps it by this name)
 from .simruntime import (
+    COMPLETED,
+    WATCHDOG_TIMEOUT,
     Benign,
-    Completed,
     DeniedSyscallHit,
     ExitReason,
     Malicious,
+    Marker,
     OracleOutcome,
     PolicyViolation,
     ServiceSpec,
-    WatchdogTimeout,
     run_oracle,
     run_production,
     run_unrestricted,
@@ -58,47 +59,17 @@ SESSION_MODES = ("timeloops", "unhardened", "hardened")
 #
 # Each carries the ``label`` that names it in the transition trace and in
 # session.json. A production exit reason or an oracle outcome from
-# ``simruntime`` is an event as it is, and carries its own label.
+# ``simruntime`` is an event as it is, and carries its own label. The states,
+# and each event or action that carries no data, are shared markers.
 
-@dataclass(frozen=True)
-class ProductionRunning:
-    label: ClassVar[str] = "production_running"
-
-
-@dataclass(frozen=True)
-class OracleRunning:
-    label: ClassVar[str] = "oracle_running"
-
-
-@dataclass(frozen=True)
-class Halted:
-    label: ClassVar[str] = "halted"
-
-
-ControllerState = ProductionRunning | OracleRunning | Halted
-
-
-@dataclass(frozen=True)
-class WatchdogFired:
-    label: ClassVar[str] = "watchdog_fired"
-
-
-@dataclass(frozen=True)
-class Shutdown:
-    label: ClassVar[str] = "shutdown"
-
-
-ControllerEvent = ExitReason | OracleOutcome | WatchdogFired | Shutdown
-
-
-@dataclass(frozen=True)
-class StartProduction:
-    label: ClassVar[str] = "start_production"
-
-
-@dataclass(frozen=True)
-class StartOracle:
-    label: ClassVar[str] = "start_oracle"
+PRODUCTION_RUNNING = Marker("production_running")
+ORACLE_RUNNING = Marker("oracle_running")
+HALTED = Marker("halted")
+WATCHDOG_FIRED = Marker("watchdog_fired")
+SHUTDOWN = Marker("shutdown")
+START_PRODUCTION = Marker("start_production")
+START_ORACLE = Marker("start_oracle")
+LOG_EVENT = Marker("log_event")
 
 
 @dataclass(frozen=True)
@@ -115,12 +86,8 @@ class RaiseAlert:
     label: ClassVar[str] = "raise_alert"
 
 
-@dataclass(frozen=True)
-class LogEvent:
-    label: ClassVar[str] = "log_event"
-
-
-ControllerAction = StartProduction | StartOracle | UpdatePolicy | RaiseAlert | LogEvent
+ControllerEvent = ExitReason | OracleOutcome
+ControllerAction = Marker | UpdatePolicy | RaiseAlert
 
 
 @dataclass(frozen=True)
@@ -139,43 +106,40 @@ class ControllerConfig:
 
 # Served requests are the common case; actions are immutable, so share one
 # tuple and, as only a completed production run returns it, one trace row.
-_SERVED = (LogEvent(),)
-_SERVED_ROW = (ProductionRunning.label, Completed.label, ProductionRunning.label, (LogEvent.label,))
+_SERVED = (LOG_EVENT,)
+_SERVED_ROW = (PRODUCTION_RUNNING.label, COMPLETED.label, PRODUCTION_RUNNING.label,
+               (LOG_EVENT.label,))
 
 
 def step(
-    state: ControllerState, event: ControllerEvent, config: ControllerConfig
-) -> tuple[ControllerState, tuple[ControllerAction, ...]]:
+    state: Marker, event: ControllerEvent, config: ControllerConfig
+) -> tuple[Marker, tuple[ControllerAction, ...]]:
     """Pure transition function; raises IllegalTransition on state/event mismatch."""
-    # Exact type checks, with the pair of a served request first.
-    if type(state) is ProductionRunning:
-        if type(event) is Completed:
+    # Identity and exact type checks, with the pair of a served request first.
+    if state is PRODUCTION_RUNNING:
+        if event is COMPLETED:
             return state, _SERVED
         if type(event) is PolicyViolation:
-            return OracleRunning(), (StartOracle(),)
+            return ORACLE_RUNNING, (START_ORACLE,)
         if type(event) is DeniedSyscallHit:
             return state, (
                 RaiseAlert(f"deny-listed syscall {event.syscall!r} requested"),
-                StartProduction(),
+                START_PRODUCTION,
             )
-    elif type(state) is OracleRunning:
+    elif state is ORACLE_RUNNING:
         if type(event) is Benign:
             if config.oracle_mode == "watchdog":
                 return state, (UpdatePolicy(event.observed),)
-            return ProductionRunning(), (UpdatePolicy(event.observed), StartProduction())
+            return PRODUCTION_RUNNING, (UpdatePolicy(event.observed), START_PRODUCTION)
         if type(event) is Malicious:
-            return ProductionRunning(), (RaiseAlert(event.report), StartProduction())
-        if type(event) is WatchdogTimeout:
-            return (
-                ProductionRunning(),
-                (LogEvent(), StartProduction()),
-            )
-        if type(event) is WatchdogFired:
-            return ProductionRunning(), (StartProduction(),)
-    if type(event) is Shutdown:
-        return Halted(), (LogEvent(),)
-
-    raise IllegalTransition(f"event {type(event).__name__} not legal in state {type(state).__name__}")
+            return PRODUCTION_RUNNING, (RaiseAlert(event.report), START_PRODUCTION)
+        if event is WATCHDOG_TIMEOUT:
+            return PRODUCTION_RUNNING, (LOG_EVENT, START_PRODUCTION)
+        if event is WATCHDOG_FIRED:
+            return PRODUCTION_RUNNING, (START_PRODUCTION,)
+    if event is SHUTDOWN and state in (PRODUCTION_RUNNING, ORACLE_RUNNING, HALTED):
+        return HALTED, (LOG_EVENT,)
+    raise IllegalTransition(f"event {event.label} not legal in state {state.label}")
 
 
 # --- session results ----------------------------------------------------------
@@ -250,7 +214,7 @@ class SessionResult:
     def to_json(self) -> str:
         """The session document; always equal, byte for byte, to
         ``json.dumps(doc, indent=2)`` of the document as plain dicts, ``doc``
-        as ``_session_dict`` in ``tests/test_transitions.py`` builds it.
+        as ``session_json`` in ``tests/reference.py`` builds it.
 
         ``indent`` makes ``json`` fall back to its pure-Python encoder, which
         is too slow for a long transition trace. Everything but the
@@ -309,7 +273,7 @@ class SessionDriver:
     ``attempt`` processes one client attempt, advancing the clock by run
     costs, restart costs and any queueing delay while a container starts.
     ``ready_at`` is when the last container started is ready; every way out
-    of ``OracleRunning`` starts production, so while the oracle runs it is
+    of ``ORACLE_RUNNING`` starts production, so while the oracle runs it is
     when the oracle started, and its watchdog tenure counts from there.
     ``shutdown`` halts the controller at the end of the session.
 
@@ -333,7 +297,7 @@ class SessionDriver:
         self.config = config
         self.policy = new_policy(config.deny)
         self._allow: set[str] = set()
-        self.state: ControllerState = ProductionRunning()
+        self.state = PRODUCTION_RUNNING
         self.now = 0.0
         # Initial start is free; restart cost applies only to violation- and
         # oracle-triggered starts.
@@ -374,7 +338,7 @@ class SessionDriver:
         """Apply one event; returns True if the attempt was rejected by an alert."""
         before = self.state
         self.state, actions = step(before, event, self.config)
-        if actions is _SERVED:
+        if event is COMPLETED:
             trace = self.transition_trace
             trace.at_ms.append(self.now)
             trace.row_ids.append(self._served_row_id)
@@ -383,12 +347,11 @@ class SessionDriver:
         rejected = False
         restart = self.spec.cost_model.restart_ms
         for action in actions:
-            kind = type(action)
-            if kind is StartProduction or kind is StartOracle:
+            if action is START_PRODUCTION or action is START_ORACLE:
                 self.ready_at = self.now + restart
-                if kind is StartProduction:
+                if action is START_PRODUCTION:
                     self.policy = self.snapshot()
-            elif kind is UpdatePolicy:
+            elif type(action) is UpdatePolicy:
                 try:
                     self._learn(action.new_syscalls, "oracle")
                 except DeniedSyscall as exc:
@@ -396,7 +359,7 @@ class SessionDriver:
                     # syscall, so the request is rejected and nothing is learned.
                     self._alert(str(exc))
                     rejected = True
-            elif kind is RaiseAlert:
+            elif type(action) is RaiseAlert:
                 self._alert(action.report)
                 rejected = True
         row = (before.label, event.label, self.state.label, tuple([a.label for a in actions]))
@@ -419,19 +382,19 @@ class SessionDriver:
         # Requests queue while a container starts.
         if self.now < self.ready_at:
             self.now = self.ready_at
-        state = type(self.state)
-        if state is OracleRunning and self.now - self.ready_at >= self.config.watchdog_ms:
-            self._transition(WatchdogFired())
+        state = self.state
+        if state is ORACLE_RUNNING and self.now - self.ready_at >= self.config.watchdog_ms:
+            self._transition(WATCHDOG_FIRED)
             self.now = self.ready_at
-            state = ProductionRunning
+            state = PRODUCTION_RUNNING
 
-        if state is ProductionRunning:
+        if state is PRODUCTION_RUNNING:
             event, elapsed = run_production(self.spec, self.policy, request.key)
             # The audit log names the blocked syscall, so the controller can
             # spot a deny-list hit without consulting the oracle.
             if type(event) is PolicyViolation and event.syscall in self.policy.deny:
                 event = DeniedSyscallHit(event.syscall)
-        elif state is OracleRunning:
+        elif state is ORACLE_RUNNING:
             remaining = self.config.watchdog_ms - (self.now - self.ready_at)
             event, elapsed = run_oracle(self.spec, request.key, remaining)
             self.consultations += 1
@@ -440,10 +403,10 @@ class SessionDriver:
         self.now += elapsed
         if self._transition(event):
             return "rejected_malicious"
-        return "served" if type(event) in (Completed, Benign) else None
+        return "served" if event is COMPLETED or type(event) is Benign else None
 
     def shutdown(self) -> None:
-        self._transition(Shutdown())
+        self._transition(SHUTDOWN)
 
 
 def _baseline_rows(

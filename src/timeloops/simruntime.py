@@ -127,7 +127,7 @@ class ServiceSpec:
     static_universe: frozenset[str] = field(default_factory=frozenset)
     oracle_extra: frozenset[str] = field(default_factory=frozenset)
     cost_model: CostModel = field(default_factory=CostModel)
-    #: request key -> (effective trace, the shared ``(Completed, elapsed)``
+    #: request key -> (effective trace, the shared ``(COMPLETED, elapsed)``
     #: result of a run that completes it, the ``(outcome, elapsed)`` of its
     #: oracle run with no watchdog)
     runs: Mapping[str, Run] = field(init=False, repr=False, compare=False)
@@ -152,7 +152,7 @@ class ServiceSpec:
             if not (math.isfinite(elapsed) and math.isfinite(oracle[1])):
                 who = "a request with no handler" if key is None else f"handler {key!r}"
                 raise ScenarioError(f"{who}: its production or oracle run takes a non-finite time")
-            runs[key] = trace, (_COMPLETED, elapsed), oracle
+            runs[key] = trace, (COMPLETED, elapsed), oracle
         object.__setattr__(self, "unknown_run", runs.pop(None))
         object.__setattr__(self, "runs", runs)
 
@@ -164,16 +164,18 @@ class ServiceSpec:
 #
 # A production run's exit reason and an oracle run's outcome are the
 # controller's events as they are. Each carries the ``label`` that names it
-# in the transition trace.
+# in the transition trace; one that carries nothing else is a shared marker.
 
-@dataclass(frozen=True)
-class Completed:
-    label: ClassVar[str] = "prod_exited:completed"
+@dataclass(frozen=True, eq=False)
+class Marker:
+    """A state, event or action that carries nothing but its label. Each one
+    is a single shared value, compared with ``is``: a marker equals only
+    itself."""
+
+    label: str
 
 
-#: the one ``Completed`` every handler's completed run holds; it has no
-#: fields and is frozen, so all of them can share it
-_COMPLETED = Completed()
+COMPLETED = Marker("prod_exited:completed")
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ class DeniedSyscallHit:
         return f"prod_exited:denied_syscall:{self.syscall}"
 
 
-ExitReason = Completed | PolicyViolation | DeniedSyscallHit
+ExitReason = Marker | PolicyViolation | DeniedSyscallHit
 
 
 @dataclass(frozen=True)
@@ -210,15 +212,11 @@ class Malicious:
     label: ClassVar[str] = "oracle_finished:malicious"
 
 
-@dataclass(frozen=True)
-class WatchdogTimeout:
-    """Oracle lifetime expired mid-run; nothing is learned from a partial run."""
+#: the oracle's lifetime expired mid-run; nothing is learned from a partial run
+WATCHDOG_TIMEOUT = Marker("oracle_finished:watchdog_timeout")
 
-    label: ClassVar[str] = "oracle_finished:watchdog_timeout"
-
-
-OracleOutcome = Benign | Malicious | WatchdogTimeout
-Run = tuple[tuple[str, ...], tuple[Completed, float], tuple[OracleOutcome, float]]
+OracleOutcome = Benign | Malicious | Marker
+Run = tuple[tuple[str, ...], tuple[Marker, float], tuple[OracleOutcome, float]]
 
 
 def run_production(
@@ -258,7 +256,7 @@ def run_oracle(
 
     The watchdog budget is checked before the request's base cost and
     before each syscall, so no run's elapsed time exceeds ``watchdog_ms``.
-    A run the watchdog stops ends in ``WatchdogTimeout``; the controller
+    A run the watchdog stops ends in ``WATCHDOG_TIMEOUT``; the controller
     never learns from a partial run. The budget is compared with elapsed
     times that only grow, so a run whose unbounded elapsed time is within
     ``watchdog_ms`` is never cut short, and equals the unbounded run bit
@@ -283,7 +281,7 @@ def _walk_oracle(
     cost = spec.cost_model
     elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
     if elapsed > watchdog_ms:
-        return WatchdogTimeout(), 0.0
+        return WATCHDOG_TIMEOUT, 0.0
     behavior = spec.handlers.get(request, _NO_HANDLER)
     exploit = behavior.exploit
     detected = exploit is not None and exploit.kind == "oracle_detectable"
@@ -291,7 +289,7 @@ def _walk_oracle(
     per = cost.production_per_syscall_ms * cost.oracle_slowdown_factor
     for _ in trace:
         if elapsed + per > watchdog_ms:
-            return WatchdogTimeout(), elapsed
+            return WATCHDOG_TIMEOUT, elapsed
         elapsed += per
     if detected:
         return Malicious(f"memory corruption detected in handler {request!r} "
@@ -299,7 +297,7 @@ def _walk_oracle(
     return Benign(frozenset(trace) | spec.oracle_extra), elapsed
 
 
-def run_unrestricted(spec: ServiceSpec, request: str) -> tuple[Completed, float]:
+def run_unrestricted(spec: ServiceSpec, request: str) -> tuple[Marker, float]:
     """Execute a request with no filter and no instrumentation (baseline cost)."""
     return spec.runs.get(request, spec.unknown_run)[1]
 

@@ -15,27 +15,27 @@ import json
 import math
 
 from timeloops.controller import (
+    ORACLE_RUNNING,
+    PRODUCTION_RUNNING,
+    SHUTDOWN,
+    START_ORACLE,
+    START_PRODUCTION,
+    WATCHDOG_FIRED,
     Alert,
-    OracleRunning,
-    ProductionRunning,
     RaiseAlert,
-    Shutdown,
-    StartOracle,
-    StartProduction,
     Transition,
     UpdatePolicy,
-    WatchdogFired,
     step,
 )
 from timeloops.errors import AttemptsExhausted, DeniedSyscall
 from timeloops.policy import PolicyLogEntry, SyscallPolicy
 from timeloops.simruntime import (
+    COMPLETED,
+    WATCHDOG_TIMEOUT,
     Benign,
-    Completed,
     DeniedSyscallHit,
     Malicious,
     PolicyViolation,
-    WatchdogTimeout,
 )
 from timeloops.workload import LATENCY_CSV_HEADER, MAX_ATTEMPTS, LatencyRecord
 
@@ -58,7 +58,7 @@ def production_run(spec, allow, key):
     for index, syscall in enumerate(trace):
         if syscall not in allow:
             return PolicyViolation(syscall, index), cost.production_elapsed(index)
-    return Completed(), cost.production_elapsed(len(trace))
+    return COMPLETED, cost.production_elapsed(len(trace))
 
 
 def oracle_run(spec, key, watchdog_ms=math.inf):
@@ -67,7 +67,7 @@ def oracle_run(spec, key, watchdog_ms=math.inf):
     cost = spec.cost_model
     elapsed = cost.base_request_ms * cost.oracle_slowdown_factor
     if elapsed > watchdog_ms:
-        return WatchdogTimeout(), 0.0
+        return WATCHDOG_TIMEOUT, 0.0
     behavior = spec.handlers.get(key)
     exploit = behavior.exploit if behavior is not None else None
     detect_at = (exploit.corruption_index
@@ -79,7 +79,7 @@ def oracle_run(spec, key, watchdog_ms=math.inf):
         if index == detect_at:
             return Malicious(report), elapsed
         if elapsed + per > watchdog_ms:
-            return WatchdogTimeout(), elapsed
+            return WATCHDOG_TIMEOUT, elapsed
         observed.add(syscall)
         elapsed += per
     if detect_at is not None:
@@ -97,7 +97,7 @@ class Session:
         self.policy_log, self.alerts, self.transition_trace = [], [], []
         self.latency_records, self.consultations = [], 0
         self.now = self.ready_at = 0.0
-        self.state, self.request_id = ProductionRunning(), -1
+        self.state, self.request_id = PRODUCTION_RUNNING, -1
         for key in config.pretrain_requests:
             denied = self.learn(oracle_run(spec, key)[0].observed, "pretrain")
             if denied:
@@ -106,7 +106,7 @@ class Session:
         if mode == "timeloops":
             for request in workload:
                 self.send(request)
-            self.transition(Shutdown())
+            self.transition(SHUTDOWN)
         else:
             for logical_id, key in workload:
                 self.baseline(logical_id, key, mode)
@@ -132,9 +132,9 @@ class Session:
         self.state, actions = step(before, event, self.config)
         rejected = False
         for action in actions:
-            if isinstance(action, (StartProduction, StartOracle)):
+            if action is START_PRODUCTION or action is START_ORACLE:
                 self.ready_at = self.now + self.spec.cost_model.restart_ms
-            if isinstance(action, StartProduction):
+            if action is START_PRODUCTION:
                 self.installed = self.allow
             elif isinstance(action, UpdatePolicy):
                 denied = self.learn(action.new_syscalls, "oracle")
@@ -152,11 +152,11 @@ class Session:
     def attempt(self, key):
         """One attempt: "served", "rejected_malicious", or None to retry."""
         self.now = max(self.now, self.ready_at)
-        if (isinstance(self.state, OracleRunning)
+        if (self.state is ORACLE_RUNNING
                 and self.now - self.ready_at >= self.config.watchdog_ms):
-            self.transition(WatchdogFired())
+            self.transition(WATCHDOG_FIRED)
             self.now = self.ready_at
-        if isinstance(self.state, ProductionRunning):
+        if self.state is PRODUCTION_RUNNING:
             event, elapsed = production_run(self.spec, self.installed, key)
             if isinstance(event, PolicyViolation) and event.syscall in self.deny:
                 event = DeniedSyscallHit(event.syscall)
@@ -167,7 +167,7 @@ class Session:
         self.now += elapsed
         if self.transition(event):
             return "rejected_malicious"
-        return "served" if isinstance(event, (Completed, Benign)) else None
+        return "served" if event is COMPLETED or isinstance(event, Benign) else None
 
     def send(self, request):
         """The client: the same request again until it ends."""

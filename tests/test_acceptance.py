@@ -15,24 +15,24 @@ from timeloops.analysis import dynamic_baseline, static_baseline, verify_paper_c
 from timeloops.catalog import load_default_fixture
 from timeloops.cli import main, run_attack_scenarios
 from timeloops.controller import (
+    HALTED,
+    ORACLE_RUNNING,
+    PRODUCTION_RUNNING,
+    SHUTDOWN,
+    WATCHDOG_FIRED,
     Benign,
     ControllerConfig,
-    Halted,
-    OracleRunning,
-    ProductionRunning,
-    Shutdown,
     UpdatePolicy,
-    WatchdogFired,
     run_session,
     step,
 )
 from timeloops.errors import IllegalTransition
 from timeloops.simruntime import (
-    Completed,
+    COMPLETED,
+    WATCHDOG_TIMEOUT,
     DeniedSyscallHit,
     Malicious,
     PolicyViolation,
-    WatchdogTimeout,
     load_scenario,
 )
 from timeloops.workload import generate_workload, summarize
@@ -262,34 +262,34 @@ def test_criterion_7_determinism_and_formats(tmp_path):
 def test_criterion_8_state_machine_safety():
     started = time.monotonic()
     config = ControllerConfig()
-    states = [ProductionRunning(), OracleRunning(), Halted()]
-    events = [
-        Completed(),
-        PolicyViolation("write", 0),
-        DeniedSyscallHit("mount"),
-        Benign(frozenset({"read"})),
-        Malicious("report"),
-        WatchdogTimeout(),
-        WatchdogFired(),
-        Shutdown(),
-    ]
+    states = [PRODUCTION_RUNNING, ORACLE_RUNNING, HALTED]
+    events = {
+        "completed": COMPLETED,
+        "violation": PolicyViolation("write", 0),
+        "denied": DeniedSyscallHit("mount"),
+        "benign": Benign(frozenset({"read"})),
+        "malicious": Malicious("report"),
+        "oracle_watchdog": WATCHDOG_TIMEOUT,
+        "watchdog_fired": WATCHDOG_FIRED,
+        "shutdown": SHUTDOWN,
+    }
     legal = set()
     for state in states:
-        legal.add((type(state).__name__, "Shutdown"))
+        legal.add((state.label, "shutdown"))
     legal |= {
-        ("ProductionRunning", "Completed"),
-        ("ProductionRunning", "PolicyViolation"),
-        ("ProductionRunning", "DeniedSyscallHit"),
-        ("OracleRunning", "Benign"),
-        ("OracleRunning", "Malicious"),
-        ("OracleRunning", "WatchdogTimeout"),
-        ("OracleRunning", "WatchdogFired"),
+        ("production_running", "completed"),
+        ("production_running", "violation"),
+        ("production_running", "denied"),
+        ("oracle_running", "benign"),
+        ("oracle_running", "malicious"),
+        ("oracle_running", "oracle_watchdog"),
+        ("oracle_running", "watchdog_fired"),
     }
 
     ok = True
     update_only_on_benign = True
-    for state, event in itertools.product(states, events):
-        pair = (type(state).__name__, type(event).__name__)
+    for state, (kind, event) in itertools.product(states, events.items()):
+        pair = (state.label, kind)
         try:
             _, actions = step(state, event, config)
         except IllegalTransition:

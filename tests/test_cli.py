@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, fixture_csv
 
-from timeloops import cli, errors
+from timeloops import cli, errors, workload
 from timeloops.catalog import load_default_fixture
 from timeloops.cli import main
 from timeloops.controller import ORACLE_MODES, ControllerConfig, SessionResult, run_session
@@ -171,6 +171,40 @@ def test_simulate_artifact_that_cannot_be_written_exits_1(tmp_path, capsys, arti
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write artifact {tmp_path / artifact}: ")
     assert err.count("\n") == 1
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _entries(directory):
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("owner, writer, artifact", [
+    (cli, "_write_in_slices", "session.json"),
+    (workload, "write_latency_csv", "latency.csv"),
+    (workload, "write_cumulative_csv", "cumulative.csv"),
+    (cli, "save_log", "policy.log"),
+    (cli, "export_seccomp", "profile.json"),
+    (None, None, "latency.csv"),  # a directory in the artifact's place
+])
+def test_a_failed_simulate_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, owner, writer,
+                                                artifact):
+    assert _simulate(tmp_path) == 0
+    assert sorted(_entries(tmp_path)) == sorted(
+        ["session.json", "latency.csv", "cumulative.csv", "policy.log", "profile.json"])
+    if owner is None:
+        (tmp_path / artifact).unlink()
+        (tmp_path / artifact).mkdir()
+    else:
+        monkeypatch.setattr(owner, writer, _no_space)
+    before = _entries(tmp_path)
+    # A run that would write different bytes to every artifact.
+    assert _simulate(tmp_path, ["--n", "300", "--seed", "2", "--deny-preset", "podman"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write artifact {tmp_path / artifact}: ")
+    assert _entries(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["simulate", "diff", "export-seccomp"])

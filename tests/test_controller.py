@@ -11,20 +11,20 @@ from hypothesis import strategies as st
 from timeloops import controller, simruntime
 from timeloops.catalog import load_default_fixture, podman_default_deny
 from timeloops.controller import (
+    HALTED,
+    LOG_EVENT,
     ORACLE_MODES,
+    ORACLE_RUNNING,
+    PRODUCTION_RUNNING,
     SESSION_MODES,
+    SHUTDOWN,
+    START_ORACLE,
+    START_PRODUCTION,
+    WATCHDOG_FIRED,
     ControllerConfig,
-    Halted,
-    LogEvent,
-    OracleRunning,
-    ProductionRunning,
     RaiseAlert,
-    Shutdown,
-    StartOracle,
-    StartProduction,
     UpdatePolicy,
     SessionDriver,
-    WatchdogFired,
     run_session,
     step,
 )
@@ -35,18 +35,19 @@ from timeloops.errors import (
 )
 from timeloops.policy import new_policy, replay_log
 from timeloops.simruntime import (
+    COMPLETED,
+    WATCHDOG_TIMEOUT,
     Benign,
-    Completed,
     CostModel,
     DeniedSyscallHit,
     ExploitSpec,
     Malicious,
+    Marker,
     PolicyViolation,
     RequestBehavior,
     ServiceSpec,
-    WatchdogTimeout,
 )
-from timeloops.workload import Request
+from timeloops.workload import Request, generate_workload
 
 CFG = ControllerConfig()
 CFG_WATCHDOG = ControllerConfig(oracle_mode="watchdog")
@@ -55,62 +56,72 @@ CFG_WATCHDOG = ControllerConfig(oracle_mode="watchdog")
 # --- step: the pure transition function ---------------------------------------
 
 def test_violation_starts_oracle():
-    state, actions = step(ProductionRunning(), PolicyViolation("write", 1), CFG)
-    assert state == OracleRunning()
-    assert actions == (StartOracle(),)
+    state, actions = step(PRODUCTION_RUNNING, PolicyViolation("write", 1), CFG)
+    assert state is ORACLE_RUNNING
+    assert actions == (START_ORACLE,)
 
 
 def test_completed_request_needs_no_restart():
-    state, actions = step(ProductionRunning(), Completed(), CFG)
-    assert state == ProductionRunning()
-    assert [type(action) for action in actions] == [LogEvent]
+    state, actions = step(PRODUCTION_RUNNING, COMPLETED, CFG)
+    assert state is PRODUCTION_RUNNING
+    assert actions == (LOG_EVENT,)
 
 
 def test_benign_outcome_updates_policy_and_restarts_production():
     observed = frozenset({"read", "write"})
-    state, actions = step(OracleRunning(), Benign(observed), CFG)
-    assert state == ProductionRunning()
-    assert actions == (UpdatePolicy(observed), StartProduction())
+    state, actions = step(ORACLE_RUNNING, Benign(observed), CFG)
+    assert state is PRODUCTION_RUNNING
+    assert actions == (UpdatePolicy(observed), START_PRODUCTION)
 
 
 def test_benign_outcome_keeps_oracle_alive_in_watchdog_mode():
     observed = frozenset({"read"})
-    before = OracleRunning()
+    before = ORACLE_RUNNING
     state, actions = step(before, Benign(observed), CFG_WATCHDOG)
-    assert state == OracleRunning()
+    assert state is ORACLE_RUNNING
     assert actions == (UpdatePolicy(observed),)
 
 
 def test_malicious_outcome_alerts_without_policy_update():
-    state, actions = step(OracleRunning(), Malicious("corruption"), CFG)
-    assert state == ProductionRunning()
-    assert actions == (RaiseAlert("corruption"), StartProduction())
+    state, actions = step(ORACLE_RUNNING, Malicious("corruption"), CFG)
+    assert state is PRODUCTION_RUNNING
+    assert actions == (RaiseAlert("corruption"), START_PRODUCTION)
     assert not any(isinstance(a, UpdatePolicy) for a in actions)
 
 
 def test_watchdog_fired_switches_back_to_production():
-    state, actions = step(OracleRunning(), WatchdogFired(), CFG)
-    assert state == ProductionRunning()
-    assert actions == (StartProduction(),)
+    state, actions = step(ORACLE_RUNNING, WATCHDOG_FIRED, CFG)
+    assert state is PRODUCTION_RUNNING
+    assert actions == (START_PRODUCTION,)
 
 
 def test_shutdown_halts_from_any_state():
-    for state in (ProductionRunning(), OracleRunning(), Halted()):
-        after, _ = step(state, Shutdown(), CFG)
-        assert after == Halted()
+    for state in (PRODUCTION_RUNNING, ORACLE_RUNNING, HALTED):
+        after, _ = step(state, SHUTDOWN, CFG)
+        assert after is HALTED
 
 
 def test_illegal_transitions_raise():
     with pytest.raises(IllegalTransition):
-        step(ProductionRunning(), Benign(frozenset()), CFG)
+        step(PRODUCTION_RUNNING, Benign(frozenset()), CFG)
+    with pytest.raises(IllegalTransition,
+                       match="^event prod_exited:completed not legal in state oracle_running$"):
+        step(ORACLE_RUNNING, COMPLETED, CFG)
     with pytest.raises(IllegalTransition):
-        step(OracleRunning(), Completed(), CFG)
+        step(PRODUCTION_RUNNING, WATCHDOG_FIRED, CFG)
     with pytest.raises(IllegalTransition):
-        step(ProductionRunning(), WatchdogFired(), CFG)
+        step(HALTED, COMPLETED, CFG)
     with pytest.raises(IllegalTransition):
-        step(Halted(), Completed(), CFG)
+        step(PRODUCTION_RUNNING, WATCHDOG_TIMEOUT, CFG)
+
+
+def test_a_look_alike_marker_is_neither_a_state_nor_an_event():
+    look_alike = Marker(PRODUCTION_RUNNING.label)
+    for event in (COMPLETED, PolicyViolation("write", 0), SHUTDOWN):
+        with pytest.raises(IllegalTransition):
+            step(look_alike, event, CFG)
     with pytest.raises(IllegalTransition):
-        step(ProductionRunning(), WatchdogTimeout(), CFG)
+        step(PRODUCTION_RUNNING, Marker(COMPLETED.label), CFG)
 
 
 def test_attempt_returns_the_outcome_and_a_halted_driver_refuses():
@@ -123,10 +134,10 @@ def test_attempt_returns_the_outcome_and_a_halted_driver_refuses():
 
 
 def test_denied_syscall_hit_alerts_and_restarts():
-    state, actions = step(ProductionRunning(), DeniedSyscallHit("mount"), CFG)
-    assert state == ProductionRunning()
+    state, actions = step(PRODUCTION_RUNNING, DeniedSyscallHit("mount"), CFG)
+    assert state is PRODUCTION_RUNNING
     assert isinstance(actions[0], RaiseAlert)
-    assert actions[1] == StartProduction()
+    assert actions[1] is START_PRODUCTION
 
 
 # --- run_session ---------------------------------------------------------------
@@ -275,6 +286,25 @@ def test_every_syscall_name_is_one_object(attacks_spec):
     # The interned string is the one object of its text: the loaded
     # scenario, the deny-list and the session all hold it and no copy.
     assert all(name is sys.intern(name) for name in names)
+
+
+def test_a_session_builds_no_marker(attacks_spec, monkeypatch):
+    built = []
+    init = Marker.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Marker, "__init__", counted)
+    deny = podman_default_deny(load_default_fixture())
+    workload = generate_workload(attacks_spec, 200, 0, dict.fromkeys(attacks_spec.handlers, 1))
+    for mode, oracle_mode in itertools.product(SESSION_MODES, ORACLE_MODES):
+        config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=70.0, deny=deny)
+        run_session(attacks_spec, workload, config, mode=mode)
+    assert built == []
+    Marker("counted")
+    assert built == [("counted",)]
 
 
 def test_unknown_request_keys_are_served():

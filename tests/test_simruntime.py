@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from timeloops.errors import ScenarioError
 from timeloops.policy import SyscallPolicy, new_policy
 from timeloops.simruntime import (
-    Benign,
-    Completed,
+    COMPLETED,
     EXPLOIT_KINDS,
+    WATCHDOG_TIMEOUT,
+    Benign,
     CostModel,
     ExploitSpec,
     Malicious,
     PolicyViolation,
     RequestBehavior,
-    WatchdogTimeout,
     _walk_oracle,
     exploit_category,
     load_scenario,
@@ -40,7 +40,7 @@ def _allow(*names):
 def test_production_fully_allowed_completes():
     spec = _spec({"r": RequestBehavior(trace=("read", "write"))})
     reason, elapsed = run_production(spec, _allow("read", "write"), "r")
-    assert reason == Completed()
+    assert reason is COMPLETED
     assert elapsed == 1.0 + 2 * 2.0
 
 
@@ -63,7 +63,7 @@ def test_production_does_not_detect_exploits():
 def test_production_unknown_request_completes_at_the_base_cost():
     spec = _spec({"r": RequestBehavior(trace=("read",))})
     reason, elapsed = run_production(spec, new_policy(), "nope")
-    assert reason == Completed()
+    assert reason is COMPLETED
     assert elapsed == 1.0
 
 
@@ -100,10 +100,10 @@ def test_passing_runs_share_one_result(spec, data):
     request = data.draw(st.sampled_from(sorted(spec.handlers) + ["nope"]))
     everything = SyscallPolicy(allow=frozenset(SYSCALL_POOL + DENY_POOL))
     first = run_production(spec, everything, request)
-    assert isinstance(first[0], Completed)
+    assert first[0] is COMPLETED
     assert run_production(spec, SyscallPolicy(epoch=1, allow=everything.allow), request) is first
     assert run_unrestricted(spec, request) is run_unrestricted(spec, request) is first
-    # Every handler's completed run, and that of a key with no handler, share one Completed.
+    # Every handler's completed run, and that of a key with no handler, share COMPLETED.
     assert all(run[1][0] is first[0] for run in [*spec.runs.values(), spec.unknown_run])
 
 
@@ -140,22 +140,22 @@ def test_oracle_watchdog_cuts_run_between_syscalls():
     spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"))})
     # budget covers base (3.0) plus one 6.0 syscall only
     outcome, elapsed = run_oracle(spec, "r", watchdog_ms=10.0)
-    assert type(outcome) is WatchdogTimeout
+    assert outcome is WATCHDOG_TIMEOUT
     assert elapsed == 9.0
 
 
 def test_a_cut_short_verdict_is_never_stored():
     spec = _spec({"r": RequestBehavior(trace=("read", "write", "openat"))})
-    assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
+    assert run_oracle(spec, "r", watchdog_ms=10.0)[0] is WATCHDOG_TIMEOUT
     assert run_oracle(spec, "r") == (Benign(frozenset({"read", "write", "openat"})), 21.0)
-    assert type(run_oracle(spec, "r", watchdog_ms=10.0)[0]) is WatchdogTimeout
+    assert run_oracle(spec, "r", watchdog_ms=10.0)[0] is WATCHDOG_TIMEOUT
 
 
 def test_an_unknown_key_runs_in_the_oracle_as_an_empty_handler():
     spec = _spec({"r": RequestBehavior(trace=("read",))}, extra=("sigaltstack",))
     for budget in (math.inf, 2.0, math.inf):
         assert run_oracle(spec, "nope", budget) == _walk_oracle(spec, "nope", budget)
-    assert run_oracle(spec, "nope", 2.0) == (WatchdogTimeout(), 0.0)
+    assert run_oracle(spec, "nope", 2.0) == (WATCHDOG_TIMEOUT, 0.0)
     assert run_oracle(spec, "nope") == (Benign(frozenset({"sigaltstack"})), 3.0)
 
 

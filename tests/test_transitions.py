@@ -11,36 +11,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloops.controller import (
+    HALTED,
+    LOG_EVENT,
     ORACLE_MODES,
+    ORACLE_RUNNING,
+    PRODUCTION_RUNNING,
+    SHUTDOWN,
+    START_ORACLE,
+    START_PRODUCTION,
+    WATCHDOG_FIRED,
     ControllerConfig,
-    Halted,
-    LogEvent,
-    OracleRunning,
-    ProductionRunning,
     RaiseAlert,
     SessionDriver,
     SessionResult,
-    Shutdown,
-    StartOracle,
-    StartProduction,
     Transition,
     TransitionTrace,
     UpdatePolicy,
-    WatchdogFired,
     run_session,
     step,
 )
 from timeloops.errors import IllegalTransition
 from timeloops.policy import new_policy
 from timeloops.simruntime import (
+    COMPLETED,
+    WATCHDOG_TIMEOUT,
     Benign,
-    Completed,
     DeniedSyscallHit,
     ExploitSpec,
     Malicious,
     PolicyViolation,
     RequestBehavior,
-    WatchdogTimeout,
 )
 from timeloops.workload import generate_workload
 
@@ -48,19 +48,19 @@ SINGLE = ControllerConfig()
 WATCHDOG = ControllerConfig(oracle_mode="watchdog")
 
 STATES = {
-    "production": ProductionRunning(),
-    "oracle": OracleRunning(),
-    "halted": Halted(),
+    "production": PRODUCTION_RUNNING,
+    "oracle": ORACLE_RUNNING,
+    "halted": HALTED,
 }
 EVENTS = {
-    "completed": Completed(),
+    "completed": COMPLETED,
     "violation": PolicyViolation("write", 0),
     "denied": DeniedSyscallHit("mount"),
     "benign": Benign(frozenset({"read"})),
     "malicious": Malicious("report"),
-    "oracle_watchdog": WatchdogTimeout(),
-    "watchdog_fired": WatchdogFired(),
-    "shutdown": Shutdown(),
+    "oracle_watchdog": WATCHDOG_TIMEOUT,
+    "watchdog_fired": WATCHDOG_FIRED,
+    "shutdown": SHUTDOWN,
 }
 
 # (state, event, config) -> (from, event, to, actions) as session.json spells them.
@@ -140,7 +140,7 @@ def test_a_trace_stores_one_label_object_per_distinct_row():
     driver = SessionDriver(make_spec({}), SINGLE)
     for event in (PolicyViolation("write", 0), PolicyViolation("write", 1),
                   DeniedSyscallHit("mount"), DeniedSyscallHit("mount")):
-        driver.state = ProductionRunning()
+        driver.state = PRODUCTION_RUNNING
         driver._transition(event)
     violation, again, denied, denied_again = (t.event for t in driver.transition_trace)
     assert violation is again and denied is denied_again
@@ -226,13 +226,13 @@ def test_transition_trace_is_a_sequence_of_transitions():
 
 def test_trace_rows_hold_the_drivers_labels():
     driver = SessionDriver(make_spec({}), SINGLE)
-    events = [PolicyViolation("read", 0), Benign(frozenset({"read"})), Completed(),
-              Completed(), DeniedSyscallHit("mount"), Shutdown()]
+    events = [PolicyViolation("read", 0), Benign(frozenset({"read"})), COMPLETED,
+              COMPLETED, DeniedSyscallHit("mount"), SHUTDOWN]
     for event in events:
         driver._transition(event)
-    states = [cls.label for cls in (ProductionRunning, OracleRunning, Halted)]
-    actions = [cls.label for cls in (StartProduction, StartOracle, UpdatePolicy, RaiseAlert,
-                                     LogEvent)]
+    states = [state.label for state in (PRODUCTION_RUNNING, ORACLE_RUNNING, HALTED)]
+    actions = [kind.label for kind in (START_PRODUCTION, START_ORACLE, UpdatePolicy, RaiseAlert,
+                                       LOG_EVENT)]
     for t, event in zip(driver.transition_trace, events, strict=True):
         assert t.event == event.label
         assert any(t.from_state is label for label in states)
@@ -283,13 +283,12 @@ def test_to_json_holds_little_beside_its_document(staticsite):
 
 def test_a_long_trace_stays_compact():
     driver = SessionDriver(make_spec({}), SINGLE)
-    completed = Completed()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(100_000):
             driver.now += 1.0
-            driver._transition(completed)
+            driver._transition(COMPLETED)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
