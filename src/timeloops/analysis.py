@@ -11,7 +11,6 @@ reported as a failing claim rather than silently patched over.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -158,21 +157,6 @@ class ClaimReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.claims)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "claims": [
-                {
-                    "claim_id": c.claim_id,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "passed": c.passed,
-                }
-                for c in self.claims
-            ],
-            "notes": list(self.notes),
-            "all_pass": self.all_pass,
-        }, indent=2)
 
     def to_text(self) -> str:
         width = max((len(c.claim_id) for c in self.claims), default=0)

@@ -23,10 +23,6 @@ from .errors import AttemptsExhausted, ConfigError, MissingCategory, ParseError
 from .policy import SyscallPolicy, export_seccomp, save_log
 from .simruntime import ServiceSpec, exploit_category, load_scenario, pick_service
 
-# TextIOWrapper encodes each write into one new bytes object, so writing a
-# document whole would copy it once more; a slice of it copies only a slice.
-_WRITE_CHARS = 1 << 18
-
 
 class _UsageError(Exception):
     pass
@@ -149,7 +145,7 @@ def cmd_simulate(args) -> tuple[int, str]:
     writers = {
         # session.json is the largest artifact, so it is written first, while
         # the least else is held.
-        "session.json": lambda path: _write_in_slices(path, result.to_json()),
+        "session.json": result.write_json,
         "latency.csv": lambda path: workload.write_latency_csv(result.latency_records, path),
         "cumulative.csv": lambda path: workload.write_cumulative_csv(result.latency_records, path),
         "policy.log": lambda path: save_log(result.policy_log, path),
@@ -187,15 +183,6 @@ def cmd_simulate(args) -> tuple[int, str]:
                      f"p99={stats.p99:.3f}ms max={stats.max:.3f}ms\n")
     lines.append(f"artifacts written to {out}\n")
     return 0, "".join(lines)
-
-
-def _write_in_slices(path: Path, text: str) -> None:
-    """Write ``text`` and a newline to ``path`` without encoding the text
-    whole; the caller's ``to_json()`` result is freed when this returns."""
-    with open(path, "w", encoding="utf-8") as f:
-        for start in range(0, len(text), _WRITE_CHARS):
-            f.write(text[start:start + _WRITE_CHARS])
-        f.write("\n")
 
 
 def cmd_diff(args) -> tuple[int, str]:

@@ -24,6 +24,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
+from pathlib import Path
 from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from . import workload as workload_mod
@@ -200,6 +201,9 @@ class TransitionTrace(Sequence[Transition]):
 
 # What session.json writes for a float ``repr`` writes otherwise.
 _JSON_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# TextIOWrapper encodes each write into one new bytes object, so writing a
+# document whole would copy it once more; a slice of it copies only a slice.
+_WRITE_CHARS = 1 << 18
 
 
 @dataclass
@@ -253,6 +257,15 @@ class SessionResult:
         parts[4::4] = repeat('\n    },\n    {\n      "at_ms": ', len(trace))
         parts[-1] = "\n    }\n  ]" + tail
         return "".join(parts)
+
+    def write_json(self, path: str | Path) -> None:
+        """Write the session document and a newline to ``path``, in slices,
+        so that the document is never encoded whole."""
+        text = self.to_json()
+        with open(path, "w", encoding="utf-8") as f:
+            for start in range(0, len(text), _WRITE_CHARS):
+                f.write(text[start:start + _WRITE_CHARS])
+            f.write("\n")
 
 
 def _transition_fragment(from_state: str, event: str, to_state: str, actions: tuple) -> str:

@@ -22,12 +22,6 @@ from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
 
-#: defaultAction values accepted by export_seccomp.
-SECCOMP_ACTIONS = {
-    "kill_process": "SCMP_ACT_KILL_PROCESS",
-    "errno": "SCMP_ACT_ERRNO",
-}
-
 
 @dataclass(frozen=True)
 class SyscallPolicy:
@@ -146,18 +140,16 @@ def diff(a: SyscallPolicy, b: SyscallPolicy) -> PolicyDiff:
     )
 
 
-def export_seccomp(policy: SyscallPolicy, default_action: str = "kill_process") -> bytes:
+def export_seccomp(policy: SyscallPolicy) -> bytes:
     """Render the policy as an OCI-style seccomp profile.
 
     The output is bit-exact for a given policy: names sorted, fixed key
-    order, compact separators, single line, no trailing newline.
+    order, compact separators, single line, no trailing newline. The
+    default action kills the process: that death hands the request to the
+    oracle.
     """
-    try:
-        action = SECCOMP_ACTIONS[default_action]
-    except KeyError:
-        raise ValueError(f"unknown default action: {default_action!r}") from None
     profile = {
-        "defaultAction": action,
+        "defaultAction": "SCMP_ACT_KILL_PROCESS",
         "architectures": ["SCMP_ARCH_X86_64"],
         "syscalls": (
             [{"names": sorted(policy.allow), "action": "SCMP_ACT_ALLOW"}]

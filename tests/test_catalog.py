@@ -121,6 +121,16 @@ def test_bad_flag_cell_is_parse_error():
         parse_fixture(text)
 
 
+def test_empty_row_is_skipped():
+    table = parse_fixture(HEADER + "\nread,,1,1,1,1,1,1,1\n\nopen,,0,1,1,1,1,1,1\n")
+    assert [row.syscall for row in table.rows] == ["read", "open"]
+
+
+def test_row_with_wrong_flag_count_is_parse_error():
+    with pytest.raises(ParseError, match=f"has 2 flags, expected {len(COLUMNS)}"):
+        TableRow(syscall="read", cve=None, flags=(True, False))
+
+
 def test_malformed_cve_is_parse_error():
     text = HEADER + "\nread,CVE-17-5669,1,1,1,1,1,1,1\n"
     with pytest.raises(ParseError):

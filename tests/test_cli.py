@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, fixture_csv
 
-from timeloops import cli, errors, workload
+from timeloops import cli, controller, errors, workload
 from timeloops.catalog import load_default_fixture
 from timeloops.cli import main
 from timeloops.controller import ORACLE_MODES, ControllerConfig, SessionResult, run_session
@@ -117,6 +118,50 @@ def test_simulate_usage_errors_exit_1(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_an_empty_mix_item_is_skipped():
+    assert cli._parse_mix("home=1,,search=1") == {"home": 1.0, "search": 1.0}
+
+
+@pytest.mark.parametrize("mix, message", [
+    ("home=x", "malformed mix weight in 'home=x'"),
+    (",", "empty mix"),
+])
+def test_a_malformed_mix_exits_1_naming_the_problem(tmp_path, capsys, mix, message):
+    assert main(["simulate", "--scenario", STATICSITE, "--mix", mix,
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_service_with_no_benign_handler_needs_a_mix(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
+    handlers = scenario["services"][0]["handlers"]
+    for key in ("home", "search", "upload"):
+        del handlers[key]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: service 'staticsite' has no benign handlers\n"
+
+
+def test_simulate_service_writes_the_named_service_artifacts(tmp_path, capsys):
+    first = json.loads((SCENARIO_DIR / "staticsite.json").read_text())["services"][0]
+    other = {**first, "name": "other", "handlers": {"home": first["handlers"]["home"]}}
+    (tmp_path / "both.json").write_text(json.dumps({"services": [first, other]}))
+    (tmp_path / "other.json").write_text(json.dumps({"services": [other]}))
+    assert main(["simulate", "--scenario", str(tmp_path / "both.json"), "--service", "other",
+                 "--n", "20", "--out", str(tmp_path / "picked")]) == 0
+    assert "service=other " in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(tmp_path / "other.json"),
+                 "--n", "20", "--out", str(tmp_path / "alone")]) == 0
+    assert main(["simulate", "--scenario", str(tmp_path / "both.json"),
+                 "--n", "20", "--out", str(tmp_path / "first")]) == 0
+    picked = _entries(tmp_path / "picked")
+    assert picked == _entries(tmp_path / "alone")
+    assert picked["profile.json"] != _entries(tmp_path / "first")["profile.json"]
+
+
 def test_duplicate_mix_key_exits_1_naming_it(tmp_path, capsys):
     assert main(["simulate", "--scenario", STATICSITE, "--mix", "home=1,search=2,home=3",
                  "--out", str(tmp_path / "run")]) == 1
@@ -173,7 +218,7 @@ def test_simulate_artifact_that_cannot_be_written_exits_1(tmp_path, capsys, arti
     assert err.count("\n") == 1
 
 
-def _no_space(*args):
+def _no_space(*args, **kwargs):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
@@ -182,7 +227,7 @@ def _entries(directory):
 
 
 @pytest.mark.parametrize("owner, writer, artifact", [
-    (cli, "_write_in_slices", "session.json"),
+    (SessionResult, "write_json", "session.json"),
     (workload, "write_latency_csv", "latency.csv"),
     (workload, "write_cumulative_csv", "cumulative.csv"),
     (cli, "save_log", "policy.log"),
@@ -204,6 +249,18 @@ def test_a_failed_simulate_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, o
     assert _simulate(tmp_path, ["--n", "300", "--seed", "2", "--deny-preset", "podman"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write artifact {tmp_path / artifact}: ")
+    assert _entries(tmp_path) == before
+
+
+def test_simulate_that_cannot_make_its_staging_directory_leaves_out_as_it_was(
+        tmp_path, capsys, monkeypatch):
+    assert _simulate(tmp_path) == 0
+    before = _entries(tmp_path)
+    monkeypatch.setattr(tempfile, "mkdtemp", _no_space)
+    assert _simulate(tmp_path, ["--n", "300", "--seed", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: cannot write to output directory {tmp_path}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
     assert _entries(tmp_path) == before
 
 
@@ -278,7 +335,7 @@ def test_session_json_written_in_slices_is_the_document(tmp_path):
     requests = generate_workload(spec, 5000, 3, {"home": 8, "search": 1, "upload": 1})
     doc = run_session(spec, requests, ControllerConfig()).to_json()
     # Several whole slices and a partial last one.
-    assert len(doc) > 2 * cli._WRITE_CHARS and len(doc) % cli._WRITE_CHARS
+    assert len(doc) > 2 * controller._WRITE_CHARS and len(doc) % controller._WRITE_CHARS
     assert (tmp_path / "session.json").read_text(encoding="utf-8") == doc + "\n"
 
 
@@ -440,9 +497,10 @@ def test_a_trace_name_outside_the_universe_is_an_error_even_if_injected(tmp_path
 def test_export_seccomp_empty_policy_via_subprocess(tmp_path):
     policy = tmp_path / "p.json"
     policy.write_text(json.dumps({"allow": []}))
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "timeloops.cli", "export-seccomp", str(policy)],
-        capture_output=True,
+        capture_output=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / "profile_empty.json").read_bytes()

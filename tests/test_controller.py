@@ -260,6 +260,14 @@ def test_empty_workload_is_config_error():
         run_session(spec, [], CFG)
 
 
+def test_an_unknown_oracle_or_session_mode_is_config_error():
+    with pytest.raises(ConfigError, match="^unknown oracle mode: 'x'$"):
+        ControllerConfig(oracle_mode="x")
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
+    with pytest.raises(ConfigError, match="^unknown session mode: 'x'$"):
+        run_session(spec, requests("r"), CFG, mode="x")
+
+
 def test_denied_oracle_extras_are_config_error():
     spec = make_spec({"r": RequestBehavior(trace=("read",))}, extra={"sigaltstack"})
     with pytest.raises(ConfigError):

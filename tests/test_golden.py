@@ -5,14 +5,12 @@ Each directory under ``tests/golden/simulate`` holds the five artifacts of
 one fixed run, named in ``RUNS`` by its scenario, mix and flags. A change
 meant to alter them regenerates them with the command in ``_argv`` and
 says so. Each file under ``tests/golden/cli`` is the stdout of the
-``timeloops`` command named in ``CLI_RUNS``, run from the repository root,
-or the JSON claim report on the bundled table.
+``timeloops`` command named in ``CLI_RUNS``, run from the repository root.
 """
 
 import pytest
 from conftest import GOLDEN_DIR, SCENARIO_DIR
 
-from timeloops.analysis import verify_paper_claims
 from timeloops.cli import main
 
 ARTIFACTS = ("latency.csv", "cumulative.csv", "session.json", "policy.log", "profile.json")
@@ -80,12 +78,10 @@ CLI_RUNS = {
 }
 
 
-def test_evaluation_output_matches_golden(capsys, monkeypatch, table):
+def test_evaluation_output_matches_golden(capsys, monkeypatch):
     monkeypatch.chdir(SCENARIO_DIR.parent)
     golden = GOLDEN_DIR / "cli"
-    assert sorted(p.name for p in golden.iterdir()) == sorted([*CLI_RUNS, "claims.json"])
+    assert sorted(p.name for p in golden.iterdir()) == sorted(CLI_RUNS)
     for name, (argv, code) in CLI_RUNS.items():
         assert main(argv) == code, name
         assert capsys.readouterr().out.encode() == (golden / name).read_bytes(), name
-    claims = verify_paper_claims(table).to_json().encode()
-    assert claims == (golden / "claims.json").read_bytes()

@@ -318,6 +318,13 @@ def test_corruption_index_bounds():
         )
 
 
+def test_exploit_spec_validation():
+    with pytest.raises(ScenarioError, match="^unknown exploit kind: 'x'$"):
+        ExploitSpec(kind="x", corruption_index=0)
+    with pytest.raises(ScenarioError, match="^corruption_index must be non-negative$"):
+        ExploitSpec(kind="oracle_detectable", corruption_index=-1)
+
+
 def test_cost_model_validation():
     with pytest.raises(ScenarioError):
         CostModel(oracle_slowdown_factor=1.0)
@@ -355,17 +362,22 @@ def test_scenario_loader_rejects_bad_files(tmp_path):
         return base
 
     cases = [
-        service(handlers={"r": {"trace": "read"}}),          # string, not array
-        service(static_universe="read"),
-        service(handlers={"r": {"trace": ["read"], "exploit": {
+        (service(handlers={"r": {"trace": "read"}}),          # string, not array
+         "^handler 'r': trace must be an array"),
+        (service(static_universe="read"), "^service 'svc': static_universe must be an array"),
+        (service(handlers={"r": {"trace": ["read"], "exploit": {
             "kind": "oracle_detectable", "corruption_index": "x"}}}),
-        service(cost_model={"restart_ms": "fast"}),
-        service(cost_model={"bogus_field": 1.0}),
+         "^handler 'r': malformed exploit"),
+        (service(cost_model={"restart_ms": "fast"}), "^malformed cost_model"),
+        (service(cost_model={"bogus_field": 1.0}), "^unknown cost_model fields: bogus_field$"),
+        (service(cost_model=[]), "^cost_model must be an object$"),
+        (service(handlers=[]), "^handlers must be a map"),
+        (service(handlers={"r": ["read"]}), "^handler 'r' must be an object$"),
     ]
-    for i, svc in enumerate(cases):
+    for i, (svc, message) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(jsonlib.dumps({"services": [svc]}))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=message):
             load_scenario(path)
 
     dupes = tmp_path / "dupes.json"
