@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
 """Wall time and memory of each `simulate` renderer, for one session.
 
-Loads a scenario and runs one session as `timeloops simulate` does, then
-renders its artifacts one at a time: `SessionResult.to_json`, the latency
-and cumulative CSVs and `export_seccomp`. It prints what the loaded spec
-holds and, with the spec freed as `simulate` frees it, what is held after
-the session. For each renderer it prints the output size, the best wall time
-of three renders with tracing off, and the tracemalloc peak above what was
-held before the render, that is, what the render adds to the process peak.
+First it prints, for the scenario, its syscall-name occurrences against its
+distinct names, and the wall time of the process's first `load_scenario`
+with the collector passes during it. That load validates each distinct name
+once and runs with the collector on, as a load outside `simulate` does.
+
+Then it loads the scenario again and runs one session as `timeloops
+simulate` does, and renders its artifacts one at a time:
+`SessionResult.to_json`, the latency and cumulative CSVs and
+`export_seccomp`. It prints what the loaded spec holds (less the names,
+which the first load interned and keeps) and, with the spec freed as
+`simulate` frees it, what is held after the session. For each renderer it
+prints the output size, the best wall time of three renders with tracing
+off, and the tracemalloc peak above what was held before the render, that
+is, what the render adds to the process peak.
 
     python3 scripts/render_memory.py --scenario S --n N [--seed K] [--mix key=w,...]
                                      [--oracle-mode single|watchdog] [--watchdog-ms MS]
@@ -15,8 +22,13 @@ held before the render, that is, what the render adds to the process peak.
 """
 
 import argparse
+import gc
+import json
+import time
 import timeit
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 from timeloops.catalog import load_default_fixture, podman_default_deny
 from timeloops.cli import _default_mix, _parse_mix
@@ -27,6 +39,36 @@ from timeloops.simruntime import load_scenario
 from timeloops.workload import generate_workload, render_cumulative_csv, render_latency_csv
 
 MB = 2**20
+
+
+def name_counts(path) -> tuple[int, int]:
+    """The syscall-name occurrences in a scenario file, and its distinct names."""
+    names = []
+    for service in json.loads(Path(path).read_text(encoding="utf-8"))["services"]:
+        names += service.get("static_universe", []) + service.get("oracle_extra", [])
+        for handler in service["handlers"].values():
+            names += handler.get("trace", []) + (handler.get("exploit") or {}).get("injected", [])
+    return len(names), len(set(names))
+
+
+def first_load(path) -> tuple[float, Counter]:
+    """The wall time of loading ``path``, and the collector passes during it
+    by generation."""
+    passes = Counter()
+
+    def started(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    gc.callbacks.append(started)
+    try:
+        start = time.perf_counter()
+        specs = load_scenario(path)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(started)
+    del specs
+    return elapsed, passes
 
 
 def main():
@@ -40,6 +82,16 @@ def main():
     parser.add_argument("--watchdog-ms", type=float, default=10_000.0)
     parser.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     args = parser.parse_args()
+
+    try:
+        load_s, passes = first_load(args.scenario)
+    except TimeloopsError as exc:
+        parser.error(str(exc))
+    # The file loaded, so it is well formed.
+    occurrences, distinct = name_counts(args.scenario)
+    print(f"scenario: {occurrences} name occurrences, {distinct} distinct names; first load "
+          f"{load_s * 1e3:.1f} ms with {sum(passes.values())} collector passes (by generation "
+          f"0/1/2: {passes[0]}/{passes[1]}/{passes[2]})")
 
     tracemalloc.start()
     try:

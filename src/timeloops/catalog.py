@@ -20,8 +20,10 @@ from typing import NamedTuple
 
 from .errors import ParseError, UnknownColumn
 
-SYSCALL_NAME_RE = re.compile(r"^[a-z0-9_]+$")
-CVE_RE = re.compile(r"^CVE-\d{4}-\d{1,7}$")
+# Both are used with fullmatch: "$" would also match before a final newline,
+# and "\d" any Unicode digit.
+SYSCALL_NAME_RE = re.compile(r"[a-z0-9_]+")
+CVE_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{1,7}")
 
 #: The seven policy columns, in canonical order.
 COLUMNS = (
@@ -40,13 +42,28 @@ _CSV_FIELDS = ("syscall", "cve") + tuple(c.replace("-", "_") for c in COLUMNS)
 DEFAULT_FIXTURE = "policy_comparison.csv"
 
 
+#: each name that passed ``validate_syscall_name``, mapped to its interned string
+_VALID_NAMES: dict[str, str] = {}
+
+
 def validate_syscall_name(name: str) -> str:
     """``name`` if it is a valid syscall name, as the one interned string of
-    its text, so that every occurrence of a name shares one object."""
-    if not isinstance(name, str) or not SYSCALL_NAME_RE.match(name):
+    its text, so that every occurrence of a name shares one object.
+
+    Each distinct name is checked once per process: a ``str`` that passed
+    before returns its interned string at once. A ``str`` subclass, which
+    may compare or hash as it likes, is checked every time.
+    """
+    if type(name) is str:
+        valid = _VALID_NAMES.get(name)
+        if valid is not None:
+            return valid
+    if not isinstance(name, str) or not SYSCALL_NAME_RE.fullmatch(name):
         raise ParseError(f"invalid syscall name: {name!r}")
     # str() makes an exact str of a subclass, which sys.intern refuses.
-    return sys.intern(str(name))
+    valid = sys.intern(str(name))
+    _VALID_NAMES[valid] = valid
+    return valid
 
 
 def validate_name_list(value, what: str) -> tuple[str, ...]:
@@ -88,7 +105,7 @@ class TableRow:
 
     def __post_init__(self):
         validate_syscall_name(self.syscall)
-        if self.cve is not None and not CVE_RE.match(self.cve):
+        if self.cve is not None and not CVE_RE.fullmatch(self.cve):
             raise ParseError(f"invalid CVE identifier: {self.cve!r}")
         if len(self.flags) != len(COLUMNS):
             raise ParseError(

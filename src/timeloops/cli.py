@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import shutil
@@ -117,25 +118,39 @@ def _load_policy_file(path: str) -> SyscallPolicy:
 # Each command returns its exit status and what it prints; ``main`` prints it.
 
 def cmd_simulate(args) -> tuple[int, str]:
-    specs = load_scenario(args.scenario)
-    spec = pick_service(specs, args.service)
-    deny = frozenset()
-    if args.deny_preset == "podman":
-        deny = catalog.podman_default_deny(catalog.load_default_fixture())
-    pretrain_keys = tuple(k for k in args.pretrain.split(",") if k) if args.pretrain else ()
-    config = ControllerConfig(
-        oracle_mode=args.oracle_mode,
-        watchdog_ms=args.watchdog_ms,
-        deny=deny,
-        pretrain_requests=pretrain_keys,
-    )
-    mix = _parse_mix(args.mix) if args.mix else _default_mix(spec)
-    # Passed straight on, so that no request list outlives the session.
-    result = run_session(spec, workload.generate_workload(spec, args.n, args.seed, mix), config,
-                         mode=args.mode)
-    # The summary needs only the name; the spec is freed before the renders.
+    # The spec, the deny-list and the workload are tens of thousands of
+    # objects for a large scenario, and none is part of a cycle. So the
+    # collector is paused while they are built, and they are frozen out of
+    # its scans while the session runs.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        specs = load_scenario(args.scenario)
+        spec = pick_service(specs, args.service)
+        deny = frozenset()
+        if args.deny_preset == "podman":
+            deny = catalog.podman_default_deny(catalog.load_default_fixture())
+        pretrain_keys = tuple(k for k in args.pretrain.split(",") if k) if args.pretrain else ()
+        config = ControllerConfig(
+            oracle_mode=args.oracle_mode,
+            watchdog_ms=args.watchdog_ms,
+            deny=deny,
+            pretrain_requests=pretrain_keys,
+        )
+        mix = _parse_mix(args.mix) if args.mix else _default_mix(spec)
+        requests = workload.generate_workload(spec, args.n, args.seed, mix)
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    try:
+        result = run_session(spec, requests, config, mode=args.mode)
+    finally:
+        gc.unfreeze()
+    # The summary needs only the name; the spec and the requests are freed
+    # before the renders.
     service = spec.name
-    del specs, spec
+    del specs, spec, requests
 
     out = Path(args.out)
     try:
@@ -172,14 +187,15 @@ def cmd_simulate(args) -> tuple[int, str]:
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
-    served = result.latency_records.served()
+    records = result.latency_records
+    served = records.outcomes.count("served")
     # Every mode writes one record per logical request.
-    lines = [f"mode={args.mode} service={service} requests={len(result.latency_records)} "
+    lines = [f"mode={args.mode} service={service} requests={len(records)} "
              f"consultations={result.consultations} alerts={len(result.alerts)} "
              f"policy_size={len(result.final_policy.allow)} epoch={result.final_policy.epoch}\n"]
     if served:
-        stats = workload.summarize(served)
-        lines.append(f"served={len(served)} mean={stats.mean:.3f}ms p50={stats.p50:.3f}ms "
+        stats = workload.summarize(records, served_only=True)
+        lines.append(f"served={served} mean={stats.mean:.3f}ms p50={stats.p50:.3f}ms "
                      f"p99={stats.p99:.3f}ms max={stats.max:.3f}ms\n")
     lines.append(f"artifacts written to {out}\n")
     return 0, "".join(lines)

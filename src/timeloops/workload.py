@@ -81,13 +81,6 @@ def _transpose(records: Iterable[tuple]) -> tuple:
     return columns
 
 
-def _like(column, values: Iterable):
-    """A column of ``column``'s type, holding ``values``."""
-    new = column[:0]
-    new.extend(values)
-    return new
-
-
 class LatencyTable(Sequence[LatencyRecord]):
     """Latency records as a read-only sequence of :class:`LatencyRecord`,
     in the order they are given, in columns: ``ids``, ``first_ms`` and
@@ -105,7 +98,8 @@ class LatencyTable(Sequence[LatencyRecord]):
     """
 
     def __init__(self, records: Iterable[tuple] = ()):
-        self._set(_transpose(records))
+        self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes = (
+            _transpose(records))
         if min(self.attempts, default=1) < 1:
             raise ValueError("attempts must be >= 1")
         # Not all(map(ge, ...)): a NaN time compares false, and is accepted.
@@ -114,9 +108,6 @@ class LatencyTable(Sequence[LatencyRecord]):
         if not set(self.outcomes).issubset(OUTCOMES):
             unknown = next(o for o in self.outcomes if o not in OUTCOMES)
             raise ValueError(f"unknown outcome: {unknown!r}")
-
-    def _set(self, columns) -> None:
-        self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes = columns
 
     def _columns(self) -> tuple:
         return self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes
@@ -130,15 +121,6 @@ class LatencyTable(Sequence[LatencyRecord]):
 
     def __iter__(self):
         return map(partial(tuple.__new__, LatencyRecord), zip(*self._columns()))
-
-    def served(self) -> LatencyTable:
-        """The served records, in a table of their own."""
-        if self.outcomes.count("served") == len(self):
-            return self
-        keep = list(map("served".__eq__, self.outcomes))
-        served = LatencyTable()
-        served._set([_like(column, compress(column, keep)) for column in self._columns()])
-        return served
 
 
 @dataclass(frozen=True)
@@ -222,14 +204,19 @@ def _percentile(ordered: list[float], q: float) -> float:
     return a + (b - a) * t
 
 
-def summarize(table: LatencyTable) -> LatencyStats:
-    """Latency statistics of a session's table; percentiles use linear
-    interpolation between order statistics, so e.g. the p50 of [1, 2, 3, 4]
-    is 2.5. The cumulative series runs in record order, the order the
-    session ran its requests."""
-    if not table:
+def summarize(table: LatencyTable, served_only: bool = False) -> LatencyStats:
+    """Latency statistics of a session's table, or of its served records
+    only; percentiles use linear interpolation between order statistics, so
+    e.g. the p50 of [1, 2, 3, 4] is 2.5. The cumulative series runs in record
+    order, the order the session ran its requests. Only the two time
+    columns are read, and the outcomes for ``served_only``."""
+    first_ms, completion_ms = table.first_ms, table.completion_ms
+    if served_only and table.outcomes.count("served") != len(table):
+        served = list(map("served".__eq__, table.outcomes))
+        first_ms, completion_ms = compress(first_ms, served), compress(completion_ms, served)
+    latencies = list(map(operator.sub, completion_ms, first_ms))
+    if not latencies:
         raise EmptyRecords("no latency records to summarize")
-    latencies = list(map(operator.sub, table.completion_ms, table.first_ms))
     ordered = sorted(latencies)
     return LatencyStats(
         mean=math.fsum(latencies) / len(latencies),

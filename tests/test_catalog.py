@@ -1,11 +1,13 @@
+import json
 import sys
 
 import pytest
 from conftest import FIXTURE_HEADER as HEADER
-from conftest import fixture_csv
+from conftest import SCENARIO_DIR, fixture_csv
 from hypothesis import given
 from hypothesis import strategies as st
 
+from timeloops import catalog
 from timeloops.catalog import (
     COLUMNS,
     CVE_RE,
@@ -17,6 +19,7 @@ from timeloops.catalog import (
     validate_syscall_name,
 )
 from timeloops.errors import ParseError, UnknownColumn
+from timeloops.simruntime import load_scenario
 
 
 def test_a_valid_name_is_its_interned_text():
@@ -28,6 +31,78 @@ def test_a_valid_name_is_its_interned_text():
     assert validate_syscall_name(text) is sys.intern("mmap")
     # A str subclass, as an enum of names would give, is held as the str of its text.
     assert validate_syscall_name(Name("mmap")) is sys.intern("mmap")
+
+
+class _CountingPattern:
+    """A compiled pattern that records each text it is asked to match."""
+
+    def __init__(self, pattern):
+        self.pattern, self.checked = pattern, []
+
+    def fullmatch(self, text):
+        self.checked.append(text)
+        return self.pattern.fullmatch(text)
+
+
+@pytest.fixture
+def name_checks(monkeypatch):
+    """The texts checked as syscall names from here on, by a process that
+    has validated no name yet."""
+    pattern = _CountingPattern(catalog.SYSCALL_NAME_RE)
+    monkeypatch.setattr(catalog, "SYSCALL_NAME_RE", pattern)
+    monkeypatch.setattr(catalog, "_VALID_NAMES", {})
+    return pattern.checked
+
+
+def test_loading_a_scenario_checks_each_distinct_name_once(name_checks):
+    path = SCENARIO_DIR / "staticsite_attacks.json"
+    names = []
+    for service in json.loads(path.read_text())["services"]:
+        names += service["static_universe"] + service.get("oracle_extra", [])
+        for handler in service["handlers"].values():
+            names += handler["trace"] + (handler.get("exploit") or {}).get("injected", [])
+    assert len(names) > len(set(names))
+    load_scenario(path)
+    assert sorted(name_checks) == sorted(set(names))
+    load_scenario(path)
+    assert len(name_checks) == len(set(names))
+
+
+@pytest.mark.parametrize("name", ["read\n", "read\n\n", "\nread", "re\nad", "read\r", "",
+                                  "r\u0456ad", "\u0661"])
+def test_an_invalid_name_is_rejected_every_time(name_checks, name):
+    for _ in range(2):
+        with pytest.raises(ParseError, match="^invalid syscall name: "):
+            validate_syscall_name(name)
+    assert name_checks == [name, name] and catalog._VALID_NAMES == {}
+    # Its valid prefix does not make it valid either.
+    assert validate_syscall_name("read") == "read"
+    with pytest.raises(ParseError):
+        validate_syscall_name(name)
+
+
+def test_a_str_subclass_or_a_non_str_takes_the_checked_path(name_checks):
+    class LookAlike(str):
+        """Text that is no syscall name, but hashes and compares as "read"."""
+
+        def __hash__(self):
+            return hash("read")
+
+        def __eq__(self, other):
+            return True
+
+    validate_syscall_name("read")
+    with pytest.raises(ParseError):
+        validate_syscall_name(LookAlike("READ!"))
+    for value in (1, None, b"read"):
+        with pytest.raises(ParseError):
+            validate_syscall_name(value)
+    assert name_checks == ["read", "READ!"]
+
+
+def test_a_cve_with_a_line_break_is_parse_error():
+    with pytest.raises(ParseError, match="invalid CVE identifier"):
+        TableRow(syscall="read", cve="CVE-2017-5669\n", flags=(True,) * len(COLUMNS))
 
 
 def test_shmat_row(table):
@@ -71,7 +146,7 @@ def test_ioctl_free_text_is_note_not_cve(table):
 def test_all_cves_match_regex(table):
     for row in table.rows:
         if row.cve is not None:
-            assert CVE_RE.match(row.cve), row.syscall
+            assert CVE_RE.fullmatch(row.cve), row.syscall
 
 
 def test_timeloops_columns_superset_of_baseline(table):
@@ -138,8 +213,11 @@ def test_malformed_cve_is_parse_error():
 
 
 def test_bad_row_parse_error_names_its_line():
+    # The second CVE's year is in Arabic-Indic digits, which "\\d" would match.
     for row, bad in (("Read,,1,1,1,1,1,1,1", "'Read'"),
-                     ("read,CVE-17-5669,1,1,1,1,1,1,1", "'CVE-17-5669'")):
+                     ("read,CVE-17-5669,1,1,1,1,1,1,1", "'CVE-17-5669'"),
+                     ("read,CVE-\u0662\u0660\u0661\u0667-5669,1,1,1,1,1,1,1",
+                      "'CVE-\u0662\u0660\u0661\u0667-5669'")):
         text = HEADER + "\nopen,,1,1,1,1,1,1,1\n" + row + "\n"
         with pytest.raises(ParseError, match=rf"^line 3: .*{bad}"):
             parse_fixture(text)
@@ -153,7 +231,7 @@ _names = st.lists(
 # cannot parse as one.
 _annotations = st.one_of(
     st.just(("", None)),
-    st.from_regex(r"CVE-\d{4}-\d{1,7}", fullmatch=True).map(lambda c: (c, c)),
+    st.from_regex(r"CVE-[0-9]{4}-[0-9]{1,7}", fullmatch=True).map(lambda c: (c, c)),
     st.from_regex(r"[a-z][a-z ,]{0,15}[a-z]", fullmatch=True).map(lambda n: (n, None)),
 )
 

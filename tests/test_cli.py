@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -297,6 +298,75 @@ def test_simulate_holds_no_spec_while_it_renders(tmp_path, monkeypatch):
     assert alive == [False]
 
 
+def _large_scenario(path):
+    """A scenario of 200 handlers over 1,000 names, written to ``path``."""
+    names = [f"call_{i}" for i in range(1000)]
+    handlers = {f"h{i}": {"trace": names[5 * i:5 * i + 20]} for i in range(200)}
+    path.write_text(json.dumps({"services": [
+        {"name": "svc", "static_universe": names, "handlers": handlers}]}))
+    return str(path)
+
+
+def test_simulate_runs_no_collection_before_its_first_request(tmp_path, monkeypatch):
+    passes, at_first = [], []
+    send = workload.send_with_retry
+
+    def first(request, driver):
+        if not at_first:
+            at_first.append((len(passes), gc.isenabled(), gc.get_freeze_count() > 0))
+        return send(request, driver)
+
+    def started(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    monkeypatch.setattr(workload, "send_with_retry", first)
+    scenario = _large_scenario(tmp_path / "scenario.json")
+    gc.collect()
+    gc.callbacks.append(started)
+    try:
+        assert main(["simulate", "--scenario", scenario, "--n", "2000",
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        gc.callbacks.remove(started)
+    # No pass before the first request; the session runs with the collector
+    # on and what set-up built frozen.
+    assert at_first == [(0, True, True)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("extra, status", [
+    ([], 0),
+    (["--mix", "home=x"], 1),
+    (["--watchdog-ms", "30"], 1),
+    (["--service", "nosuch"], 2),
+], ids=["served", "bad_mix", "no_convergence", "unknown_service"])
+def test_simulate_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled, extra, status):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["simulate", "--scenario", STATICSITE, "--n", "20", *extra,
+                     "--out", str(tmp_path / "out")]) == status
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_name_with_a_final_line_break_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"services": [
+        {"name": "svc", "static_universe": ["read\n"], "handlers": {"r": {"trace": ["read\n"]}}}]}))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"allow": ["read\n"]}))
+    for argv in (["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")],
+                 ["diff", str(policy), str(policy)],
+                 ["export-seccomp", str(policy)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+        assert "invalid syscall name" in captured.err and "'read\\n'" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 class _FullStdout:
     """A standard output whose every write fails as on a full device."""
 
@@ -544,7 +614,9 @@ def test_render_memory_reports_each_renderer():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split()[0] for line in proc.stdout.splitlines()[2:]]
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("scenario: 103 name occurrences, 43 distinct names; first load ")
+    rows = [line.split()[0] for line in lines[3:]]
     assert rows == ["to_json", "latency_csv", "cumulative_csv", "export_seccomp"]
 
 

@@ -8,6 +8,12 @@ says so. Each file under ``tests/golden/cli`` is the stdout of the
 ``timeloops`` command named in ``CLI_RUNS``, run from the repository root.
 """
 
+import csv
+import json
+import math
+import re
+import statistics
+
 import pytest
 from conftest import GOLDEN_DIR, SCENARIO_DIR
 
@@ -54,13 +60,34 @@ def _argv(run, out):
             "--n", "300", "--seed", "7", "--mix", mix, *extra, "--out", str(out)]
 
 
+SUMMARY_RE = re.compile(r"consultations=(?P<consultations>\d+) .*\nserved=(?P<served>\d+) "
+                        r"mean=(?P<mean>\S+)ms p50=(?P<p50>\S+)ms p99=(?P<p99>\S+)ms "
+                        r"max=(?P<max>\S+)ms\n")
+
+
+def _golden_summary(golden) -> dict[str, str]:
+    """The summary figures of a run, as its golden latency.csv and session.json give them."""
+    with open(golden / "latency.csv", newline="", encoding="utf-8") as f:
+        served = [float(row["latency_ms"]) for row in csv.DictReader(f)
+                  if row["outcome"] == "served"]
+    # Hyndman and Fan's type 7, as the summary line's percentiles.
+    cuts = statistics.quantiles(served, n=100, method="inclusive")
+    session = json.loads((golden / "session.json").read_text(encoding="utf-8"))
+    figures = {"mean": math.fsum(served) / len(served), "p50": cuts[49], "p99": cuts[98],
+               "max": max(served)}
+    return {"consultations": str(session["consultations"]), "served": str(len(served)),
+            **{name: f"{value:.3f}" for name, value in figures.items()}}
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_simulate_artifacts_match_golden(tmp_path, run):
+def test_simulate_artifacts_match_golden(tmp_path, capsys, run):
     assert main(_argv(run, tmp_path)) == 0
     golden = GOLDEN_DIR / "simulate" / run
     assert sorted(p.name for p in golden.iterdir()) == sorted(ARTIFACTS)
     for name in ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), f"{run}/{name}"
+    printed = SUMMARY_RE.search(capsys.readouterr().out)
+    assert printed is not None and printed.groupdict() == _golden_summary(golden)
 
 
 _SIM = "tests/golden/simulate/"

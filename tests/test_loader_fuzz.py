@@ -58,8 +58,9 @@ KNOWN_BAD = {
 # The fields that hold arrays of syscall names, at any depth.
 NAME_ARRAYS = ("added", "allow", "deny", "trace", "injected")
 # None is an array of valid syscall names; a string was once taken as its
-# characters and a map as its keys.
-NOT_NAME_LISTS = ["adr", [[1]], [1], ["Read"], {"read": 1}, None]
+# characters and a map as its keys, and a name with a final line break was
+# once valid.
+NOT_NAME_LISTS = ["adr", [[1]], [1], ["Read"], {"read": 1}, None, ["read\n"]]
 
 
 def _rendered(kind):
@@ -119,15 +120,25 @@ def _name_arrays(node):
             yield from _name_arrays(value)
 
 
+def _line_broken(name):
+    """The valid name ``name`` with a line break after it."""
+    return st.just(name + "\n")
+
+
+def _any_item(name):
+    return JSON_VALUES | _line_broken(name)
+
+
 @st.composite
-def item_mutations(draw, docs):
-    """The documents with one item of one array of syscall names replaced,
-    and the array's other items kept or dropped: among other names, a bad
-    item can be caught by a sort or a comparison before it is checked."""
+def item_mutations(draw, docs, replace=_any_item):
+    """The documents with one item of one array of syscall names replaced by
+    a value ``replace`` draws for it, and the array's other items kept or
+    dropped: among other names, a bad item can be caught by a sort or a
+    comparison before it is checked."""
     docs = copy.deepcopy(docs)
     names = draw(st.sampled_from([array for doc in docs for array in _name_arrays(doc)]))
     at = draw(st.integers(min_value=0, max_value=len(names) - 1))
-    names[at] = draw(JSON_VALUES)
+    names[at] = draw(replace(names[at]))
     if draw(st.booleans()):
         names[:] = names[at:at + 1]
     return "\n".join(json.dumps(doc) for doc in docs).encode()
@@ -145,6 +156,15 @@ def test_only_package_errors_escape_the_loaders(tmp_path_factory, data, kind):
         LOADERS[kind](path)
     except TimeloopsError:
         pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(set(LOADERS) - {"fixture"})))
+def test_a_name_with_a_final_line_break_is_parse_error(tmp_path_factory, data, kind):
+    path = tmp_path_factory.getbasetemp() / f"line_break_{kind}"
+    path.write_bytes(data.draw(item_mutations(VALID[kind], _line_broken)))
+    with pytest.raises(ParseError):
+        LOADERS[kind](path)
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

@@ -300,9 +300,13 @@ def test_latency_table_is_a_sequence_of_records_in_the_order_given():
     assert table.index(records[2]) == 2 and records[3] in table
     # The cumulative series follows the table, in the order given.
     assert summarize(table).cumulative == (2.0, 3.0, 4.0, 9.0)
-    served = table.served()
-    assert list(served) == [r for r in records if r.outcome == "served"]
-    assert served.served() is served
+    # The served records' statistics skip the rejected one, in the same order.
+    served = summarize(table, served_only=True)
+    assert served.cumulative == (2.0, 3.0, 8.0) and served.max == 5.0
+    assert summarize(LatencyTable([records[0]]), served_only=True) == summarize(
+        LatencyTable([records[0]]))
+    with pytest.raises(EmptyRecords):
+        summarize(LatencyTable([records[2]]), served_only=True)
     assert not LatencyTable() and list(LatencyTable()) == []
 
 
