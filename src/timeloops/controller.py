@@ -8,12 +8,14 @@ raises an alert and never touches the policy. ``step`` is the pure
 transition function. Its events are a production run's exit reason and an
 oracle run's outcome, as ``simruntime`` returns them, plus the watchdog and
 shutdown; each event's ``label`` names it in the transition trace.
-``SessionDriver`` applies it to a workload on a shared virtual clock; it
-pretrains by learning the oracle's verdicts on known-safe requests as it
-learns any benign verdict. ``run_session`` also runs the two deployments
-the controller is compared with, unhardened and hardened; they have no
-controller, so each is one plain loop over the workload. Every oracle run
-goes through ``run_oracle``.
+``SessionDriver`` applies it to a workload on a shared virtual clock,
+recording a completed production run, to which ``step`` always gives the
+same answer, without calling it; it pretrains by learning the oracle's
+verdicts on known-safe requests as it learns any benign verdict.
+``run_session`` also runs the two deployments the controller is compared
+with, unhardened and hardened; they have no controller, so each is one
+plain loop over the workload. Every oracle run goes through
+``run_oracle``.
 """
 
 from __future__ import annotations
@@ -105,21 +107,14 @@ class ControllerConfig:
             raise ConfigError(f"watchdog_ms must be positive and finite, got {self.watchdog_ms!r}")
 
 
-# Served requests are the common case; actions are immutable, so share one
-# tuple and, as only a completed production run returns it, one trace row.
-_SERVED = (LOG_EVENT,)
-_SERVED_ROW = (PRODUCTION_RUNNING.label, COMPLETED.label, PRODUCTION_RUNNING.label,
-               (LOG_EVENT.label,))
-
-
 def step(
     state: Marker, event: ControllerEvent, config: ControllerConfig
 ) -> tuple[Marker, tuple[ControllerAction, ...]]:
     """Pure transition function; raises IllegalTransition on state/event mismatch."""
-    # Identity and exact type checks, with the pair of a served request first.
+    # Identity and exact type checks.
     if state is PRODUCTION_RUNNING:
         if event is COMPLETED:
-            return state, _SERVED
+            return state, (LOG_EVENT,)
         if type(event) is PolicyViolation:
             return ORACLE_RUNNING, (START_ORACLE,)
         if type(event) is DeniedSyscallHit:
@@ -141,6 +136,18 @@ def step(
     if event is SHUTDOWN and state in (PRODUCTION_RUNNING, ORACLE_RUNNING, HALTED):
         return HALTED, (LOG_EVENT,)
     raise IllegalTransition(f"event {event.label} not legal in state {state.label}")
+
+
+def _row(before: Marker, event: ControllerEvent, after: Marker, actions: tuple) -> tuple:
+    """A transition's row in the trace: the labels of its states, event and actions."""
+    return before.label, event.label, after.label, tuple([a.label for a in actions])
+
+
+# A completed production run is the common case, and ``step`` answers it the
+# same way every time, so ``SessionDriver.attempt`` records it as this one
+# row, built here from ``step``, without calling ``step``.
+_SERVED_ROW = _row(PRODUCTION_RUNNING, COMPLETED,
+                   *step(PRODUCTION_RUNNING, COMPLETED, ControllerConfig()))
 
 
 # --- session results ----------------------------------------------------------
@@ -285,6 +292,9 @@ class SessionDriver:
     The driver owns the policy, the controller state and the virtual clock.
     ``attempt`` processes one client attempt, advancing the clock by run
     costs, restart costs and any queueing delay while a container starts.
+    A completed production run, the common case, is recorded by ``attempt``
+    itself as the one constant served row; every other event goes through
+    ``_transition`` and so through ``step``.
     ``ready_at`` is when the last container started is ready; every way out
     of ``ORACLE_RUNNING`` starts production, so while the oracle runs it is
     when the oracle started, and its watchdog tenure counts from there.
@@ -348,15 +358,11 @@ class SessionDriver:
         self.alerts.append(Alert(request=self._current_request_id, report=report, at_ms=self.now))
 
     def _transition(self, event: ControllerEvent) -> bool:
-        """Apply one event; returns True if the attempt was rejected by an alert."""
+        """Apply one event through ``step`` and record its row; returns True
+        if the attempt was rejected by an alert. ``attempt`` records a
+        completed production run without it."""
         before = self.state
         self.state, actions = step(before, event, self.config)
-        if event is COMPLETED:
-            trace = self.transition_trace
-            trace.at_ms.append(self.now)
-            trace.row_ids.append(self._served_row_id)
-            trace.epochs.append(len(self.policy_log))
-            return False
         rejected = False
         restart = self.spec.cost_model.restart_ms
         for action in actions:
@@ -375,8 +381,8 @@ class SessionDriver:
             elif type(action) is RaiseAlert:
                 self._alert(action.report)
                 rejected = True
-        row = (before.label, event.label, self.state.label, tuple([a.label for a in actions]))
-        self.transition_trace.append(self.now, row, len(self.policy_log))
+        self.transition_trace.append(
+            self.now, _row(before, event, self.state, actions), len(self.policy_log))
         return rejected
 
     def snapshot(self) -> SyscallPolicy:
@@ -390,8 +396,11 @@ class SessionDriver:
 
     def attempt(self, request: "workload_mod.Request") -> str | None:
         """Process one attempt; returns the request's outcome, "served" or
-        "rejected_malicious", or None if the attempt failed and is retried."""
-        self._current_request_id = request.logical_id
+        "rejected_malicious", or None if the attempt failed and is retried.
+
+        A completed production run appends ``_SERVED_ROW`` to the trace here,
+        by its id, and is served; every other event is applied by
+        ``_transition``."""
         # Requests queue while a container starts.
         if self.now < self.ready_at:
             self.now = self.ready_at
@@ -403,6 +412,13 @@ class SessionDriver:
 
         if state is PRODUCTION_RUNNING:
             event, elapsed = run_production(self.spec, self.policy, request.key)
+            if event is COMPLETED:
+                self.now += elapsed
+                trace = self.transition_trace
+                trace.at_ms.append(self.now)
+                trace.row_ids.append(self._served_row_id)
+                trace.epochs.append(len(self.policy_log))
+                return "served"
             # The audit log names the blocked syscall, so the controller can
             # spot a deny-list hit without consulting the oracle.
             if type(event) is PolicyViolation and event.syscall in self.policy.deny:
@@ -414,9 +430,11 @@ class SessionDriver:
         else:
             raise IllegalTransition("session driver reached a halted controller")
         self.now += elapsed
+        # Only ``_transition`` raises alerts, and each names this request.
+        self._current_request_id = request.logical_id
         if self._transition(event):
             return "rejected_malicious"
-        return "served" if event is COMPLETED or type(event) is Benign else None
+        return "served" if type(event) is Benign else None
 
     def shutdown(self) -> None:
         self._transition(SHUTDOWN)

@@ -15,8 +15,8 @@ import math
 import operator
 import random
 from array import array
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -125,11 +125,19 @@ class LatencyTable(Sequence[LatencyRecord]):
 
 @dataclass(frozen=True)
 class LatencyStats:
+    """Latency statistics of ``latencies``, in the order the session ran
+    them. The cumulative series is built when it is first read."""
+
     mean: float
     p50: float
     p99: float
     max: float
-    cumulative: tuple[float, ...]
+    latencies: list[float] = field(repr=False, hash=False)
+
+    @cached_property
+    def cumulative(self) -> tuple[float, ...]:
+        """The running latency sum, one total per latency."""
+        return tuple(islice(accumulate(self.latencies, initial=0.0), 1, None))
 
 
 #: Attempts a logical request gets before its session fails with AttemptsExhausted.
@@ -143,18 +151,22 @@ def send_with_retry(request: Request, driver) -> LatencyRecord:
     violation, oracle timeout) is retried immediately, up to
     ``MAX_ATTEMPTS`` attempts. An alert ends the request as
     rejected_malicious rather than retrying forever. The record is checked
-    by the session's table.
+    by the session's table. Most requests are served on the first attempt,
+    so it is made before the retry loop.
     """
     first_attempt_ms = driver.now
-    for attempt in range(1, MAX_ATTEMPTS + 1):
+    outcome = driver.attempt(request)
+    attempt = 1
+    while outcome is None:
+        if attempt == MAX_ATTEMPTS:
+            raise AttemptsExhausted(
+                f"request {request.logical_id} ({request.key!r}) failed {MAX_ATTEMPTS} attempts"
+            )
+        attempt += 1
         outcome = driver.attempt(request)
-        if outcome is not None:
-            return tuple.__new__(LatencyRecord, (
-                request.logical_id, request.key, attempt, first_attempt_ms, driver.now, outcome
-            ))
-    raise AttemptsExhausted(
-        f"request {request.logical_id} ({request.key!r}) failed {MAX_ATTEMPTS} attempts"
-    )
+    return tuple.__new__(LatencyRecord, (
+        request.logical_id, request.key, attempt, first_attempt_ms, driver.now, outcome
+    ))
 
 
 def generate_workload(
@@ -207,9 +219,10 @@ def _percentile(ordered: list[float], q: float) -> float:
 def summarize(table: LatencyTable, served_only: bool = False) -> LatencyStats:
     """Latency statistics of a session's table, or of its served records
     only; percentiles use linear interpolation between order statistics, so
-    e.g. the p50 of [1, 2, 3, 4] is 2.5. The cumulative series runs in record
-    order, the order the session ran its requests. Only the two time
-    columns are read, and the outcomes for ``served_only``."""
+    e.g. the p50 of [1, 2, 3, 4] is 2.5. The latencies, and so the
+    cumulative series, run in record order, the order the session ran its
+    requests. Only the two time columns are read, and the outcomes for
+    ``served_only``."""
     first_ms, completion_ms = table.first_ms, table.completion_ms
     if served_only and table.outcomes.count("served") != len(table):
         served = list(map("served".__eq__, table.outcomes))
@@ -223,7 +236,7 @@ def summarize(table: LatencyTable, served_only: bool = False) -> LatencyStats:
         p50=_percentile(ordered, 0.5),
         p99=_percentile(ordered, 0.99),
         max=float(ordered[-1]),
-        cumulative=tuple(accumulate(latencies, initial=0.0))[1:],
+        latencies=latencies,
     )
 
 

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloops import controller, simruntime
+from timeloops import workload as workload_mod
 from timeloops.catalog import load_default_fixture, podman_default_deny
 from timeloops.controller import (
     HALTED,
@@ -313,6 +316,87 @@ def test_a_session_builds_no_marker(attacks_spec, monkeypatch):
     assert built == []
     Marker("counted")
     assert built == [("counted",)]
+
+
+# --- the served path: one driver call per completed production run ------------
+
+def test_a_served_row_is_the_one_step_gives(staticsite):
+    to_state, actions = step(PRODUCTION_RUNNING, COMPLETED, CFG)
+    assert controller._SERVED_ROW == (PRODUCTION_RUNNING.label, COMPLETED.label, to_state.label,
+                                      tuple(action.label for action in actions))
+    workload = generate_workload(staticsite, 100, 0, dict.fromkeys(staticsite.handlers, 1))
+    trace = run_session(staticsite, workload, CFG).transition_trace
+    served = [t for t in trace if t.event == COMPLETED.label]
+    assert served and all(t[1:5] == controller._SERVED_ROW for t in served)
+
+
+def test_step_runs_once_per_transition_that_is_not_served(attacks_spec, monkeypatch):
+    calls = []
+
+    def counted(state, event, config):
+        calls.append(event)
+        return step(state, event, config)
+
+    monkeypatch.setattr(controller, "step", counted)
+    deny = podman_default_deny(load_default_fixture())
+    workload = generate_workload(attacks_spec, 200, 0, dict.fromkeys(attacks_spec.handlers, 1))
+    for oracle_mode in ORACLE_MODES:
+        calls.clear()
+        config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=70.0, deny=deny)
+        trace = run_session(attacks_spec, workload, config).transition_trace
+        served = sum(t.event == COMPLETED.label for t in trace)
+        assert 0 < served < len(trace)
+        assert len(calls) == len(trace) - served
+        assert COMPLETED not in calls
+
+
+def test_a_served_request_makes_four_python_frames(staticsite):
+    # Pretrained on every handler, production serves every request at once.
+    config = ControllerConfig(pretrain_requests=tuple(staticsite.handlers))
+    package = os.path.dirname(controller.__file__)
+
+    def frames(n):
+        workload = generate_workload(staticsite, n, 0, dict.fromkeys(staticsite.handlers, 1))
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = run_session(staticsite, workload, config)
+        finally:
+            sys.setprofile(None)
+        assert result.consultations == 0 and len(result.transition_trace) == n + 1
+        return calls
+
+    # What a session calls once cancels out; each request resumes the
+    # generator in run_session and makes three calls.
+    short, long = frames(500), frames(1000)
+    assert {name: long[name] - short[name] for name in long | short
+            if long[name] != short[name]} == dict.fromkeys(
+                ["<genexpr>", "send_with_retry", "attempt", "run_production"], 500)
+
+
+def test_run_session_looks_the_client_up_for_each_request(staticsite, monkeypatch):
+    # A clock that stamps the first request swaps send_with_retry back
+    # after it, so every later request must go through the swapped-in one.
+    send, calls = workload_mod.send_with_retry, []
+
+    def later(request, driver):
+        calls.append(("later", request.logical_id))
+        return send(request, driver)
+
+    def first(request, driver):
+        calls.append(("first", request.logical_id))
+        monkeypatch.setattr(workload_mod, "send_with_retry", later)
+        return send(request, driver)
+
+    monkeypatch.setattr(workload_mod, "send_with_retry", first)
+    workload = generate_workload(staticsite, 50, 0, dict.fromkeys(staticsite.handlers, 1))
+    run_session(staticsite, workload, CFG)
+    assert calls == [("first", 0)] + [("later", i) for i in range(1, 50)]
 
 
 def test_unknown_request_keys_are_served():

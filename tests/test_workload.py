@@ -20,7 +20,9 @@ from timeloops.controller import (
 )
 from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from timeloops.simruntime import CostModel, RequestBehavior
+from timeloops import workload
 from timeloops.workload import (
+    MAX_ATTEMPTS,
     OUTCOMES,
     LatencyRecord,
     LatencyTable,
@@ -28,6 +30,7 @@ from timeloops.workload import (
     generate_workload,
     render_cumulative_csv,
     render_latency_csv,
+    send_with_retry,
     summarize,
     write_cumulative_csv,
     write_latency_csv,
@@ -93,6 +96,35 @@ def test_attempts_exhausted_is_distinct_error():
         run_session(spec, [Request(0, "r")], config)
 
 
+class _FailingDriver:
+    """A driver whose first ``failures`` attempts fail and whose clock
+    advances 1 ms per attempt."""
+
+    def __init__(self, failures):
+        self.now, self.attempts, self.failures = 0.0, 0, failures
+
+    def attempt(self, request):
+        self.attempts += 1
+        self.now += 1.0
+        return "served" if self.attempts > self.failures else None
+
+
+@pytest.mark.parametrize("failures", [0, 1, MAX_ATTEMPTS - 1])
+def test_send_with_retry_retries_a_failed_attempt(failures):
+    driver = _FailingDriver(failures)
+    record = send_with_retry(Request(3, "r"), driver)
+    assert record == (3, "r", failures + 1, 0.0, failures + 1.0, "served")
+    assert type(record) is LatencyRecord and driver.attempts == failures + 1
+
+
+def test_send_with_retry_gives_up_after_max_attempts():
+    driver = _FailingDriver(MAX_ATTEMPTS)
+    with pytest.raises(AttemptsExhausted) as caught:
+        send_with_retry(Request(3, "r"), driver)
+    assert str(caught.value) == f"request 3 ('r') failed {MAX_ATTEMPTS} attempts"
+    assert driver.attempts == MAX_ATTEMPTS
+
+
 # --- workload generation --------------------------------------------------------
 
 def test_generate_zero_requests():
@@ -147,6 +179,21 @@ def test_single_record_stats():
     stats = summarize(LatencyTable([_record(0, 5.0)]))
     assert stats.mean == stats.p50 == stats.p99 == stats.max == 5.0
     assert stats.cumulative == (5.0,)
+
+
+def test_the_cumulative_series_is_built_once_when_read(monkeypatch):
+    built = []
+    real = workload.accumulate
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workload, "accumulate", counted)
+    stats = summarize(LatencyTable([_record(i, v) for i, v in enumerate([1.0, 2.0, 1.5])]))
+    assert built == []
+    assert stats.cumulative == (1.0, 3.0, 4.5) and stats.cumulative is stats.cumulative
+    assert len(built) == 1
 
 
 def test_p50_linear_interpolation():
