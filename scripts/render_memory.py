@@ -23,14 +23,12 @@ is, what the render adds to the process peak.
 
 import argparse
 import gc
-import json
 import time
 import timeit
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
-from timeloops.catalog import load_default_fixture, podman_default_deny
+from timeloops.catalog import load_default_fixture, podman_default_deny, read_json
 from timeloops.cli import _default_mix, _parse_mix
 from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
@@ -44,7 +42,7 @@ MB = 2**20
 def name_counts(path) -> tuple[int, int]:
     """The syscall-name occurrences in a scenario file, and its distinct names."""
     names = []
-    for service in json.loads(Path(path).read_text(encoding="utf-8"))["services"]:
+    for service in read_json(path)["services"]:
         names += service.get("static_universe", []) + service.get("oracle_extra", [])
         for handler in service["handlers"].values():
             names += handler.get("trace", []) + (handler.get("exploit") or {}).get("injected", [])
@@ -78,8 +76,8 @@ def main():
     parser.add_argument("--n", type=int, required=True, help="number of logical requests")
     parser.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     parser.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
-    parser.add_argument("--oracle-mode", choices=ORACLE_MODES, default="single")
-    parser.add_argument("--watchdog-ms", type=float, default=10_000.0)
+    parser.add_argument("--oracle-mode", choices=ORACLE_MODES, default=ControllerConfig.oracle_mode)
+    parser.add_argument("--watchdog-ms", type=float, default=ControllerConfig.watchdog_ms)
     parser.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     args = parser.parse_args()
 

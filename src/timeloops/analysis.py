@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
 from .errors import ExploitInTrainingSet
-from .policy import PolicyDiff, SyscallPolicy, diff
+from .policy import PolicyDiff, SyscallPolicy, diff, new_policy
 from .simruntime import ServiceSpec
 
 
@@ -26,7 +26,7 @@ def static_baseline(spec: ServiceSpec, deny: Iterable[str] = ()) -> SyscallPolic
 
     Single-shot at epoch 0; never extended.
     """
-    deny = frozenset(deny)
+    deny = new_policy(deny).deny
     return SyscallPolicy(epoch=0, allow=spec.static_universe - deny, deny=deny)
 
 
@@ -38,7 +38,7 @@ def dynamic_baseline(
     Only syscalls actually executed by the training requests make it in;
     instrumentation extras never appear because nothing is instrumented.
     """
-    deny = frozenset(deny)
+    deny = new_policy(deny).deny
     observed: set[str] = set()
     for key in training_requests:
         behavior = spec.handlers.get(key)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -72,6 +73,16 @@ def validate_name_list(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{what} must be an array of syscall names, got {type(value).__name__}")
     return tuple([validate_syscall_name(s) for s in value])
+
+
+def read_json(path: str | Path, what: str = ""):
+    """The JSON document in the UTF-8 file ``path``. A file that cannot be
+    read, is not UTF-8, is not JSON or nests too deep raises
+    :class:`ParseError`, its message prefixed with ``what`` and the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}{path}: {exc}") from exc
 
 
 def json_int(value) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import json
 import os
 import shutil
 import sys
@@ -46,9 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     sim.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
     sim.add_argument("--mode", choices=SESSION_MODES, default="timeloops")
-    sim.add_argument("--oracle-mode", choices=ORACLE_MODES, default="single",
+    sim.add_argument("--oracle-mode", choices=ORACLE_MODES, default=ControllerConfig.oracle_mode,
                      help="the oracle serves one request, or every request until its watchdog")
-    sim.add_argument("--watchdog-ms", type=float, default=10_000.0)
+    sim.add_argument("--watchdog-ms", type=float, default=ControllerConfig.watchdog_ms)
     sim.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     sim.add_argument("--pretrain", default=None, help="key[,key...] pretraining requests")
     sim.add_argument("--out", default="./out", help="output directory")
@@ -97,12 +96,7 @@ def _default_mix(spec: ServiceSpec) -> dict[str, float]:
 
 
 def _load_policy_file(path: str) -> SyscallPolicy:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    # OSError covers a path that cannot be read; ValueError undecodable
-    # bytes and malformed JSON.
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    obj = catalog.read_json(path)
     if isinstance(obj, dict) and "final_policy" in obj:
         obj = obj["final_policy"]
     if not isinstance(obj, dict) or "allow" not in obj:

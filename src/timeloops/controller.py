@@ -294,7 +294,9 @@ class SessionDriver:
     costs, restart costs and any queueing delay while a container starts.
     A completed production run, the common case, is recorded by ``attempt``
     itself as the one constant served row; every other event goes through
-    ``_transition`` and so through ``step``.
+    ``_transition`` and so through ``step``. ``_transition`` records the
+    one alert an event can raise, from a ``RaiseAlert`` action or a
+    deny-listed oracle observation, against the request that sent it.
     ``ready_at`` is when the last container started is ready; every way out
     of ``ORACLE_RUNNING`` starts production, so while the oracle runs it is
     when the oracle started, and its watchdog tenure counts from there.
@@ -331,7 +333,6 @@ class SessionDriver:
         # A served request's transition is appended without hashing its row.
         self._served_row_id = self.transition_trace.row_id(_SERVED_ROW)
         self.consultations = 0
-        self._current_request_id = -1
         for key in config.pretrain_requests:
             behavior = spec.handlers.get(key)
             if behavior is None:
@@ -354,16 +355,17 @@ class SessionDriver:
             self._allow.update(entry.added)
             self.policy_log.append(entry)
 
-    def _alert(self, report: str) -> None:
-        self.alerts.append(Alert(request=self._current_request_id, report=report, at_ms=self.now))
-
-    def _transition(self, event: ControllerEvent) -> bool:
+    def _transition(self, event: ControllerEvent, request_id: int = -1) -> bool:
         """Apply one event through ``step`` and record its row; returns True
-        if the attempt was rejected by an alert. ``attempt`` records a
-        completed production run without it."""
+        if the attempt was rejected by an alert, which is recorded against
+        ``request_id``. ``attempt`` records a completed production run
+        without it.
+
+        A transition raises at most one alert: ``step`` never gives
+        ``UpdatePolicy`` and ``RaiseAlert`` together."""
         before = self.state
         self.state, actions = step(before, event, self.config)
-        rejected = False
+        report = None
         restart = self.spec.cost_model.restart_ms
         for action in actions:
             if action is START_PRODUCTION or action is START_ORACLE:
@@ -376,14 +378,14 @@ class SessionDriver:
                 except DeniedSyscall as exc:
                     # Category-4 mitigation: the oracle observed a deny-listed
                     # syscall, so the request is rejected and nothing is learned.
-                    self._alert(str(exc))
-                    rejected = True
+                    report = str(exc)
             elif type(action) is RaiseAlert:
-                self._alert(action.report)
-                rejected = True
+                report = action.report
+        if report is not None:
+            self.alerts.append(Alert(request=request_id, report=report, at_ms=self.now))
         self.transition_trace.append(
             self.now, _row(before, event, self.state, actions), len(self.policy_log))
-        return rejected
+        return report is not None
 
     def snapshot(self) -> SyscallPolicy:
         """The live allow-list as a policy value; ``policy`` if it is current."""
@@ -430,9 +432,8 @@ class SessionDriver:
         else:
             raise IllegalTransition("session driver reached a halted controller")
         self.now += elapsed
-        # Only ``_transition`` raises alerts, and each names this request.
-        self._current_request_id = request.logical_id
-        if self._transition(event):
+        # An alert this event raises names this request.
+        if self._transition(event, request.logical_id):
             return "rejected_malicious"
         return "served" if type(event) is Benign else None
 

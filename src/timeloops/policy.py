@@ -64,7 +64,10 @@ class PolicyDiff:
 
 
 def new_policy(deny: Iterable[str] = ()) -> SyscallPolicy:
-    """Fresh policy: empty allow-list, epoch 0, permanent deny-list as given."""
+    """Fresh policy: empty allow-list, epoch 0, permanent deny-list as given.
+    A bare ``str`` is no collection of names, and raises TypeError."""
+    if isinstance(deny, str):
+        raise TypeError(f"deny must be a collection of syscall names, not the str {deny!r}")
     deny = frozenset(validate_syscall_name(s) for s in deny)
     return SyscallPolicy(epoch=0, allow=frozenset(), deny=deny)
 
@@ -82,7 +85,8 @@ def growth_entry(
     Returns None if every name is already allowed. Otherwise every name not
     yet allowed is validated (raising :class:`ParseError`), then checked
     against ``deny`` (raising :class:`DeniedSyscall`), and the entry adds
-    exactly those names at ``epoch + 1``. The caller applies the entry.
+    exactly those names at ``epoch + 1``. The caller applies the entry. A
+    bare ``str`` for ``new`` raises TypeError.
 
     Only names not yet allowed are validated. Every name this package puts
     in an allow-list was validated on the way in: here, in the profile
@@ -92,6 +96,8 @@ def growth_entry(
     # a name that is not allowed fails it and is validated below.
     if type(new) is frozenset and allow.issuperset(new):
         return None
+    if isinstance(new, str):
+        raise TypeError(f"new must be a collection of syscall names, not the str {new!r}")
     fresh = [s for s in new if not isinstance(s, str) or s not in allow]
     if not fresh:
         return None
@@ -180,7 +186,9 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"policy log {path}: {exc}") from exc
     entries: list[PolicyLogEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line: ``str.splitlines`` would also split at form
+    # feeds and other separators that a JSON line may not hold.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -204,7 +212,7 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
 
 
 def replay_log(entries: Iterable[PolicyLogEntry], deny: Iterable[str] = ()) -> SyscallPolicy:
-    """Reconstruct the final policy by replaying a log, by :func:`extend`'s rules."""
+    """Reconstruct the final policy by replaying a log, by :func:`growth_entry`'s rules."""
     deny = new_policy(deny).deny
     allow: set[str] = set()
     epoch = 0

@@ -9,13 +9,12 @@ identical inputs give identical outcomes and timings.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Mapping
 
-from .catalog import json_float, json_int, validate_syscall_name
+from .catalog import json_float, json_int, read_json, validate_syscall_name
 from .errors import ParseError, ScenarioError
 from .policy import SyscallPolicy
 
@@ -389,12 +388,7 @@ def parse_service(obj: dict) -> ServiceSpec:
 
 def load_scenario(path: str | Path) -> list[ServiceSpec]:
     """Load and validate a scenario file (one or more service definitions)."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    # OSError covers a path that cannot be read; ValueError undecodable
-    # bytes and malformed JSON.
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"scenario {path}: {exc}") from exc
+    obj = read_json(path, "scenario ")
     if not isinstance(obj, dict) or "services" not in obj:
         raise ScenarioError(f"scenario {path}: top-level object must contain 'services'")
     services = obj["services"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from timeloops.analysis import dynamic_baseline, static_baseline
 from timeloops.errors import DeniedSyscall, ParseError, ReplayError
 from timeloops.policy import (
     LOG_SOURCES,
@@ -19,7 +20,9 @@ from timeloops.policy import (
     save_log,
 )
 
-from conftest import GOLDEN_DIR
+from timeloops.simruntime import RequestBehavior
+
+from conftest import GOLDEN_DIR, make_spec
 
 
 def test_new_policy_empty():
@@ -219,6 +222,32 @@ def test_log_blank_lines_are_skipped(tmp_path):
     assert [e.added for e in load_log(path)] == [("read",), ("write",)]
 
 
+_READ = '{"epoch":1,"added":["read"],"source":"oracle","timestamp_ms":0.0}'
+_WRITE = '{"epoch":2,"added":["write"],"source":"oracle","timestamp_ms":1.0}'
+
+
+def test_a_form_feed_does_not_end_a_log_line(tmp_path):
+    # Nor is it JSON whitespace, so the line is malformed.
+    path = tmp_path / "policy.log"
+    path.write_bytes(f"{_READ}\f{_WRITE}\n".encode())
+    with pytest.raises(ParseError, match=r"^policy log line 1: "):
+        load_log(path)
+
+
+def test_a_blank_line_of_a_vertical_tab_is_one_line(tmp_path):
+    path = tmp_path / "policy.log"
+    path.write_bytes(f"{_READ}\n\v\n{{bad\n".encode())
+    with pytest.raises(ParseError, match=r"^policy log line 3: "):
+        load_log(path)
+
+
+def test_a_crlf_log_loads(tmp_path):
+    # JSON allows the carriage return left at the end of each line.
+    path = tmp_path / "policy.log"
+    path.write_bytes(f"{_READ}\r\n{_WRITE}\r\n".encode())
+    assert [e.added for e in load_log(path)] == [("read",), ("write",)]
+
+
 def test_log_key_order_on_disk(tmp_path):
     path = tmp_path / "policy.log"
     save_log([PolicyLogEntry(epoch=1, added=("read",), source="oracle", timestamp_ms=3.0)], path)
@@ -364,3 +393,22 @@ def test_a_timestamp_that_is_not_a_json_number_is_parse_error(tmp_path, timestam
                     + timestamp + "}\n")
     with pytest.raises(ParseError, match=r"^policy log line 1: expected a number"):
         load_log(path)
+
+
+_SPEC = make_spec({"a": RequestBehavior(trace=("read",))}, universe={"read", "mount"})
+
+
+@pytest.mark.parametrize("call, argument", [
+    pytest.param(lambda: new_policy("mount"), "deny", id="new_policy"),
+    pytest.param(lambda: growth_entry(frozenset(), frozenset(), 0, "read"), "new",
+                 id="growth_entry"),
+    pytest.param(lambda: extend(new_policy(), "read"), "new", id="extend"),
+    pytest.param(lambda: replay_log([], deny="mount"), "deny", id="replay_log"),
+    pytest.param(lambda: static_baseline(_SPEC, deny="mount"), "deny", id="static_baseline"),
+    pytest.param(lambda: dynamic_baseline(_SPEC, ["a"], deny="mount"), "deny",
+                 id="dynamic_baseline"),
+])
+def test_a_bare_str_is_no_collection_of_names(call, argument):
+    # Read letter by letter, "mount" would deny-list m, n, o, t and u.
+    with pytest.raises(TypeError, match=rf"^{argument} must be a collection of syscall names"):
+        call()
