@@ -28,7 +28,7 @@ import timeit
 import tracemalloc
 from collections import Counter
 
-from timeloops.catalog import load_default_fixture, podman_default_deny, read_json
+from timeloops.catalog import load_default_fixture, podman_default_deny, read_input
 from timeloops.cli import _default_mix, _parse_mix
 from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
@@ -42,7 +42,7 @@ MB = 2**20
 def name_counts(path) -> tuple[int, int]:
     """The syscall-name occurrences in a scenario file, and its distinct names."""
     names = []
-    for service in read_json(path)["services"]:
+    for service in read_input(path)["services"]:
         names += service.get("static_universe", []) + service.get("oracle_extra", [])
         for handler in service["handlers"].values():
             names += handler.get("trace", []) + (handler.get("exploit") or {}).get("injected", [])

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
 from .errors import ExploitInTrainingSet
 from .policy import PolicyDiff, SyscallPolicy, diff, new_policy
-from .simruntime import ServiceSpec
+from .simruntime import ServiceSpec, request_keys
 
 
 def static_baseline(spec: ServiceSpec, deny: Iterable[str] = ()) -> SyscallPolicy:
@@ -31,16 +31,18 @@ def static_baseline(spec: ServiceSpec, deny: Iterable[str] = ()) -> SyscallPolic
 
 
 def dynamic_baseline(
-    spec: ServiceSpec, training_requests: Iterable[str], deny: Iterable[str] = ()
+    spec: ServiceSpec, training_requests: Sequence[str], deny: Iterable[str] = ()
 ) -> SyscallPolicy:
     """Log-everything profiling over a training set; under-approximate.
 
     Only syscalls actually executed by the training requests make it in;
     instrumentation extras never appear because nothing is instrumented.
+    ``training_requests`` is a list or tuple of request keys, as a
+    session's pretrain requests are; a key with no handler adds nothing.
     """
     deny = new_policy(deny).deny
     observed: set[str] = set()
-    for key in training_requests:
+    for key in request_keys(training_requests, "training_requests"):
         behavior = spec.handlers.get(key)
         if behavior is None:
             continue

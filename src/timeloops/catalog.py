@@ -1,5 +1,11 @@
 """Syscall naming, CVE annotations, and the bundled policy-comparison table.
 
+Two input rules live here and nowhere else. ``syscall_names`` decides what
+holds syscall names: a list, tuple, set or frozenset of valid names, never a
+bare ``str``. Every value that holds names is checked by it when it is
+built. ``read_input`` turns every failure to read, decode or parse an input
+file into a :class:`ParseError` that names the file.
+
 The table compares, per syscall, which of seven policies allow it: for each
 of the two reference programs (nginx, composepost) a runtime-profile
 baseline, the learned (timeloops) policy and a static (sysfilter) policy,
@@ -67,21 +73,37 @@ def validate_syscall_name(name: str) -> str:
     return valid
 
 
-def validate_name_list(value, what: str) -> tuple[str, ...]:
-    """``value`` as a tuple of syscall names, if it is a list of valid ones."""
-    # A bare string would otherwise be taken character by character.
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be an array of syscall names, got {type(value).__name__}")
-    return tuple([validate_syscall_name(s) for s in value])
+def syscall_names(value, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple of interned syscall names, if it is a list, tuple,
+    set or frozenset of valid ones.
 
-
-def read_json(path: str | Path, what: str = ""):
-    """The JSON document in the UTF-8 file ``path``. A file that cannot be
-    read, is not UTF-8, is not JSON or nests too deep raises
-    :class:`ParseError`, its message prefixed with ``what`` and the path."""
+    This is the one rule for every value that holds syscall names. Anything
+    else raises TypeError naming ``what``: a bare ``str``, which would be
+    read letter by letter, a JSON object, which would be read as its keys,
+    or any other iterable. An invalid name raises :class:`ParseError`,
+    naming ``what``.
+    """
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise TypeError(f"{what} must be a collection of syscall names, "
+                        f"not the {type(value).__name__} {value!r}")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+        return tuple([validate_syscall_name(name) for name in value])
+    except ParseError as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def read_input(path: str | Path, what: str = "", parse=json.loads):
+    """``parse`` of the text of the UTF-8 input file ``path``, JSON by default.
+
+    A file that cannot be read or is not UTF-8, and a text that ``parse``
+    rejects with ValueError, ``csv.Error`` or RecursionError (JSON nested
+    too deep), raise :class:`ParseError`, its message prefixed with ``what``
+    and the path. An error ``parse`` raises as a :class:`ParseError` is
+    its own message, and passes as it is.
+    """
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError, csv.Error) as exc:
         raise ParseError(f"{what}{path}: {exc}") from exc
 
 
@@ -158,10 +180,7 @@ class PolicyComparisonTable:
 
 def load_fixture(path: str | Path) -> PolicyComparisonTable:
     """Load a comparison-table CSV (see the bundled fixture for the format)."""
-    try:
-        return parse_fixture(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"fixture {path}: {exc}") from exc
+    return read_input(path, "fixture ", parse_fixture)
 
 
 def parse_fixture(text: str) -> PolicyComparisonTable:

@@ -96,14 +96,14 @@ def _default_mix(spec: ServiceSpec) -> dict[str, float]:
 
 
 def _load_policy_file(path: str) -> SyscallPolicy:
-    obj = catalog.read_json(path)
+    obj = catalog.read_input(path)
     if isinstance(obj, dict) and "final_policy" in obj:
         obj = obj["final_policy"]
     if not isinstance(obj, dict) or "allow" not in obj:
         raise ParseError(f"{path}: expected an object with an 'allow' list")
     try:
-        allow = frozenset(catalog.validate_name_list(obj["allow"], "allow"))
-        deny = frozenset(catalog.validate_name_list(obj.get("deny", []), "deny"))
+        allow = frozenset(catalog.syscall_names(obj["allow"], "allow"))
+        deny = frozenset(catalog.syscall_names(obj.get("deny", []), "deny"))
         return SyscallPolicy(epoch=catalog.json_int(obj.get("epoch", 0)), allow=allow, deny=deny)
     except (ParseError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

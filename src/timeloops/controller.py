@@ -49,6 +49,7 @@ from .simruntime import (
     OracleOutcome,
     PolicyViolation,
     ServiceSpec,
+    request_keys,
     run_oracle,
     run_production,
     run_unrestricted,
@@ -95,6 +96,12 @@ ControllerAction = Marker | UpdatePolicy | RaiseAlert
 
 @dataclass(frozen=True)
 class ControllerConfig:
+    """A session's settings, each checked and normalised here, once: ``deny``
+    is any collection of syscall names, kept as the frozenset ``new_policy``
+    makes of it, and ``pretrain_requests`` a list or tuple of request keys,
+    kept as a tuple (see ``simruntime.request_keys``). A bare ``str`` for
+    either raises TypeError. The driver uses the fields as they are."""
+
     oracle_mode: str = "single"
     watchdog_ms: float = 10_000.0
     deny: frozenset[str] = field(default_factory=frozenset)
@@ -105,6 +112,9 @@ class ControllerConfig:
             raise ConfigError(f"unknown oracle mode: {self.oracle_mode!r}")
         if not (math.isfinite(self.watchdog_ms) and self.watchdog_ms > 0):
             raise ConfigError(f"watchdog_ms must be positive and finite, got {self.watchdog_ms!r}")
+        object.__setattr__(self, "deny", new_policy(self.deny).deny)
+        object.__setattr__(self, "pretrain_requests",
+                           request_keys(self.pretrain_requests, "pretrain_requests"))
 
 
 def step(
@@ -320,7 +330,7 @@ class SessionDriver:
     def __init__(self, spec: ServiceSpec, config: ControllerConfig):
         self.spec = spec
         self.config = config
-        self.policy = new_policy(config.deny)
+        self.policy = SyscallPolicy(deny=config.deny)
         self._allow: set[str] = set()
         self.state = PRODUCTION_RUNNING
         self.now = 0.0

@@ -6,7 +6,9 @@ returns a new value with the epoch bumped by one. The session driver
 instead learns into one live allow-list and installs an immutable snapshot
 of it each time production starts. Both grow by the same rules, in
 :func:`growth_entry`: validate the new names, refuse deny-listed ones and
-log what was added.
+log what was added. Each value that holds names, a deny-list or a log
+entry's ``added``, checks them by :func:`catalog.syscall_names` when it is
+built.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .catalog import json_float, json_int, validate_name_list, validate_syscall_name
+from .catalog import json_float, json_int, read_input, syscall_names
 from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
@@ -40,7 +42,8 @@ class SyscallPolicy:
 @dataclass(frozen=True)
 class PolicyLogEntry:
     """One learned extension: which syscalls entered the policy, and when.
-    ``added`` is non-empty and strictly increasing: sorted, each name once."""
+    ``added`` is a non-empty collection of syscall names, kept as a tuple,
+    that is strictly increasing: sorted, each name once."""
 
     epoch: int
     added: tuple[str, ...]
@@ -48,6 +51,7 @@ class PolicyLogEntry:
     timestamp_ms: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "added", syscall_names(self.added, "added"))
         if not self.added:
             raise ValueError("log entry must add at least one syscall")
         if any(b <= a for a, b in zip(self.added, self.added[1:])):
@@ -64,12 +68,9 @@ class PolicyDiff:
 
 
 def new_policy(deny: Iterable[str] = ()) -> SyscallPolicy:
-    """Fresh policy: empty allow-list, epoch 0, permanent deny-list as given.
-    A bare ``str`` is no collection of names, and raises TypeError."""
-    if isinstance(deny, str):
-        raise TypeError(f"deny must be a collection of syscall names, not the str {deny!r}")
-    deny = frozenset(validate_syscall_name(s) for s in deny)
-    return SyscallPolicy(epoch=0, allow=frozenset(), deny=deny)
+    """Fresh policy: empty allow-list, epoch 0, permanent deny-list as given,
+    a collection of syscall names by :func:`catalog.syscall_names`."""
+    return SyscallPolicy(deny=frozenset(syscall_names(deny, "deny")))
 
 
 def growth_entry(
@@ -82,26 +83,26 @@ def growth_entry(
 ) -> PolicyLogEntry | None:
     """The log entry that grows ``allow`` at ``epoch`` by the new names in ``new``.
 
-    Returns None if every name is already allowed. Otherwise every name not
-    yet allowed is validated (raising :class:`ParseError`), then checked
-    against ``deny`` (raising :class:`DeniedSyscall`), and the entry adds
-    exactly those names at ``epoch + 1``. The caller applies the entry. A
-    bare ``str`` for ``new`` raises TypeError.
+    Returns None if every name is already allowed. Otherwise ``new`` is
+    checked as a collection of syscall names by :func:`catalog.syscall_names`
+    (raising TypeError or :class:`ParseError`), the names not yet allowed
+    are checked against ``deny`` (raising :class:`DeniedSyscall`), and the
+    entry adds exactly those names at ``epoch + 1``. The caller applies the
+    entry.
 
-    Only names not yet allowed are validated. Every name this package puts
-    in an allow-list was validated on the way in: here, in the profile
-    loader, or as part of a scenario's static universe.
+    Of a frozenset, only the names not yet allowed are checked, and one
+    that is already allowed returns None at once. It holds only hashable
+    items, so the set operations cannot raise, and every name this package
+    puts in an allow-list was checked on the way in. The driver learns each
+    oracle verdict this way.
     """
-    # A frozenset holds only hashable items, so the subset check cannot raise;
-    # a name that is not allowed fails it and is validated below.
-    if type(new) is frozenset and allow.issuperset(new):
+    if type(new) is frozenset:
+        if allow.issuperset(new):
+            return None
+        new = new.difference(allow)
+    added = frozenset(syscall_names(new, "new")).difference(allow)
+    if not added:
         return None
-    if isinstance(new, str):
-        raise TypeError(f"new must be a collection of syscall names, not the str {new!r}")
-    fresh = [s for s in new if not isinstance(s, str) or s not in allow]
-    if not fresh:
-        return None
-    added = frozenset([validate_syscall_name(s) for s in fresh])
     denied = added & deny
     if denied:
         raise DeniedSyscall(denied)
@@ -181,10 +182,10 @@ def save_log(entries: Iterable[PolicyLogEntry], path: str | Path) -> None:
 
 
 def load_log(path: str | Path) -> list[PolicyLogEntry]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"policy log {path}: {exc}") from exc
+    return read_input(path, "policy log ", _parse_log)
+
+
+def _parse_log(text: str) -> list[PolicyLogEntry]:
     entries: list[PolicyLogEntry] = []
     # Only "\n" ends a line: ``str.splitlines`` would also split at form
     # feeds and other separators that a JSON line may not hold.
@@ -195,7 +196,7 @@ def load_log(path: str | Path) -> list[PolicyLogEntry]:
             obj = json.loads(line)
             entry = PolicyLogEntry(
                 epoch=json_int(obj["epoch"]),
-                added=validate_name_list(obj["added"], "added"),
+                added=obj["added"],
                 source=obj["source"],
                 timestamp_ms=json_float(obj["timestamp_ms"]),
             )

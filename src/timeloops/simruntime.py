@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Mapping
 
-from .catalog import json_float, json_int, read_json, validate_syscall_name
+from .catalog import json_float, json_int, read_input, syscall_names
 from .errors import ParseError, ScenarioError
 from .policy import SyscallPolicy
 
@@ -22,14 +22,26 @@ EXPLOIT_KINDS = ("oracle_detectable", "oracle_undetectable")
 
 
 def _check_names(names, what: str) -> tuple[str, ...]:
-    """``names`` as a tuple of validated, interned syscall names."""
-    out = []
-    for name in names:
-        try:
-            out.append(validate_syscall_name(name))
-        except ParseError:
-            raise ScenarioError(f"{what}: invalid syscall name {name!r}") from None
-    return tuple(out)
+    """``names`` by :func:`catalog.syscall_names`, whose errors are raised
+    again as :class:`ScenarioError`. A value that is no collection of names
+    is reported in the words of a scenario file, which holds names in an
+    array."""
+    try:
+        return syscall_names(names, what)
+    except TypeError:
+        raise ScenarioError(f"{what} must be an array of syscall names") from None
+    except ParseError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def request_keys(value, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple, if it is a list or tuple of request keys. A
+    bare ``str`` would be read letter by letter, and a set has no fixed
+    order, so each raises TypeError naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be a list or tuple of request keys, "
+                        f"not the {type(value).__name__} {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,7 @@ class ExploitSpec:
             raise ScenarioError(f"unknown exploit kind: {self.kind!r}")
         if self.corruption_index < 0:
             raise ScenarioError("corruption_index must be non-negative")
-        object.__setattr__(self, "injected", _check_names(self.injected, "exploit injection"))
+        object.__setattr__(self, "injected", _check_names(self.injected, "injected"))
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class RequestBehavior:
     exploit: ExploitSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "trace", _check_names(self.trace, "handler trace"))
+        object.__setattr__(self, "trace", _check_names(self.trace, "trace"))
         if self.exploit is not None and self.exploit.corruption_index > len(self.trace):
             raise ScenarioError(
                 f"corruption_index {self.exploit.corruption_index} exceeds trace length {len(self.trace)}"
@@ -113,6 +125,8 @@ _NO_HANDLER = RequestBehavior()
 @dataclass(frozen=True)
 class ServiceSpec:
     """A declared service: handlers, reachable-code universe, oracle extras.
+    The universe and the extras are collections of syscall names, kept as
+    frozensets.
 
     The handlers are fixed at construction: each one's effective trace, the
     result of a production run that completes it and the result of its
@@ -134,8 +148,9 @@ class ServiceSpec:
     unknown_run: Run = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "static_universe", frozenset(_check_names(self.static_universe, "static universe")))
-        object.__setattr__(self, "oracle_extra", frozenset(_check_names(self.oracle_extra, "oracle extra")))
+        for attr in ("static_universe", "oracle_extra"):
+            names = _check_names(getattr(self, attr), f"service {self.name!r}: {attr}")
+            object.__setattr__(self, attr, frozenset(names))
         cost = self.cost_model
         runs = {}
         # None stands for every key with no handler, which runs as an empty one.
@@ -329,14 +344,6 @@ def exploit_category(spec: ServiceSpec, request: str) -> int:
 
 # --- scenario files -----------------------------------------------------------
 
-def _name_array(obj, field_name: str, what: str) -> tuple:
-    value = obj.get(field_name, ())
-    # a bare string would be iterated character by character
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{what}: {field_name} must be an array of syscall names")
-    return tuple(value)
-
-
 def parse_service(obj: dict) -> ServiceSpec:
     try:
         name = obj["name"]
@@ -361,34 +368,30 @@ def parse_service(obj: dict) -> ServiceSpec:
     for key, h in handlers_obj.items():
         if not isinstance(h, dict):
             raise ScenarioError(f"handler {key!r} must be an object")
-        exploit = None
-        if h.get("exploit") is not None:
-            e = h["exploit"]
-            try:
-                exploit = ExploitSpec(
-                    kind=e["kind"],
-                    corruption_index=json_int(e["corruption_index"]),
-                    injected=_name_array(e, "injected", f"handler {key!r} exploit"),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioError(f"handler {key!r}: malformed exploit: {exc}") from exc
-        handlers[key] = RequestBehavior(
-            trace=_name_array(h, "trace", f"handler {key!r}"),
-            exploit=exploit,
-        )
-    # ServiceSpec checks the names before it freezes them into sets.
+        # Each value is checked where it is built; an error names the handler.
+        try:
+            exploit = h.get("exploit")
+            if exploit is not None:
+                exploit = ExploitSpec(kind=exploit["kind"],
+                                      corruption_index=json_int(exploit["corruption_index"]),
+                                      injected=exploit.get("injected", ()))
+            handlers[key] = RequestBehavior(trace=h.get("trace", ()), exploit=exploit)
+        except ScenarioError as exc:
+            raise ScenarioError(f"handler {key!r}: {exc}") from None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"handler {key!r}: malformed exploit: {exc}") from exc
     return ServiceSpec(
         name=name,
         handlers=handlers,
-        static_universe=_name_array(obj, "static_universe", f"service {name!r}"),
-        oracle_extra=_name_array(obj, "oracle_extra", f"service {name!r}"),
+        static_universe=obj.get("static_universe", ()),
+        oracle_extra=obj.get("oracle_extra", ()),
         cost_model=cost,
     )
 
 
 def load_scenario(path: str | Path) -> list[ServiceSpec]:
     """Load and validate a scenario file (one or more service definitions)."""
-    obj = read_json(path, "scenario ")
+    obj = read_input(path, "scenario ")
     if not isinstance(obj, dict) or "services" not in obj:
         raise ScenarioError(f"scenario {path}: top-level object must contain 'services'")
     services = obj["services"]

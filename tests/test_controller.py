@@ -277,6 +277,15 @@ def test_denied_oracle_extras_are_config_error():
         run_session(spec, requests("r"), ControllerConfig(deny=frozenset({"sigaltstack"})))
 
 
+def test_a_deny_list_of_any_collection_runs_the_same_session(staticsite):
+    workload = generate_workload(staticsite, 200, 7, {"home": 1.0, "upload": 1.0})
+    expected = run_session(staticsite, workload, ControllerConfig(deny=frozenset({"mount"})))
+    for deny in (["mount"], ("mount",), {"mount"}):
+        config = ControllerConfig(deny=deny)
+        assert config.deny == frozenset({"mount"})
+        assert run_session(staticsite, workload, config).to_json() == expected.to_json()
+
+
 def test_every_syscall_name_is_one_object(attacks_spec):
     spec = attacks_spec
     names = [*spec.static_universe, *spec.oracle_extra]

@@ -3,8 +3,11 @@ keep, stated from the paper rather than from ``tests/reference.py``: a
 misreading shared by the program and the model passes the parity tests,
 but not these."""
 
+from dataclasses import replace
+
 from conftest import make_spec, requests
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_reference import sessions
 
 from timeloops.controller import ControllerConfig, run_session
@@ -53,3 +56,35 @@ def test_the_final_allow_list_holds_only_what_the_oracle_passed(case):
         return
     keys = [request.key for request in workload] + list(config.pretrain_requests)
     assert result.final_policy.allow <= learnable(spec, keys)
+
+
+# "a" issues call_00 and then call_01; "b" issues call_00 alone.
+_OVERLAPPING = (
+    make_spec({"a": RequestBehavior(trace=("call_00", "call_01")),
+               "b": RequestBehavior(trace=("call_00",))}),
+    requests("a", "b"), ControllerConfig(), "timeloops")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sessions(), st.permutations(range(25)))
+@example(_OVERLAPPING, [1, 0])
+def test_the_final_allow_list_does_not_depend_on_the_order_of_requests(case, order):
+    """Order: in single mode with a 10 s watchdog, no oracle run is cut
+    short, so each request that violates the policy is answered by its own
+    verdict. The final allow-list is then the union of what the benign
+    verdicts observed, and a permutation of the workload gives the same one.
+    A case where either order ends in ``AttemptsExhausted`` is skipped.
+
+    Alerts are not compared: a detectable exploit whose injection is
+    already allowed completes in production, the paper's category 2, so
+    whether it raises an alert depends on what was learned before it ran."""
+    spec, workload, config, _ = case
+    config = replace(config, oracle_mode="single", watchdog_ms=10_000.0)
+    # A workload holds at most 25 requests; ``order`` permutes their indices.
+    permuted = [workload[i].key for i in order if i < len(workload)]
+    try:
+        sent = run_session(spec, workload, config)
+        reordered = run_session(spec, requests(*permuted), config)
+    except AttemptsExhausted:
+        return
+    assert reordered.final_policy.allow == sent.final_policy.allow

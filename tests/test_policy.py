@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from timeloops.analysis import dynamic_baseline, static_baseline
+from timeloops.controller import ControllerConfig
 from timeloops.errors import DeniedSyscall, ParseError, ReplayError
 from timeloops.policy import (
     LOG_SOURCES,
@@ -407,8 +408,32 @@ _SPEC = make_spec({"a": RequestBehavior(trace=("read",))}, universe={"read", "mo
     pytest.param(lambda: static_baseline(_SPEC, deny="mount"), "deny", id="static_baseline"),
     pytest.param(lambda: dynamic_baseline(_SPEC, ["a"], deny="mount"), "deny",
                  id="dynamic_baseline"),
+    pytest.param(lambda: PolicyLogEntry(epoch=1, added="adr", source="oracle"), "added",
+                 id="PolicyLogEntry"),
+    pytest.param(lambda: ControllerConfig(deny="mount"), "deny", id="ControllerConfig"),
+    pytest.param(lambda: new_policy({"mount": 1}), "deny", id="new_policy_of_a_map"),
 ])
 def test_a_bare_str_is_no_collection_of_names(call, argument):
     # Read letter by letter, "mount" would deny-list m, n, o, t and u.
     with pytest.raises(TypeError, match=rf"^{argument} must be a collection of syscall names"):
+        call()
+
+
+_HOME = make_spec({"home": RequestBehavior(trace=("read",))})
+
+
+@pytest.mark.parametrize("call, argument", [
+    pytest.param(lambda: ControllerConfig(pretrain_requests="rr"), "pretrain_requests",
+                 id="ControllerConfig"),
+    pytest.param(lambda: dynamic_baseline(_HOME, "home"), "training_requests",
+                 id="dynamic_baseline"),
+    # A set has no fixed order, so pretraining from one would log its
+    # entries in an order that varies with the hash seed.
+    pytest.param(lambda: ControllerConfig(pretrain_requests={"home"}), "pretrain_requests",
+                 id="ControllerConfig_of_a_set"),
+])
+def test_a_bare_str_is_no_collection_of_request_keys(call, argument):
+    # Read letter by letter, "rr" would pretrain key "r" twice, and "home"
+    # would train on h, o, m and e, which have no handler.
+    with pytest.raises(TypeError, match=rf"^{argument} must be a list or tuple of request keys"):
         call()

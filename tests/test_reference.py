@@ -15,6 +15,10 @@ from timeloops.workload import OUTCOMES, render_cumulative_csv, render_latency_c
 # Deny-listed names appear only in injections, so pretraining never meets one.
 NAMES = SYSCALL_POOL[:8]
 DENIABLE = DENY_POOL[:2]
+# Names that only handler i may issue: a trace drawn from them holds names
+# no other handler teaches, such as a detected exploit's prefix, or a
+# benign key's fresh names.
+OWN_NAMES = [SYSCALL_POOL[8 + 2 * i:10 + 2 * i] for i in range(4)]
 
 
 @st.composite
@@ -22,7 +26,8 @@ def sessions(draw):
     """A random service, workload, configuration and session mode."""
     handlers = {}
     for i in range(draw(st.integers(1, 4))):
-        trace = tuple(draw(st.lists(st.sampled_from(NAMES), max_size=6)))
+        names = draw(st.sampled_from([NAMES, OWN_NAMES[i]]))
+        trace = tuple(draw(st.lists(st.sampled_from(names), max_size=6)))
         exploit = None
         if draw(st.booleans()):
             exploit = ExploitSpec(
@@ -40,16 +45,22 @@ def sessions(draw):
     spec = make_spec(handlers, extra=draw(st.lists(st.sampled_from(EXTRA_POOL), max_size=2)),
                      cost=cost)
     benign = sorted(k for k, b in handlers.items() if b.exploit is None)
+    # Half the sessions send each detected exploit first and pretrain
+    # nothing, so that a key sent after it often teaches fresh names.
+    exploit_first = draw(st.booleans())
     config = ControllerConfig(
         oracle_mode=draw(st.sampled_from(ORACLE_MODES)),
         # Short enough to cut many oracle runs short, or long enough for all.
         watchdog_ms=draw(st.sampled_from([4.0, 6.0, 12.0, 10_000.0])),
         deny=frozenset(draw(st.sets(st.sampled_from(DENIABLE)))),
         pretrain_requests=tuple(draw(st.lists(st.sampled_from(benign), max_size=2, unique=True)))
-        if benign else (),
+        if benign and not exploit_first else (),
     )
     # "unknown" has no handler.
     keys = draw(st.lists(st.sampled_from(sorted(handlers) + ["unknown"]), min_size=1, max_size=25))
+    if exploit_first:
+        keys.sort(key=lambda key: key not in handlers or handlers[key].exploit is None
+                  or handlers[key].exploit.kind != "oracle_detectable")
     mode = draw(st.sampled_from(["timeloops", "timeloops", "unhardened", "hardened"]))
     return spec, requests(*keys), config, mode
 

@@ -20,6 +20,7 @@ from timeloops.simruntime import (
     Malicious,
     PolicyViolation,
     RequestBehavior,
+    ServiceSpec,
     _walk_oracle,
     exploit_category,
     load_scenario,
@@ -339,6 +340,22 @@ def test_cost_model_validation():
 def test_invalid_syscall_name_rejected():
     with pytest.raises(ScenarioError):
         RequestBehavior(trace=("Read",))
+
+
+@pytest.mark.parametrize("build, what", [
+    pytest.param(lambda: RequestBehavior(trace="read"), "trace", id="trace"),
+    pytest.param(lambda: ExploitSpec(kind="oracle_detectable", corruption_index=0,
+                                     injected="ptrace"), "injected", id="injected"),
+    pytest.param(lambda: ServiceSpec(name="svc", handlers={}, static_universe="read"),
+                 "service 'svc': static_universe", id="static_universe"),
+    pytest.param(lambda: ServiceSpec(name="svc", handlers={}, oracle_extra="brk"),
+                 "service 'svc': oracle_extra", id="oracle_extra"),
+    pytest.param(lambda: RequestBehavior(trace={"read": 1}), "trace", id="trace_of_a_map"),
+])
+def test_a_bare_str_is_no_collection_of_names_in_a_scenario(build, what):
+    # Read letter by letter, the trace "read" would issue r, e, a and d.
+    with pytest.raises(ScenarioError, match=f"^{what} must be an array of syscall names$"):
+        build()
 
 
 def test_scenario_loader_rejects_bad_files(tmp_path):
