@@ -5,6 +5,10 @@ client first sending it and the client receiving a response, regardless
 of how many retries that took. Requests rejected after an alert still get
 a record, with a distinct outcome, so exploit traffic shows up in reports
 without skewing the served statistics.
+
+A session's :class:`LatencyTable` renders its latency and cumulative CSVs
+together, in one pass on first use, and keeps both texts for as long as
+it lives.
 """
 
 from __future__ import annotations
@@ -95,6 +99,9 @@ class LatencyTable(Sequence[LatencyRecord]):
     must be at least 1, a completion time must not precede its first
     attempt, and the outcome must be one of ``OUTCOMES``. Each failure is a
     ``ValueError``.
+
+    The table is not changed after it is built, so the texts of its two
+    CSVs are rendered once, together, and kept (see ``_csv_texts``).
     """
 
     def __init__(self, records: Iterable[tuple] = ()):
@@ -121,6 +128,43 @@ class LatencyTable(Sequence[LatencyRecord]):
 
     def __iter__(self):
         return map(partial(tuple.__new__, LatencyRecord), zip(*self._columns()))
+
+    @cached_property
+    def _csv_texts(self) -> tuple[str, str]:
+        """The latency CSV and the cumulative CSV, rendered in one pass on
+        first use and kept, as the table is read-only.
+
+        Each id is formatted once for both rows, and only the key can need
+        quoting; each distinct key is quoted once. Each completion time is
+        written once, and reused for an equal start time in the next row and
+        for an equal running sum in its own, unless it is zero: ``repr``
+        tells -0.0 from 0.0, which compare equal. A session runs its
+        requests back to back from 0.0, so its running sum is usually its
+        completion time. Each distinct non-zero latency is written once.
+        """
+        keys: dict = {}
+        latencies: dict = {}
+        rows = [LATENCY_CSV_HEADER + "\n"]
+        sums = ["logical_id,cumulative_latency_ms\n"]
+        last = last_text = None
+        total = 0.0
+        for logical_id, key, attempts, first, completion, outcome in zip(*self._columns()):
+            quoted = keys.get(key)
+            if quoted is None:
+                quoted = keys[key] = _csv_field(key)
+            first_text = last_text if first == last and first else repr(first)
+            last, last_text = completion, repr(completion)
+            latency = completion - first
+            latency_text = latencies.get(latency) if latency else repr(latency)
+            if latency_text is None:
+                latency_text = latencies[latency] = repr(latency)
+            total += latency
+            total_text = last_text if total == completion and total else repr(total)
+            id_text = f"{logical_id}"
+            rows.append(f"{id_text},{quoted},{attempts},{first_text},{last_text},"
+                        f"{latency_text},{outcome}\n")
+            sums.append(f"{id_text},{total_text}\n")
+        return "".join(rows), "".join(sums)
 
 
 @dataclass(frozen=True)
@@ -253,24 +297,10 @@ def _csv_field(value) -> str:
 
 def render_latency_csv(table: LatencyTable) -> str:
     """The latency CSV of a session's table, one row per record in record
-    order, byte-identical to writing each row with ``csv.writer``.
-
-    Only the key can need quoting; each distinct key is quoted once. A start
-    time equal to its predecessor's completion time is written once, unless
-    it is zero: ``repr`` tells -0.0 from 0.0, which compare equal.
-    """
-    keys: dict = {}
-    rows = [LATENCY_CSV_HEADER + "\n"]
-    last = last_text = None
-    for logical_id, key, attempts, first, completion, outcome in zip(*table._columns()):
-        quoted = keys.get(key)
-        if quoted is None:
-            quoted = keys[key] = _csv_field(key)
-        first_text = last_text if first == last and first else repr(first)
-        last, last_text = completion, repr(completion)
-        rows.append(f"{logical_id},{quoted},{attempts},{first_text},{last_text},"
-                    f"{completion - first!r},{outcome}\n")
-    return "".join(rows)
+    order, byte-identical to writing each row with ``csv.writer``. The
+    table renders it with the cumulative CSV, in one pass, on first use
+    (see ``LatencyTable._csv_texts``)."""
+    return table._csv_texts[0]
 
 
 def write_latency_csv(table: LatencyTable, path: str | Path) -> None:
@@ -279,13 +309,9 @@ def write_latency_csv(table: LatencyTable, path: str | Path) -> None:
 
 def render_cumulative_csv(table: LatencyTable) -> str:
     """Running latency sum of a session's table in record order: the
-    convergence-plot series."""
-    rows = ["logical_id,cumulative_latency_ms\n"]
-    total = 0.0
-    for logical_id, first, completion in zip(table.ids, table.first_ms, table.completion_ms):
-        total += completion - first
-        rows.append(f"{logical_id},{total}\n")
-    return "".join(rows)
+    convergence-plot series. It is rendered with the latency CSV, in the
+    same pass."""
+    return table._csv_texts[1]
 
 
 def write_cumulative_csv(table: LatencyTable, path: str | Path) -> None:

@@ -617,7 +617,7 @@ def test_render_memory_reports_each_renderer():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("scenario: 103 name occurrences, 43 distinct names; first load ")
     rows = [line.split()[0] for line in lines[3:]]
-    assert rows == ["to_json", "latency_csv", "cumulative_csv", "export_seccomp"]
+    assert rows == ["to_json", "csv_pass", "export_seccomp"]
 
 
 def test_count_lines_skips_blanks_comments_and_docstrings(tmp_path):

@@ -88,3 +88,42 @@ def test_the_final_allow_list_does_not_depend_on_the_order_of_requests(case, ord
     except AttemptsExhausted:
         return
     assert reordered.final_policy.allow == sent.final_policy.allow
+
+
+# "a" issues nothing, so it is served in production and never consulted.
+_NEVER_VIOLATES = (make_spec({"a": RequestBehavior(trace=())}, extra=("extra_0",)),
+                   requests("a"), ControllerConfig(), "timeloops")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sessions(), st.integers(0, 24))
+@example(_NEVER_VIOLATES, 0)
+def test_pretraining_a_benign_key_adds_its_observation_and_no_consultation(case, index):
+    """Pretraining: in single mode with a 10 s watchdog, no oracle run is
+    cut short. Pretraining one more benign key of the workload then gives
+    the old final allow-list plus that key's oracle observation, its trace
+    and ``oracle_extra``, and never more consultations: each request meets
+    a policy at least as large as before, so violates it no more often. A
+    case where either session ends in ``AttemptsExhausted`` is skipped.
+
+    The allow-list is not simply unchanged because the key is sent anyway:
+    pretraining learns ``oracle_extra`` even for a key that never violates,
+    whose trace is empty or already allowed, so that the session never
+    consults the oracle on it."""
+    spec, workload, config, _ = case
+    config = replace(config, oracle_mode="single", watchdog_ms=10_000.0)
+    benign = sorted({request.key for request in workload if request.key in spec.handlers
+                     and spec.handlers[request.key].exploit is None}
+                    - set(config.pretrain_requests))
+    if not benign:
+        return
+    key = benign[index % len(benign)]
+    try:
+        sent = run_session(spec, workload, config)
+        pretrained = run_session(spec, workload, replace(
+            config, pretrain_requests=config.pretrain_requests + (key,)))
+    except AttemptsExhausted:
+        return
+    observation = frozenset(spec.handlers[key].trace) | spec.oracle_extra
+    assert pretrained.final_policy.allow == sent.final_policy.allow | observation
+    assert pretrained.consultations <= sent.consultations

@@ -325,11 +325,27 @@ def _records(draw):
 @example([_timed_record(0, 0.0, 2.0), _timed_record(1, 2.0, 4.0), _timed_record(2, 4.0, 4.0),
           _timed_record(3, 0.0, -0.0), _timed_record(4, 5.0, 7.0), _timed_record(5, math.nan, 1.0),
           _timed_record(6, 1.0, 3.0), _timed_record(7, -0.0, -0.0)])
+# A closed loop from 0.0: every running sum equals its completion time.
+@example([_timed_record(0, 0.0, 1.0), _timed_record(1, 1.0, 3.0), _timed_record(2, 3.0, 3.5),
+          _timed_record(3, 3.5, 3.5), _timed_record(4, 3.5, 6.25)])
+# The running sum 0.0 equals the completion time -0.0, yet is written apart.
+@example([_timed_record(0, -0.0, -0.0), _timed_record(1, -0.0, 1.0)])
+# Latencies of 0.1, 0.2 and 0.3 ending at 0.1, 0.3 and 0.6: the running sum
+# drifts from the completion time by rounding, 0.1 + 0.2 != 0.3.
+@example([_timed_record(i, completion - step, completion)
+          for i, (completion, step) in enumerate(zip((0.1, 0.3, 0.6), (0.1, 0.2, 0.3)))])
 @settings(max_examples=300)
 def test_renderers_match_csv_writer(records):
     table = LatencyTable(records)
     assert render_latency_csv(table) == reference.latency_csv(records)
     assert render_cumulative_csv(table) == reference.cumulative_csv(records)
+
+
+def test_a_table_renders_its_csvs_once():
+    table = LatencyTable([_timed_record(0, 0.0, 1.0), _timed_record(1, 1.0, 2.5)])
+    latency, cumulative = render_latency_csv(table), render_cumulative_csv(table)
+    assert render_latency_csv(table) is latency
+    assert render_cumulative_csv(table) is cumulative
 
 
 def test_latency_table_is_a_sequence_of_records_in_the_order_given():
