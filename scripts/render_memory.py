@@ -17,9 +17,9 @@ off, and the tracemalloc peak above what was held before the render, that
 is, what the render adds to the process peak.
 
 A latency table renders both CSVs in one pass and keeps the texts, so a
-second render of the same table costs nothing. The `csv_pass` row renders
-both CSVs of a fresh copy of the session's table each time, made before
-the render is timed or traced; its output size is that of both texts.
+second render of the same table costs nothing. The `csv_pass` row runs
+that pass without keeping its texts on the session's table, so each
+render pays for it; its output size is that of both texts.
 
     python3 scripts/render_memory.py --scenario S --n N [--seed K] [--mix key=w,...]
                                      [--oracle-mode single|watchdog] [--watchdog-ms MS]
@@ -29,6 +29,7 @@ the render is timed or traced; its output size is that of both texts.
 import argparse
 import gc
 import time
+import timeit
 import tracemalloc
 from collections import Counter
 
@@ -38,8 +39,7 @@ from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.policy import export_seccomp
 from timeloops.simruntime import load_scenario
-from timeloops.workload import (LatencyTable, generate_workload, render_cumulative_csv,
-                                render_latency_csv)
+from timeloops.workload import LatencyTable, generate_workload
 
 MB = 2**20
 
@@ -72,13 +72,6 @@ def first_load(path) -> tuple[float, Counter]:
         gc.callbacks.remove(started)
     del specs
     return elapsed, passes
-
-
-def timed(render, table) -> float:
-    """The wall time of one ``render`` of ``table``."""
-    start = time.perf_counter()
-    render(table)
-    return time.perf_counter() - start
 
 
 def main():
@@ -120,18 +113,18 @@ def main():
     del spec, requests
     held = tracemalloc.get_traced_memory()[0]
     renders = {
-        "to_json": lambda table: (result.to_json(),),
-        "csv_pass": lambda table: (render_latency_csv(table), render_cumulative_csv(table)),
-        "export_seccomp": lambda table: (export_seccomp(result.final_policy),),
+        "to_json": result.to_json,
+        "csv_pass": lambda: LatencyTable._csv_texts.func(result.latency_records),
+        "export_seccomp": lambda: export_seccomp(result.final_policy),
     }
     measured = {}
     for name, render in renders.items():
-        table = LatencyTable(result.latency_records)
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        size = sum(map(len, render(table)))
+        output = render()
+        size = sum(map(len, output)) if isinstance(output, tuple) else len(output)
         measured[name] = size, tracemalloc.get_traced_memory()[1] - before
-        del table
+        del output
     tracemalloc.stop()
 
     print(f"held by the loaded spec: {loaded / MB:.2f} MB; held after the session: "
@@ -140,7 +133,7 @@ def main():
     print(f"{'renderer':<16} {'out_mb':>8} {'wall_ms':>8} {'peak_mb':>8} {'peak/out':>8}")
     for name, render in renders.items():
         size, peak = measured[name]
-        wall = min(timed(render, LatencyTable(result.latency_records)) for _ in range(3))
+        wall = min(timeit.repeat(render, number=1, repeat=3))
         print(f"{name:<16} {size / MB:>8.2f} {wall * 1e3:>8.1f} {peak / MB:>8.2f} "
               f"{peak / size:>8.2f}")
 

@@ -140,7 +140,8 @@ class LatencyTable(Sequence[LatencyRecord]):
         for an equal running sum in its own, unless it is zero: ``repr``
         tells -0.0 from 0.0, which compare equal. A session runs its
         requests back to back from 0.0, so its running sum is usually its
-        completion time. Each distinct non-zero latency is written once.
+        completion time. Each distinct non-zero latency is written once: a
+        session's cost model gives its latencies few distinct values.
         """
         keys: dict = {}
         latencies: dict = {}
