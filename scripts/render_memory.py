@@ -105,7 +105,7 @@ def main():
             deny = podman_default_deny(load_default_fixture())
         config = ControllerConfig(oracle_mode=args.oracle_mode, watchdog_ms=args.watchdog_ms,
                                   deny=deny)
-        mix = _parse_mix(args.mix) if args.mix else _default_mix(spec)
+        mix = _parse_mix(args.mix) if args.mix is not None else _default_mix(spec)
         requests = generate_workload(spec, args.n, args.seed, mix)
         result = run_session(spec, requests, config)
     except TimeloopsError as exc:

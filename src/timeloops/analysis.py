@@ -16,9 +16,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
-from .errors import ExploitInTrainingSet
 from .policy import PolicyDiff, SyscallPolicy, diff, new_policy
-from .simruntime import ServiceSpec, request_keys
+from .simruntime import ServiceSpec, request_keys, training_handler
 
 
 def static_baseline(spec: ServiceSpec, deny: Iterable[str] = ()) -> SyscallPolicy:
@@ -43,12 +42,9 @@ def dynamic_baseline(
     deny = new_policy(deny).deny
     observed: set[str] = set()
     for key in request_keys(training_requests, "training_requests"):
-        behavior = spec.handlers.get(key)
-        if behavior is None:
-            continue
-        if behavior.exploit is not None:
-            raise ExploitInTrainingSet(f"training request {key!r} is exploit-annotated")
-        observed.update(behavior.trace)
+        behavior = training_handler(spec, key, "training request")
+        if behavior is not None:
+            observed.update(behavior.trace)
     return SyscallPolicy(epoch=0, allow=frozenset(observed) - deny, deny=deny)
 
 

@@ -131,7 +131,7 @@ def cmd_simulate(args) -> tuple[int, str]:
             deny=deny,
             pretrain_requests=pretrain_keys,
         )
-        mix = _parse_mix(args.mix) if args.mix else _default_mix(spec)
+        mix = _parse_mix(args.mix) if args.mix is not None else _default_mix(spec)
         requests = workload.generate_workload(spec, args.n, args.seed, mix)
         gc.freeze()
     finally:

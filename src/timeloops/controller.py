@@ -33,7 +33,6 @@ from . import workload as workload_mod
 from .errors import (
     ConfigError,
     DeniedSyscall,
-    ExploitInTrainingSet,
     IllegalTransition,
 )
 from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy
@@ -53,6 +52,7 @@ from .simruntime import (
     run_oracle,
     run_production,
     run_unrestricted,
+    training_handler,
 )
 
 ORACLE_MODES = ("single", "watchdog")
@@ -344,11 +344,8 @@ class SessionDriver:
         self._served_row_id = self.transition_trace.row_id(_SERVED_ROW)
         self.consultations = 0
         for key in config.pretrain_requests:
-            behavior = spec.handlers.get(key)
-            if behavior is None:
+            if training_handler(spec, key, "pretrain request") is None:
                 raise ConfigError(f"pretrain request {key!r} has no handler")
-            if behavior.exploit is not None:
-                raise ExploitInTrainingSet(f"pretrain request {key!r} is exploit-annotated")
             self._learn(run_oracle(spec, key)[0].observed, "pretrain")
         self.policy = self.snapshot()
 

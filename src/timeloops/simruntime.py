@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import ClassVar, Mapping
 
 from .catalog import json_float, json_int, read_input, syscall_names
-from .errors import ParseError, ScenarioError
+from .errors import ExploitInTrainingSet, ParseError, ScenarioError
 from .policy import SyscallPolicy
 
 EXPLOIT_KINDS = ("oracle_detectable", "oracle_undetectable")
@@ -322,6 +322,16 @@ def benign_closure(spec: ServiceSpec) -> frozenset[str]:
     for behavior in spec.benign_handlers().values():
         union.update(behavior.trace)
     return frozenset(union) | spec.oracle_extra
+
+
+def training_handler(spec: ServiceSpec, key: str, what: str) -> RequestBehavior | None:
+    """The handler of training key ``key``, or None if it has none. A
+    training set is known safe, so an exploit-annotated handler raises
+    :class:`ExploitInTrainingSet` naming the key as ``what``."""
+    behavior = spec.handlers.get(key)
+    if behavior is not None and behavior.exploit is not None:
+        raise ExploitInTrainingSet(f"{what} {key!r} is exploit-annotated")
+    return behavior
 
 
 def exploit_category(spec: ServiceSpec, request: str) -> int:

@@ -20,7 +20,7 @@ import operator
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -125,9 +125,6 @@ class LatencyTable(Sequence[LatencyRecord]):
     def __getitem__(self, index: int) -> LatencyRecord:
         index = operator.index(index)
         return tuple.__new__(LatencyRecord, [column[index] for column in self._columns()])
-
-    def __iter__(self):
-        return map(partial(tuple.__new__, LatencyRecord), zip(*self._columns()))
 
     @cached_property
     def _csv_texts(self) -> tuple[str, str]:

@@ -126,6 +126,7 @@ def test_an_empty_mix_item_is_skipped():
 @pytest.mark.parametrize("mix, message", [
     ("home=x", "malformed mix weight in 'home=x'"),
     (",", "empty mix"),
+    ("", "empty mix"),
 ])
 def test_a_malformed_mix_exits_1_naming_the_problem(tmp_path, capsys, mix, message):
     assert main(["simulate", "--scenario", STATICSITE, "--mix", mix,
@@ -618,6 +619,17 @@ def test_render_memory_reports_each_renderer():
     assert lines[0].startswith("scenario: 103 name occurrences, 43 distinct names; first load ")
     rows = [line.split()[0] for line in lines[3:]]
     assert rows == ["to_json", "csv_pass", "export_seccomp"]
+
+
+def test_render_memory_reports_an_empty_mix():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "render_memory.py"),
+         "--scenario", STATICSITE, "--n", "50", "--mix", ""],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: empty mix\n")
 
 
 def test_count_lines_skips_blanks_comments_and_docstrings(tmp_path):

@@ -3,16 +3,18 @@ keep, stated from the paper rather than from ``tests/reference.py``: a
 misreading shared by the program and the model passes the parity tests,
 but not these."""
 
+import operator
 from dataclasses import replace
 
-from conftest import make_spec, requests
+from conftest import SCENARIO_DIR, make_spec, requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_reference import sessions
 
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import AttemptsExhausted
-from timeloops.simruntime import ExploitSpec, RequestBehavior
+from timeloops.simruntime import ExploitSpec, RequestBehavior, load_scenario
+from timeloops.workload import generate_workload
 
 
 def learnable(spec, keys) -> frozenset[str]:
@@ -100,10 +102,11 @@ _NEVER_VIOLATES = (make_spec({"a": RequestBehavior(trace=())}, extra=("extra_0",
 @example(_NEVER_VIOLATES, 0)
 def test_pretraining_a_benign_key_adds_its_observation_and_no_consultation(case, index):
     """Pretraining: in single mode with a 10 s watchdog, no oracle run is
-    cut short. Pretraining one more benign key of the workload then gives
-    the old final allow-list plus that key's oracle observation, its trace
-    and ``oracle_extra``, and never more consultations: each request meets
-    a policy at least as large as before, so violates it no more often. A
+    cut short. Adding a benign key of the workload to the drawn
+    pretraining, less that key, then gives the final allow-list of the
+    session without it plus that key's oracle observation, its trace and
+    ``oracle_extra``, and never more consultations: each request meets a
+    policy at least as large as before, so violates it no more often. A
     case where either session ends in ``AttemptsExhausted`` is skipped.
 
     The allow-list is not simply unchanged because the key is sent anyway:
@@ -111,13 +114,13 @@ def test_pretraining_a_benign_key_adds_its_observation_and_no_consultation(case,
     whose trace is empty or already allowed, so that the session never
     consults the oracle on it."""
     spec, workload, config, _ = case
-    config = replace(config, oracle_mode="single", watchdog_ms=10_000.0)
     benign = sorted({request.key for request in workload if request.key in spec.handlers
-                     and spec.handlers[request.key].exploit is None}
-                    - set(config.pretrain_requests))
+                     and spec.handlers[request.key].exploit is None})
     if not benign:
         return
     key = benign[index % len(benign)]
+    config = replace(config, oracle_mode="single", watchdog_ms=10_000.0, pretrain_requests=tuple(
+        k for k in config.pretrain_requests if k != key))
     try:
         sent = run_session(spec, workload, config)
         pretrained = run_session(spec, workload, replace(
@@ -127,3 +130,51 @@ def test_pretraining_a_benign_key_adds_its_observation_and_no_consultation(case,
     observation = frozenset(spec.handlers[key].trace) | spec.oracle_extra
     assert pretrained.final_policy.allow == sent.final_policy.allow | observation
     assert pretrained.consultations <= sent.consultations
+
+
+_STATICSITE = load_scenario(SCENARIO_DIR / "staticsite.json")[0]
+_STATICSITE_WORKLOAD = generate_workload(_STATICSITE, 3000, 7,
+                                         {"home": 8, "search": 1, "upload": 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sessions())
+@example((_STATICSITE, _STATICSITE_WORKLOAD, ControllerConfig(), "timeloops"))
+@example((_STATICSITE, _STATICSITE_WORKLOAD, ControllerConfig(oracle_mode="watchdog"),
+          "timeloops"))
+def test_learning_costs_latency_only_until_the_last_restart(case):
+    """Amortization: the controller's cost is paid while it learns. A served
+    request with a handler is never faster under the controller than
+    unhardened: it runs the same trace, in production or in the slower
+    oracle, after any failed attempts and restarts.
+
+    Once the last container started is production, nothing is consulted
+    or restarted again. So every request first sent once that container is
+    ready, ``restart_ms`` after it started, has exactly its unhardened
+    latency. The first production container starts ready at 0.0, with no
+    row in the trace. A case that ends in ``AttemptsExhausted`` is
+    skipped."""
+    spec, workload, config, _ = case
+    try:
+        learned = run_session(spec, workload, config)
+    except AttemptsExhausted:
+        return
+    unhardened = run_session(spec, workload, config, mode="unhardened").latency_records
+    records = learned.latency_records
+    latencies = list(map(operator.sub, records.completion_ms, records.first_ms))
+    baseline = list(map(operator.sub, unhardened.completion_ms, unhardened.first_ms))
+    for key, outcome, latency, unhardened_latency in zip(
+            records.keys, records.outcomes, latencies, baseline):
+        if outcome == "served" and key in spec.handlers:
+            assert latency >= unhardened_latency
+
+    ready_at, last_start = 0.0, "start_production"
+    for transition in learned.transition_trace:
+        for action in transition.actions:
+            if action in ("start_production", "start_oracle"):
+                ready_at = transition.at_ms + spec.cost_model.restart_ms
+                last_start = action
+    if last_start == "start_production":
+        for first, latency, unhardened_latency in zip(records.first_ms, latencies, baseline):
+            if first >= ready_at:
+                assert latency == unhardened_latency

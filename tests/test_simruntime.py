@@ -8,7 +8,7 @@ from conftest import DENY_POOL, SYSCALL_POOL, make_spec, service_specs
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timeloops.errors import ScenarioError
+from timeloops.errors import ExploitInTrainingSet, ScenarioError
 from timeloops.policy import SyscallPolicy, new_policy
 from timeloops.simruntime import (
     COMPLETED,
@@ -27,6 +27,7 @@ from timeloops.simruntime import (
     run_oracle,
     run_production,
     run_unrestricted,
+    training_handler,
 )
 
 CHEAP = CostModel(base_request_ms=1.0, production_per_syscall_ms=2.0,
@@ -401,6 +402,15 @@ def test_scenario_loader_rejects_bad_files(tmp_path):
     dupes.write_text(jsonlib.dumps({"services": [service(), service()]}))
     with pytest.raises(ScenarioError):
         load_scenario(dupes)
+
+
+def test_a_training_key_gives_its_handler_or_none_and_never_an_exploit(attacks_spec):
+    assert training_handler(attacks_spec, "home", "training request") is (
+        attacks_spec.handlers["home"])
+    assert training_handler(attacks_spec, "missing", "training request") is None
+    with pytest.raises(ExploitInTrainingSet,
+                       match=r"^pretrain request 'probe-cat1' is exploit-annotated$"):
+        training_handler(attacks_spec, "probe-cat1", "pretrain request")
 
 
 def test_exploit_categories_on_attack_scenario(attacks_spec):
