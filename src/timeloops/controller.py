@@ -13,8 +13,9 @@ recording a completed production run, to which ``step`` always gives the
 same answer, without calling it; it pretrains by learning the oracle's
 verdicts on known-safe requests as it learns any benign verdict.
 ``run_session`` also runs the two deployments the controller is compared
-with, unhardened and hardened; they have no controller, so each is one
-plain loop over the workload. Every oracle run goes through
+with, unhardened and hardened; they have no controller, so a request's
+run depends only on its key, and each distinct key runs once into the
+columns of the session's table. Every oracle run goes through
 ``run_oracle``.
 """
 
@@ -25,9 +26,9 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from . import workload as workload_mod
 from .errors import (
@@ -448,33 +449,34 @@ class SessionDriver:
         self._transition(SHUTDOWN)
 
 
-def _baseline_rows(
+def _baseline_table(
     spec: ServiceSpec, workload: Iterable["workload_mod.Request"], mode: str, alerts: list[Alert]
-) -> Iterator[tuple]:
-    """The latency rows of a deployment without the controller; its alerts
-    are appended to ``alerts``.
+) -> "workload_mod.LatencyTable":
+    """The latency table of a deployment without the controller; its alerts
+    are appended to ``alerts``, in request order.
 
     Each request runs once, with no filter. Unhardened runs it as is;
     hardened runs it in the oracle with no watchdog, so every request pays
     the oracle's cost and a detected exploit is rejected with an alert.
 
-    A row is a :class:`LatencyRecord`'s fields, as a plain tuple; the
-    session's table checks the rows' columns.
+    Neither run depends on anything but the key, so each distinct key runs
+    once, and the table is built in columns: the times are the running sum
+    of the requests' elapsed times from 0.0, each request's first attempt
+    the completion of the one before it.
     """
-    now = 0.0
-    for logical_id, key in workload:
-        first_attempt_ms = now
-        outcome = "served"
-        if mode == "hardened":
-            verdict, elapsed = run_oracle(spec, key)
-            now += elapsed
-            if isinstance(verdict, Malicious):
-                alerts.append(Alert(request=logical_id, report=verdict.report, at_ms=now))
-                outcome = "rejected_malicious"
-        else:
-            _, elapsed = run_unrestricted(spec, key)
-            now += elapsed
-        yield logical_id, key, 1, first_attempt_ms, now, outcome
+    flat = list(chain.from_iterable(workload))
+    ids, keys = array("q", flat[0::2]), flat[1::2]
+    run = run_oracle if mode == "hardened" else run_unrestricted
+    runs = {key: run(spec, key) for key in dict.fromkeys(keys)}
+    elapsed = {key: ms for key, (_, ms) in runs.items()}
+    times = array("d", accumulate(map(elapsed.__getitem__, keys), initial=0.0))
+    reports = {key: v.report for key, (v, _) in runs.items() if isinstance(v, Malicious)}
+    outcomes = ["served"] * len(keys)
+    for i in compress(range(len(keys)), map(reports.__contains__, keys)):
+        outcomes[i] = "rejected_malicious"
+        alerts.append(Alert(request=ids[i], report=reports[keys[i]], at_ms=times[i + 1]))
+    return workload_mod.LatencyTable.from_columns(
+        ids, keys, [1] * len(keys), times[:-1], times[1:], outcomes)
 
 
 def run_session(
@@ -487,9 +489,10 @@ def run_session(
 
     Under the controller, every logical request is retried until served,
     rejected by an alert, or ``workload.MAX_ATTEMPTS`` attempts fail; the
-    baseline modes run each request once. Every mode starts from the
-    pretrained policy. Fully deterministic for a given (spec, workload,
-    config, mode). A session whose virtual clock does not stay finite is a
+    baseline modes send each request once, and run each distinct key once.
+    Every mode reads ``workload`` once and starts from the pretrained
+    policy. Fully deterministic for a given (spec, workload, config, mode).
+    A session whose virtual clock does not stay finite is a
     :class:`ConfigError`.
     """
     config = config if config is not None else ControllerConfig()
@@ -506,8 +509,7 @@ def run_session(
     if mode != "timeloops":
         # Nothing is learned or traced: the result holds the pretrained
         # policy and an empty trace.
-        records = workload_mod.LatencyTable(
-            _baseline_rows(spec, workload, mode, driver.alerts))
+        records = _baseline_table(spec, workload, mode, driver.alerts)
     else:
         records = workload_mod.LatencyTable(
             workload_mod.send_with_retry(request, driver) for request in workload

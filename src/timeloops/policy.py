@@ -167,11 +167,15 @@ def export_seccomp(policy: SyscallPolicy) -> bytes:
     return json.dumps(profile, separators=(",", ":")).encode("utf-8")
 
 
+# ``json.dumps`` with separators builds a new encoder on each call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def render_log(entries: Iterable[PolicyLogEntry]) -> str:
     """A policy log as JSON-lines, one compact object per entry."""
     return "".join(
-        json.dumps({"epoch": e.epoch, "added": list(e.added), "source": e.source,
-                    "timestamp_ms": e.timestamp_ms}, separators=(",", ":")) + "\n"
+        _COMPACT.encode({"epoch": e.epoch, "added": list(e.added), "source": e.source,
+                         "timestamp_ms": e.timestamp_ms}) + "\n"
         for e in entries
     )
 

@@ -18,6 +18,7 @@ import io
 import math
 import operator
 import random
+import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -92,8 +93,10 @@ class LatencyTable(Sequence[LatencyRecord]):
     lists. A session gives them in the order it ran them, which is
     logical-id order for any generated workload.
 
-    The records, or tuples of their fields, are transposed once. An id must
-    fit in a signed 64-bit integer, and the times are kept as floats.
+    The records, or tuples of their fields, are transposed once; the
+    controller's client gives them this way. An id must fit in a signed
+    64-bit integer, and the times are kept as floats. ``from_columns`` takes
+    the six columns already built, as the baseline deployments build them.
 
     This is where records are checked, once, on the columns: attempts
     must be at least 1, a completion time must not precede its first
@@ -105,8 +108,19 @@ class LatencyTable(Sequence[LatencyRecord]):
     """
 
     def __init__(self, records: Iterable[tuple] = ()):
+        self._take(*_transpose(records))
+
+    @classmethod
+    def from_columns(cls, ids, keys, attempts, first_ms, completion_ms, outcomes) -> LatencyTable:
+        """A table that holds these six columns as they are given, in the
+        types the records path makes, checked as records are."""
+        table = cls.__new__(cls)
+        table._take(ids, keys, attempts, first_ms, completion_ms, outcomes)
+        return table
+
+    def _take(self, *columns) -> None:
         self.ids, self.keys, self.attempts, self.first_ms, self.completion_ms, self.outcomes = (
-            _transpose(records))
+            columns)
         if min(self.attempts, default=1) < 1:
             raise ValueError("attempts must be >= 1")
         # Not all(map(ge, ...)): a NaN time compares false, and is accepted.
@@ -282,12 +296,18 @@ def summarize(table: LatencyTable, served_only: bool = False) -> LatencyStats:
     )
 
 
+# A field of only these characters is never quoted, so it is written as it is.
+_PLAIN_FIELD = re.compile(r"[A-Za-z0-9_.-]+")
+
+
 def _csv_field(value) -> str:
     """``value`` as ``csv.writer`` writes it amid other fields of a row.
 
     Written alone, an empty field would be quoted; the empty trailing field
     keeps it from being alone.
     """
+    if isinstance(value, str) and _PLAIN_FIELD.fullmatch(value):
+        return value
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow([value, ""])
     return out.getvalue()[:-2]

@@ -50,7 +50,7 @@ from timeloops.simruntime import (
     RequestBehavior,
     ServiceSpec,
 )
-from timeloops.workload import Request, generate_workload
+from timeloops.workload import LatencyRecord, Request, generate_workload, render_latency_csv
 
 CFG = ControllerConfig()
 CFG_WATCHDOG = ControllerConfig(oracle_mode="watchdog")
@@ -499,19 +499,9 @@ def test_no_session_mutates_its_spec_or_walks_an_unbounded_run(monkeypatch):
     assert spec.unknown_run is unknown_run
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    bundle=spec_workload_deny(),
-    mode=st.sampled_from(["timeloops", "hardened"]),
-    oracle_mode=st.sampled_from(ORACLE_MODES),
-    # Each lets a fresh tenure finish any one request (at most 22.5 ms here),
-    # so every session ends, while a tenure's later requests may be cut.
-    watchdog_ms=st.sampled_from([25.0, 30.0, 60.0, 10_000.0]),
-    data=st.data(),
-)
-def test_verdict_table_matches_an_oracle_walk_per_consultation(
-    bundle, mode, oracle_mode, watchdog_ms, data
-):
+def _with_exploits(bundle, data):
+    """``bundle`` with up to two exploit handlers added to its service, and
+    up to 15 more requests, of any key or of a key with no handler."""
     spec, workload, deny = bundle
     handlers = dict(spec.handlers)
     for i in range(data.draw(st.integers(min_value=0, max_value=2))):
@@ -531,6 +521,23 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
         Request(logical_id=len(workload) + i, key=key)
         for i, key in enumerate(data.draw(st.lists(st.sampled_from(keys), max_size=15)))
     ]
+    return spec, workload, deny
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bundle=spec_workload_deny(),
+    mode=st.sampled_from(["timeloops", "hardened"]),
+    oracle_mode=st.sampled_from(ORACLE_MODES),
+    # Each lets a fresh tenure finish any one request (at most 22.5 ms here),
+    # so every session ends, while a tenure's later requests may be cut.
+    watchdog_ms=st.sampled_from([25.0, 30.0, 60.0, 10_000.0]),
+    data=st.data(),
+)
+def test_verdict_table_matches_an_oracle_walk_per_consultation(
+    bundle, mode, oracle_mode, watchdog_ms, data
+):
+    spec, workload, deny = _with_exploits(bundle, data)
     config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny)
     cached = run_session(spec, workload, config, mode=mode)
 
@@ -541,6 +548,70 @@ def test_verdict_table_matches_an_oracle_walk_per_consultation(
     assert list(cached.latency_records) == list(walked.latency_records)
     assert cached.policy_log == walked.policy_log
     assert cached.to_json() == walked.to_json()
+
+
+def _baseline_loop(spec, workload, mode):
+    """A baseline session's records and alerts, one request at a time."""
+    records, alerts, now = [], [], 0.0
+    for logical_id, key in workload:
+        first_attempt_ms = now
+        if mode == "hardened":
+            verdict, elapsed = simruntime.run_oracle(spec, key)
+        else:
+            verdict, elapsed = simruntime.run_unrestricted(spec, key)
+        now += elapsed
+        outcome = "served"
+        if isinstance(verdict, Malicious):
+            alerts.append(controller.Alert(request=logical_id, report=verdict.report, at_ms=now))
+            outcome = "rejected_malicious"
+        records.append(LatencyRecord(logical_id, key, 1, first_attempt_ms, now, outcome))
+    return records, alerts
+
+
+@settings(max_examples=80, deadline=None)
+@given(bundle=spec_workload_deny(), mode=st.sampled_from(["unhardened", "hardened"]),
+       data=st.data())
+def test_a_baseline_session_runs_each_distinct_key_once(bundle, mode, data):
+    # Neither baseline has a controller, so a request's run depends only on
+    # its key: the session runs each distinct key once, and builds the same
+    # table, alerts and policy as running every request in turn.
+    spec, workload, deny = _with_exploits(bundle, data)
+    benign = sorted(k for k, b in spec.handlers.items() if b.exploit is None)
+    pretrain = data.draw(st.lists(st.sampled_from(benign), max_size=3))
+    config = ControllerConfig(deny=deny, pretrain_requests=pretrain)
+    records, alerts = _baseline_loop(spec, workload, mode)
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(controller, name)
+
+        def run(spec, key, *args):
+            calls[name, key] += 1
+            return real(spec, key, *args)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("run_oracle", "run_unrestricted"):
+            patch.setattr(controller, name, counted(name))
+        result = run_session(spec, workload, config, mode=mode)
+    run = "run_oracle" if mode == "hardened" else "run_unrestricted"
+    # Pretraining consults the oracle once for each pretrain request.
+    expected = collections.Counter(("run_oracle", key) for key in pretrain)
+    expected.update((run, key) for key in {request.key for request in workload})
+    assert calls == expected
+    assert list(result.latency_records) == records
+    assert result.alerts == alerts
+    # The loop learns nothing: the session keeps the pretrained policy.
+    pretrained = SessionDriver(spec, config)
+    assert (result.final_policy, result.policy_log) == (pretrained.policy, pretrained.policy_log)
+    assert not result.transition_trace and result.consultations == 0
+
+    # A one-shot iterable gives the same session as the list.
+    streamed = run_session(spec, iter(workload), config, mode=mode)
+    assert list(streamed.latency_records) == records and streamed.alerts == alerts
+    assert streamed.to_json() == result.to_json()
+    assert render_latency_csv(streamed.latency_records) == render_latency_csv(
+        result.latency_records)
 
 
 # --- pretraining ---------------------------------------------------------------

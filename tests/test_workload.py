@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -287,6 +288,8 @@ _KEYS = st.one_of(
     st.sampled_from(["", ",", '"', 'say "hi"', "a,b", "line\r\nbreak", "\r", "\n",
                      " padded ", "clé", "日本語", "home"]),
     st.text(max_size=8),
+    # Written as they are, without csv.writer.
+    st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True),
 )
 _TIMES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, 21.0]),
@@ -311,6 +314,9 @@ def _records(draw):
 
 @given(st.lists(_records(), max_size=25))
 @example([_timed_record(0, 0.0, 1.0, key="")])
+# Keys that csv.writer quotes, beside a plain one written as it is.
+@example([_timed_record(i, 0.0, 1.0, key=key)
+          for i, key in enumerate(["", "a,b", 'a"b', "a\nb", "a\rb", "a-b_c.9"])])
 @example([_timed_record(1, -0.0, 0.0, key="a,b"), _timed_record(0, 1e300, math.inf, key='"')])
 # Each boundary time shared by consecutive records, as in a closed loop,
 # then a start at -0.0: equal to the completion before it, written otherwise.
@@ -412,6 +418,13 @@ def test_records_keep_their_fields_and_reject_assignment():
             setattr(value, field, None)
 
 
+def _columns(rows):
+    """The six columns of ``rows``, in the types a table keeps them in."""
+    ids, keys, attempts, first_ms, completion_ms, outcomes = map(list, zip(*rows))
+    return (array("q", ids), keys, attempts, array("d", first_ms), array("d", completion_ms),
+            outcomes)
+
+
 # Each invalid row, and the error the table raises for it.
 _INVALID_ROWS = {
     (0, "r", 0, 0.0, 1.0, "served"): "attempts must be >= 1",
@@ -424,13 +437,14 @@ _INVALID_ROWS = {
 def test_record_invariants_hold_for_every_construction(args):
     # A record is checked by the table that holds it, the one input of every
     # reader: whether it is given fields or a record, however the record was
-    # made, alone or after a valid one.
+    # made, alone or after a valid one, or as the columns a baseline builds.
     replaced = _record(0, 1.0)._replace(**dict(zip(LatencyRecord._fields, args)))
     for rows in ([args], [LatencyRecord(*args)], [LatencyRecord._make(args)], [replaced],
                  [_record(1, 1.0), args]):
-        with pytest.raises(ValueError) as raised:
-            LatencyTable(rows)
-        assert str(raised.value) == _INVALID_ROWS[args]
+        for build in (LatencyTable, lambda rows: LatencyTable.from_columns(*_columns(rows))):
+            with pytest.raises(ValueError) as raised:
+                build(rows)
+            assert str(raised.value) == _INVALID_ROWS[args]
 
 
 def test_nan_times_are_accepted_by_records_and_tables():
