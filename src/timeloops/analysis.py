@@ -13,39 +13,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
-from .policy import PolicyDiff, SyscallPolicy, diff, new_policy
+from .policy import PolicyDiff, SyscallPolicy, diff
 from .simruntime import ServiceSpec, request_keys, training_handler
 
 
-def static_baseline(spec: ServiceSpec, deny: Iterable[str] = ()) -> SyscallPolicy:
+def static_baseline(spec: ServiceSpec) -> SyscallPolicy:
     """Input-independent over-approximation: everything reachable in code.
 
-    Single-shot at epoch 0; never extended.
+    Single-shot at epoch 0 with no deny-list; never extended. A caller
+    with a deny-list subtracts it from ``allow``.
     """
-    deny = new_policy(deny).deny
-    return SyscallPolicy(epoch=0, allow=spec.static_universe - deny, deny=deny)
+    return SyscallPolicy(epoch=0, allow=spec.static_universe)
 
 
-def dynamic_baseline(
-    spec: ServiceSpec, training_requests: Sequence[str], deny: Iterable[str] = ()
-) -> SyscallPolicy:
+def dynamic_baseline(spec: ServiceSpec, training_requests: Sequence[str]) -> SyscallPolicy:
     """Log-everything profiling over a training set; under-approximate.
 
     Only syscalls actually executed by the training requests make it in;
     instrumentation extras never appear because nothing is instrumented.
     ``training_requests`` is a list or tuple of request keys, as a
     session's pretrain requests are; a key with no handler adds nothing.
+    Single-shot at epoch 0 with no deny-list, as ``static_baseline``.
     """
-    deny = new_policy(deny).deny
     observed: set[str] = set()
     for key in request_keys(training_requests, "training_requests"):
         behavior = training_handler(spec, key, "training request")
         if behavior is not None:
             observed.update(behavior.trace)
-    return SyscallPolicy(epoch=0, allow=frozenset(observed) - deny, deny=deny)
+    return SyscallPolicy(epoch=0, allow=frozenset(observed))
 
 
 @dataclass(frozen=True)

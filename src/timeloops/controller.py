@@ -481,7 +481,7 @@ def _baseline_table(
 
 def run_session(
     spec: ServiceSpec,
-    workload: Sequence["workload_mod.Request"],
+    workload: Iterable["workload_mod.Request"],
     config: ControllerConfig | None = None,
     mode: str = "timeloops",
 ) -> SessionResult:
@@ -490,16 +490,15 @@ def run_session(
     Under the controller, every logical request is retried until served,
     rejected by an alert, or ``workload.MAX_ATTEMPTS`` attempts fail; the
     baseline modes send each request once, and run each distinct key once.
-    Every mode reads ``workload`` once and starts from the pretrained
-    policy. Fully deterministic for a given (spec, workload, config, mode).
-    A session whose virtual clock does not stay finite is a
-    :class:`ConfigError`.
+    Every mode reads ``workload``, any iterable of requests, once and starts
+    from the pretrained policy. Fully deterministic for a given (spec,
+    workload, config, mode). An empty workload, and a session whose virtual
+    clock does not stay finite, are a :class:`ConfigError`, raised once the
+    session's table is built.
     """
     config = config if config is not None else ControllerConfig()
     if mode not in SESSION_MODES:
         raise ConfigError(f"unknown session mode: {mode!r}")
-    if not workload:
-        raise ConfigError("workload must not be empty")
     conflict = spec.oracle_extra & config.deny
     if conflict:
         raise ConfigError(
@@ -515,6 +514,8 @@ def run_session(
             workload_mod.send_with_retry(request, driver) for request in workload
         )
         driver.shutdown()
+    if not records:
+        raise ConfigError("workload must not be empty")
     # The clock never runs back, so the last record's completion is its largest value.
     if not math.isfinite(records.completion_ms[-1]):
         raise ConfigError(f"the virtual clock overflows within {len(records)} requests")

@@ -135,6 +135,13 @@ def test_a_malformed_mix_exits_1_naming_the_problem(tmp_path, capsys, mix, messa
     assert not (tmp_path / "run").exists()
 
 
+def test_an_empty_workload_exits_1_naming_the_problem(tmp_path, capsys):
+    assert main(["simulate", "--scenario", STATICSITE, "--n", "0",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "config error: workload must not be empty\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_service_with_no_benign_handler_needs_a_mix(tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
     handlers = scenario["services"][0]["handlers"]

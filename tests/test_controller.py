@@ -36,7 +36,7 @@ from timeloops.errors import (
     ExploitInTrainingSet,
     IllegalTransition,
 )
-from timeloops.policy import new_policy, replay_log
+from timeloops.policy import new_policy, render_log, replay_log
 from timeloops.simruntime import (
     COMPLETED,
     WATCHDOG_TIMEOUT,
@@ -257,10 +257,14 @@ def test_oracle_mode_equivalence_on_benign_workload():
     assert single.final_policy.allow == watchdog.final_policy.allow
 
 
-def test_empty_workload_is_config_error():
+@pytest.mark.parametrize("empty", [list, iter], ids=["list", "iterator"])
+@pytest.mark.parametrize("mode", SESSION_MODES)
+def test_empty_workload_is_config_error(mode, empty):
+    # A one-shot iterable is true even when it is empty, so the check is
+    # made on the table the session built.
     spec = make_spec({"r": RequestBehavior(trace=("read",))})
-    with pytest.raises(ConfigError):
-        run_session(spec, [], CFG)
+    with pytest.raises(ConfigError, match="^workload must not be empty$"):
+        run_session(spec, empty([]), CFG, mode=mode)
 
 
 def test_an_unknown_oracle_or_session_mode_is_config_error():
@@ -612,6 +616,22 @@ def test_a_baseline_session_runs_each_distinct_key_once(bundle, mode, data):
     assert streamed.to_json() == result.to_json()
     assert render_latency_csv(streamed.latency_records) == render_latency_csv(
         result.latency_records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=spec_workload_deny(), oracle_mode=st.sampled_from(ORACLE_MODES),
+       # Each lets a fresh tenure finish any one request, so every session ends.
+       watchdog_ms=st.sampled_from([25.0, 60.0, 10_000.0]), data=st.data())
+def test_a_controller_session_of_a_one_shot_iterable_is_the_session_of_the_list(
+        bundle, oracle_mode, watchdog_ms, data):
+    spec, workload, deny = _with_exploits(bundle, data)
+    config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny)
+    listed = run_session(spec, workload, config)
+    streamed = run_session(spec, iter(workload), config)
+    assert streamed.to_json() == listed.to_json()
+    assert render_latency_csv(streamed.latency_records) == render_latency_csv(
+        listed.latency_records)
+    assert render_log(streamed.policy_log) == render_log(listed.policy_log)
 
 
 # --- pretraining ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timeloops.analysis import dynamic_baseline, static_baseline
+from timeloops.analysis import dynamic_baseline
 from timeloops.controller import ControllerConfig
 from timeloops.errors import DeniedSyscall, ParseError, ReplayError
 from timeloops.policy import (
@@ -396,18 +396,12 @@ def test_a_timestamp_that_is_not_a_json_number_is_parse_error(tmp_path, timestam
         load_log(path)
 
 
-_SPEC = make_spec({"a": RequestBehavior(trace=("read",))}, universe={"read", "mount"})
-
-
 @pytest.mark.parametrize("call, argument", [
     pytest.param(lambda: new_policy("mount"), "deny", id="new_policy"),
     pytest.param(lambda: growth_entry(frozenset(), frozenset(), 0, "read"), "new",
                  id="growth_entry"),
     pytest.param(lambda: extend(new_policy(), "read"), "new", id="extend"),
     pytest.param(lambda: replay_log([], deny="mount"), "deny", id="replay_log"),
-    pytest.param(lambda: static_baseline(_SPEC, deny="mount"), "deny", id="static_baseline"),
-    pytest.param(lambda: dynamic_baseline(_SPEC, ["a"], deny="mount"), "deny",
-                 id="dynamic_baseline"),
     pytest.param(lambda: PolicyLogEntry(epoch=1, added="adr", source="oracle"), "added",
                  id="PolicyLogEntry"),
     pytest.param(lambda: ControllerConfig(deny="mount"), "deny", id="ControllerConfig"),
