@@ -6,10 +6,13 @@ distinct names, and the wall time of the process's first `load_scenario`
 with the collector passes during it. That load validates each distinct name
 once and runs with the collector on, as a load outside `simulate` does.
 
-Then it loads the scenario again and runs one session as `timeloops
-simulate` does, and renders its artifacts one at a time:
-`SessionResult.to_json`, the latency and cumulative CSVs and
-`export_seccomp`. It prints what the loaded spec holds (less the names,
+Then it loads the scenario again and runs one session of its first
+service under the controller, with no pretraining. Its workload, mix
+(`workload.default_mix` without `--mix`), oracle mode, watchdog and
+deny-list are those `timeloops simulate` builds from the same options; it
+has no `--service`, `--mode` or `--pretrain`. It renders the session's
+artifacts one at a time: `SessionResult.to_json`, the latency and
+cumulative CSVs and `export_seccomp`. It prints what the loaded spec holds (less the names,
 which the first load interned and keeps) and, with the spec freed as
 `simulate` frees it, what is held after the session. For each renderer it
 prints the output size, the best wall time of three renders with tracing
@@ -34,12 +37,12 @@ import tracemalloc
 from collections import Counter
 
 from timeloops.catalog import load_default_fixture, podman_default_deny, read_input
-from timeloops.cli import _default_mix, _parse_mix
+from timeloops.cli import _parse_mix
 from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.policy import export_seccomp
 from timeloops.simruntime import load_scenario
-from timeloops.workload import LatencyTable, generate_workload
+from timeloops.workload import LatencyTable, default_mix, generate_workload
 
 MB = 2**20
 
@@ -105,7 +108,7 @@ def main():
             deny = podman_default_deny(load_default_fixture())
         config = ControllerConfig(oracle_mode=args.oracle_mode, watchdog_ms=args.watchdog_ms,
                                   deny=deny)
-        mix = _parse_mix(args.mix) if args.mix is not None else _default_mix(spec)
+        mix = _parse_mix(args.mix) if args.mix is not None else default_mix(spec)
         requests = generate_workload(spec, args.n, args.seed, mix)
         result = run_session(spec, requests, config)
     except TimeloopsError as exc:

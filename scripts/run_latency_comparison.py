@@ -10,6 +10,7 @@ learning system's cumulative curve drops below the hardened one.
 import argparse
 from pathlib import Path
 
+from timeloops.analysis import crossover
 from timeloops.cli import _parse_mix
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import ConfigError
@@ -53,13 +54,11 @@ def main():
         print(f"{mode:<11} mean={s.mean:8.3f}ms  p50={s.p50:8.3f}ms  "
               f"p99={s.p99:8.3f}ms  max={s.max:8.3f}ms")
 
-    cum_tl = stats["timeloops"].cumulative
-    cum_hd = stats["hardened"].cumulative
-    crossover = next((i for i in range(len(cum_tl)) if cum_tl[i] < cum_hd[i]), None)
-    if crossover is None:
+    index = crossover(stats["timeloops"].cumulative, stats["hardened"].cumulative)
+    if index is None:
         print("cumulative learning curve never crossed below the hardened curve")
     else:
-        print(f"cumulative learning curve crosses below hardened at request {crossover}")
+        print(f"cumulative learning curve crosses below hardened at request {index}")
     print(f"CSV series written to {out}")
 
 

@@ -15,7 +15,7 @@ from timeloops.catalog import load_default_fixture
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.policy import export_seccomp
 from timeloops.simruntime import load_scenario, pick_service
-from timeloops.workload import generate_workload
+from timeloops.workload import default_mix, generate_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,14 +30,14 @@ def main():
     args = parser.parse_args()
 
     spec = pick_service(load_scenario(args.scenario), args.service)
-    keys = sorted(spec.benign_handlers())
-    workload = generate_workload(spec, args.n, args.seed, {k: 1.0 for k in keys})
+    mix = default_mix(spec)
+    workload = generate_workload(spec, args.n, args.seed, mix)
     session = run_session(spec, workload, ControllerConfig())
 
     policies = [
         ("static", static_baseline(spec)),
         ("learned", session.final_policy),
-        ("dynamic", dynamic_baseline(spec, keys)),
+        ("dynamic", dynamic_baseline(spec, sorted(mix))),
     ]
     report = compare(policies, table=load_default_fixture())
     print(report.to_text())

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Check every session within a bound against the reference model.
+"""Check every session within a bound against the reference model and
+the paper's order and amortization relations.
 
 Runs the enumeration of `tests/test_small_scope.py`, whose docstring defines
 the bound, through `run_session` and the reference model of
-`tests/reference.py`. Tier-1 runs bound 2; a larger bound runs far more
-sessions. Prints the number of sessions and the wall time. At the first
-mismatch it prints the session's configuration and exits 1.
+`tests/reference.py`, and checks its `Relations` on each session. Tier-1
+runs bound 2; a larger bound runs far more sessions. Prints the number of
+sessions and the wall time. At the first mismatch or broken relation it
+prints the session's configuration and exits 1.
 
     python3 scripts/small_scope.py [--bound K]      # K defaults to 3
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
-from test_small_scope import cases, check  # noqa: E402
+from test_small_scope import Relations, cases, check  # noqa: E402
 
 
 def main():
@@ -30,14 +32,16 @@ def main():
         parser.error("--bound must be at least 1")
     started = time.perf_counter()
     count = 0
+    relations = Relations()
     for count, case in enumerate(cases(args.bound), 1):
         try:
             check(case)
+            relations.check(case)
         except AssertionError as exc:
             print(f"mismatch in session {count}: {exc}", file=sys.stderr)
             return 1
-    print(f"bound {args.bound}: {count} sessions match the reference model "
-          f"in {time.perf_counter() - started:.1f} s")
+    print(f"bound {args.bound}: {count} sessions match the reference model and keep "
+          f"the relations in {time.perf_counter() - started:.1f} s")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Baseline policy generators, cross-policy comparison, claim verification.
+"""Baseline policy generators, the amortization crossover, cross-policy
+comparison, claim verification.
 
 Two baselines bracket the learned policy: a static over-approximation (the
 whole reachable-code universe, input-independent) and a naive dynamic
@@ -44,6 +45,12 @@ def dynamic_baseline(spec: ServiceSpec, training_requests: Sequence[str]) -> Sys
         if behavior is not None:
             observed.update(behavior.trace)
     return SyscallPolicy(epoch=0, allow=frozenset(observed))
+
+
+def crossover(learned: Sequence[float], hardened: Sequence[float]) -> int | None:
+    """The first index at which the learned cumulative latency curve is
+    strictly below the hardened one, or None if it never is."""
+    return next((i for i, (a, b) in enumerate(zip(learned, hardened)) if a < b), None)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import analysis, catalog, workload
 from .controller import ORACLE_MODES, SESSION_MODES, ControllerConfig, SessionResult, run_session
 from .errors import AttemptsExhausted, ConfigError, MissingCategory, ParseError
-from .policy import SyscallPolicy, export_seccomp, save_log
+from .policy import export_seccomp, load_policy, save_log
 from .simruntime import ServiceSpec, exploit_category, load_scenario, pick_service
 
 
@@ -88,27 +88,6 @@ def _parse_mix(text: str) -> dict[str, float]:
     return mix
 
 
-def _default_mix(spec: ServiceSpec) -> dict[str, float]:
-    benign = spec.benign_handlers()
-    if not benign:
-        raise ConfigError(f"service {spec.name!r} has no benign handlers")
-    return {key: 1.0 for key in benign}
-
-
-def _load_policy_file(path: str) -> SyscallPolicy:
-    obj = catalog.read_input(path)
-    if isinstance(obj, dict) and "final_policy" in obj:
-        obj = obj["final_policy"]
-    if not isinstance(obj, dict) or "allow" not in obj:
-        raise ParseError(f"{path}: expected an object with an 'allow' list")
-    try:
-        allow = frozenset(catalog.syscall_names(obj["allow"], "allow"))
-        deny = frozenset(catalog.syscall_names(obj.get("deny", []), "deny"))
-        return SyscallPolicy(epoch=catalog.json_int(obj.get("epoch", 0)), allow=allow, deny=deny)
-    except (ParseError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 # Each command returns its exit status and what it prints; ``main`` prints it.
 
 def cmd_simulate(args) -> tuple[int, str]:
@@ -131,7 +110,7 @@ def cmd_simulate(args) -> tuple[int, str]:
             deny=deny,
             pretrain_requests=pretrain_keys,
         )
-        mix = _parse_mix(args.mix) if args.mix is not None else _default_mix(spec)
+        mix = _parse_mix(args.mix) if args.mix is not None else workload.default_mix(spec)
         requests = workload.generate_workload(spec, args.n, args.seed, mix)
         gc.freeze()
     finally:
@@ -196,15 +175,15 @@ def cmd_simulate(args) -> tuple[int, str]:
 
 
 def cmd_diff(args) -> tuple[int, str]:
-    a = _load_policy_file(args.policy_a)
-    b = _load_policy_file(args.policy_b)
+    a = load_policy(args.policy_a)
+    b = load_policy(args.policy_b)
     table = catalog.load_default_fixture()
     report = analysis.compare([("A", a), ("B", b)], table=table)
     return 0, report.to_text()
 
 
 def cmd_export_seccomp(args) -> tuple[int, bytes]:
-    return 0, export_seccomp(_load_policy_file(args.policy))
+    return 0, export_seccomp(load_policy(args.policy))
 
 
 def cmd_verify_paper(args) -> tuple[int, str]:
@@ -292,7 +271,7 @@ def run_attack_scenarios(spec: ServiceSpec, seed: int = 0) -> list[CategoryVerdi
     """Run one probe per attack category, plus the deny-list variant of
     category 4, each against a fresh session warmed up with benign traffic."""
     by_category = _pick_exploits(spec)
-    warmup = workload.generate_workload(spec, 8, seed, _default_mix(spec))
+    warmup = workload.generate_workload(spec, 8, seed, workload.default_mix(spec))
     no_deny = frozenset()
     cat4_deny = frozenset(spec.handlers[by_category[4]].exploit.injected)
     # A control run without the probe, one per deny-list, isolates what the

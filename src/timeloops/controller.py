@@ -36,7 +36,7 @@ from .errors import (
     DeniedSyscall,
     IllegalTransition,
 )
-from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy
+from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy, policy_object
 from .policy import extend  # noqa: F401  (unused; the bench tracer wraps it by this name)
 from .simruntime import (
     COMPLETED,
@@ -249,11 +249,7 @@ class SessionResult:
         pointers and one ``at_ms`` string per transition.
         """
         text = json.dumps({
-            "final_policy": {
-                "allow": sorted(self.final_policy.allow),
-                "deny": sorted(self.final_policy.deny),
-                "epoch": self.final_policy.epoch,
-            },
+            "final_policy": policy_object(self.final_policy),
             "alerts": [
                 {"request": a.request, "report": a.report, "at_ms": a.at_ms}
                 for a in self.alerts

@@ -147,6 +147,29 @@ def diff(a: SyscallPolicy, b: SyscallPolicy) -> PolicyDiff:
     )
 
 
+def policy_object(policy: SyscallPolicy) -> dict:
+    """The policy as the JSON object a policy file holds, names sorted;
+    ``session.json`` holds it as its ``final_policy``."""
+    return {"allow": sorted(policy.allow), "deny": sorted(policy.deny), "epoch": policy.epoch}
+
+
+def load_policy(path: str | Path) -> SyscallPolicy:
+    """The policy of a policy file: a policy object, or a ``session.json``
+    whose ``final_policy`` is one. ``deny`` and ``epoch`` may be left out.
+    A file that is not one raises :class:`ParseError` naming the path."""
+    obj = read_input(path)
+    if isinstance(obj, dict) and "final_policy" in obj:
+        obj = obj["final_policy"]
+    if not isinstance(obj, dict) or "allow" not in obj:
+        raise ParseError(f"{path}: expected an object with an 'allow' list")
+    try:
+        allow = frozenset(syscall_names(obj["allow"], "allow"))
+        deny = frozenset(syscall_names(obj.get("deny", []), "deny"))
+        return SyscallPolicy(epoch=json_int(obj.get("epoch", 0)), allow=allow, deny=deny)
+    except (ParseError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def export_seccomp(policy: SyscallPolicy) -> bytes:
     """Render the policy as an OCI-style seccomp profile.
 

@@ -225,12 +225,22 @@ def send_with_retry(request: Request, driver) -> LatencyRecord:
     ))
 
 
+def default_mix(spec: ServiceSpec) -> dict[str, float]:
+    """Every benign handler of ``spec`` at weight 1, the mix ``simulate``
+    sends without ``--mix``; a service with none raises :class:`ConfigError`."""
+    benign = spec.benign_handlers()
+    if not benign:
+        raise ConfigError(f"service {spec.name!r} has no benign handlers")
+    return dict.fromkeys(benign, 1.0)
+
+
 def generate_workload(
     spec: ServiceSpec, n: int, seed: int, mix: Mapping[str, float]
 ) -> list[Request]:
-    """Seeded weighted sampling of request keys; ids run 0..n-1."""
-    if not mix:
-        raise EmptyMix("workload mix is empty")
+    """Seeded weighted sampling of request keys; ids run 0..n-1. A negative
+    ``n`` raises :class:`ConfigError`."""
+    if n < 0:
+        raise ConfigError(f"n must not be negative: {n}")
     keys = sorted(mix)
     weights = [float(mix[k]) for k in keys]
     bad = [k for k, w in zip(keys, weights) if not (math.isfinite(w) and w >= 0)]
@@ -245,7 +255,7 @@ def generate_workload(
     if unknown:
         raise ConfigError("mix keys without handlers: " + ", ".join(unknown))
     rng = random.Random(seed)
-    chosen = rng.choices(keys, weights=weights, k=n) if n > 0 else []
+    chosen = rng.choices(keys, weights=weights, k=n)
     return list(map(tuple.__new__, repeat(Request), enumerate(chosen)))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from conftest import SCENARIO_DIR, spec_workload_deny
 from hypothesis import given, settings
 
-from timeloops.analysis import dynamic_baseline, static_baseline, verify_paper_claims
+from timeloops.analysis import crossover, dynamic_baseline, static_baseline, verify_paper_claims
 from timeloops.catalog import load_default_fixture
 from timeloops.cli import main, run_attack_scenarios
 from timeloops.controller import (
@@ -191,17 +191,13 @@ def test_criterion_4_amortization_shape():
     stats_un = summarize(sessions["unhardened"].latency_records)
     stats_hd = summarize(sessions["hardened"].latency_records)
 
-    cum_tl = stats_tl.cumulative
-    cum_hd = stats_hd.cumulative
-    crossover = next(
-        (i for i in range(len(cum_tl)) if cum_tl[i] < cum_hd[i]), None
-    )
+    index = crossover(stats_tl.cumulative, stats_hd.cumulative)
 
     checks = [
         first_latency >= 5.0 * steady_p50,
         stats_tl.mean < stats_hd.mean,
         stats_tl.mean <= 1.10 * stats_un.mean,
-        crossover is not None and crossover < len(tl),
+        index is not None and index < len(tl),
     ]
     elapsed = time.monotonic() - started
     checks.append(elapsed < 10.0)
@@ -209,7 +205,7 @@ def test_criterion_4_amortization_shape():
         "criterion-4 amortization",
         all(checks),
         f"first/p50={first_latency / steady_p50:.2f} mean_ratio="
-        f"{stats_tl.mean / stats_un.mean:.3f} crossover={crossover} in {elapsed:.2f}s",
+        f"{stats_tl.mean / stats_un.mean:.3f} crossover={index} in {elapsed:.2f}s",
     )
 
 

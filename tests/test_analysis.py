@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from timeloops.analysis import (
     EXPECTED_SYSFILTER_MINUS_TIMELOOPS_SIZE,
     compare,
+    crossover,
     dynamic_baseline,
     static_baseline,
     verify_paper_claims,
@@ -17,6 +18,19 @@ from timeloops.errors import ExploitInTrainingSet
 from timeloops.policy import SyscallPolicy
 from timeloops.simruntime import ExploitSpec, RequestBehavior
 from timeloops.workload import Request
+
+
+# --- the amortization crossover ----------------------------------------------------
+
+@pytest.mark.parametrize("learned, hardened, expected", [
+    ([9.0, 3.0, 9.0, 4.0], [4.0, 4.0, 8.0, 12.0], 1),  # the first crossing, not a later one
+    ([9.0, 8.0, 9.0], [4.0, 8.0, 12.0], 2),  # a tie is not a crossing
+    ([9.0, 10.0, 11.0], [4.0, 8.0, 11.0], None),  # never below
+    ([], [], None),
+])
+def test_crossover_is_the_first_index_strictly_below_the_hardened_curve(
+        learned, hardened, expected):
+    assert crossover(learned, hardened) == expected
 
 
 # --- baselines -------------------------------------------------------------------

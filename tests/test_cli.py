@@ -142,6 +142,13 @@ def test_an_empty_workload_exits_1_naming_the_problem(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_a_negative_workload_size_exits_1_naming_it(tmp_path, capsys):
+    assert main(["simulate", "--scenario", STATICSITE, "--n", "-3",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "config error: n must not be negative: -3\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_service_with_no_benign_handler_needs_a_mix(tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
     handlers = scenario["services"][0]["handlers"]

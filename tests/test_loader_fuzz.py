@@ -10,10 +10,10 @@ from conftest import GOLDEN_DIR, SCENARIO_DIR
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timeloops import catalog, cli
+from timeloops import catalog
 from timeloops.cli import main
 from timeloops.errors import ParseError, TimeloopsError
-from timeloops.policy import load_log, replay_log
+from timeloops.policy import load_log, load_policy, replay_log
 from timeloops.simruntime import load_scenario
 
 
@@ -25,7 +25,7 @@ def _load_and_replay_log(path):
 LOADERS = {
     "scenario": load_scenario,
     "log": _load_and_replay_log,
-    "policy": cli._load_policy_file,
+    "policy": load_policy,
     "fixture": catalog.load_fixture,
 }
 # One valid file per loader; a JSON-lines log is one document per line.

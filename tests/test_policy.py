@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from timeloops.analysis import dynamic_baseline
-from timeloops.controller import ControllerConfig
+from timeloops.controller import SESSION_MODES, ControllerConfig, run_session
 from timeloops.errors import DeniedSyscall, ParseError, ReplayError
 from timeloops.policy import (
     LOG_SOURCES,
@@ -16,12 +17,15 @@ from timeloops.policy import (
     extend,
     growth_entry,
     load_log,
+    load_policy,
     new_policy,
+    policy_object,
     replay_log,
     save_log,
 )
 
 from timeloops.simruntime import RequestBehavior
+from timeloops.workload import generate_workload
 
 from conftest import GOLDEN_DIR, make_spec
 
@@ -202,6 +206,25 @@ def test_export_has_no_trailing_newline_and_sorted_names():
     raw = export_seccomp(p)
     assert not raw.endswith(b"\n")
     assert b'["accept","read","write"]' in raw
+
+
+@pytest.mark.parametrize("mode", SESSION_MODES)
+def test_load_policy_reads_the_final_policy_of_a_session(staticsite, tmp_path, mode):
+    config = ControllerConfig(deny={"mount"}, pretrain_requests=("home",))
+    workload = generate_workload(staticsite, 20, 7, {"home": 1, "search": 1, "upload": 1})
+    result = run_session(staticsite, workload, config, mode)
+    result.write_json(tmp_path / "session.json")
+    assert load_policy(tmp_path / "session.json") == result.final_policy
+
+
+def test_load_policy_reads_a_bare_policy_object(tmp_path):
+    path = tmp_path / "policy.json"
+    policy = SyscallPolicy(epoch=3, allow=frozenset({"read", "write"}), deny=frozenset({"mount"}))
+    path.write_text(json.dumps(policy_object(policy)))
+    assert load_policy(path) == policy
+    # The deny-list and the epoch may be left out.
+    path.write_text('{"allow": ["read"]}')
+    assert load_policy(path) == SyscallPolicy(allow=frozenset({"read"}))
 
 
 def test_log_round_trip(tmp_path):

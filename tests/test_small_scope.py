@@ -19,7 +19,10 @@ handlers; a baseline deployment runs each request on its own, so it runs
 the workloads of at most K keys only. A service whose handler neither
 runs nor is pretrained is left to the smaller services.
 
-``scripts/small_scope.py --bound K`` runs the enumeration with a larger K.
+The sessions under the controller are also checked against two of the
+paper's relations of ``test_paper_relations.py``, order and amortization
+(see :class:`Relations`). ``scripts/small_scope.py --bound K`` runs the
+enumeration and both checks with a larger K.
 """
 
 import traceback
@@ -27,10 +30,12 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 import reference
+import test_paper_relations
 from conftest import DENY_POOL, SYSCALL_POOL, make_spec, requests
 from test_reference import assert_matches_model
 
-from timeloops.controller import ORACLE_MODES, ControllerConfig
+from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
+from timeloops.errors import AttemptsExhausted
 from timeloops.simruntime import EXPLOIT_KINDS, ExploitSpec, RequestBehavior
 
 #: the bound that tier-1 runs
@@ -123,3 +128,58 @@ def test_every_small_session_matches_the_reference_model():
     for count, case in enumerate(cases(BOUND), 1):
         check(case)
     assert count == BOUND_CASES
+
+
+#: the body of the amortization relation in ``test_paper_relations.py``,
+#: both its forms, called on one case without Hypothesis
+amortization = (test_paper_relations.test_learning_costs_latency_only_until_the_last_restart
+                .hypothesis.inner_test)
+
+
+class Relations:
+    """The paper's order and amortization relations, as
+    ``test_paper_relations.py`` states them, on the enumeration's sessions
+    under the controller.
+
+    Amortization runs the relation's own body on each case, which runs the
+    session and one unhardened session beside it. Order runs no permuted
+    workload: the enumeration holds every permutation of each workload,
+    so the single-mode cases with a 10 s watchdog that share a
+    spec, a key multiset, a deny-list and a pretraining must end with the
+    same final allow-list. ``cases`` yields each spec's cases together, so
+    the groups are kept for the current spec only, which they keep alive.
+    A case that ends in ``AttemptsExhausted`` is skipped.
+    """
+
+    def __init__(self):
+        self.spec = None
+        self.finals: dict = {}
+
+    def check(self, case) -> None:
+        """Check ``case``; a failure names it, and the case it differs from."""
+        spec, workload, config, mode = case
+        if mode != "timeloops":
+            return
+        try:
+            amortization(case)
+        except AssertionError as exc:
+            raise AssertionError(f"amortization: {describe(case)}: {exc!r}") from exc
+        if config.oracle_mode != "single" or config.watchdog_ms != 10_000.0:
+            return
+        try:
+            allow = run_session(*case).final_policy.allow
+        except AttemptsExhausted:
+            return
+        if spec is not self.spec:
+            self.spec, self.finals = spec, {}
+        group = (tuple(sorted(r.key for r in workload)), config.deny, config.pretrain_requests)
+        first, first_allow = self.finals.setdefault(group, (case, allow))
+        assert allow == first_allow, (
+            f"order: {describe(case)} learns {sorted(allow)}, "
+            f"but {describe(first)} learns {sorted(first_allow)}")
+
+
+def test_every_small_session_keeps_the_order_and_amortization_relations():
+    relations = Relations()
+    for case in cases(BOUND):
+        relations.check(case)
