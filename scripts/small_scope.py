@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Check every session within a bound against the reference model and
-the paper's order and amortization relations.
+the paper's tightness, order, pretraining and amortization relations.
 
 Runs the enumeration of `tests/test_small_scope.py`, whose docstring defines
 the bound, through `run_session` and the reference model of

@@ -36,8 +36,7 @@ from .errors import (
     DeniedSyscall,
     IllegalTransition,
 )
-from .policy import PolicyLogEntry, SyscallPolicy, growth_entry, new_policy, policy_object
-from .policy import extend  # noqa: F401  (unused; the bench tracer wraps it by this name)
+from .policy import PolicyLogEntry, SyscallPolicy, extend, new_policy, policy_object
 from .simruntime import (
     COMPLETED,
     WATCHDOG_TIMEOUT,
@@ -309,19 +308,20 @@ class SessionDriver:
     when the oracle started, and its watchdog tenure counts from there.
     ``shutdown`` halts the controller at the end of the session.
 
-    The driver learns into a live allow-list: ``_learn`` adds the new names
-    of a benign oracle verdict in place and logs them, and the epoch is the
-    length of ``policy_log``. ``policy`` is the filter installed in the
+    The driver learns into a live allow-list through ``policy.extend``,
+    looked up in this module at each call: it adds the new names of a
+    benign oracle verdict in place and logs them in ``policy_log``, whose
+    length is the epoch. ``policy`` is the filter installed in the
     production container, an immutable snapshot of the live allow-list
     taken each time production starts, and rebuilt only if the epoch has
     moved since the last one.
 
     The driver starts pretrained: each of ``config.pretrain_requests`` runs
-    in the oracle before the clock starts, and ``_learn`` takes its verdict
-    with source "pretrain", counting no consultation and writing no
-    transition. A deny-listed name raises :class:`DeniedSyscall`. Each
-    consultation calls ``run_oracle`` with the watchdog budget left to the
-    oracle's tenure.
+    in the oracle before the clock starts, and ``extend`` learns its
+    verdict with source "pretrain", counting no consultation and writing no
+    transition. A deny-listed name is a :class:`ConfigError` naming the key.
+    Each consultation calls ``run_oracle`` with the watchdog budget left to
+    the oracle's tenure.
     """
 
     def __init__(self, spec: ServiceSpec, config: ControllerConfig):
@@ -343,21 +343,14 @@ class SessionDriver:
         for key in config.pretrain_requests:
             if training_handler(spec, key, "pretrain request") is None:
                 raise ConfigError(f"pretrain request {key!r} has no handler")
-            self._learn(run_oracle(spec, key)[0].observed, "pretrain")
+            try:
+                extend(self._allow, config.deny, self.policy_log,
+                       run_oracle(spec, key)[0].observed, "pretrain")
+            except DeniedSyscall as exc:
+                raise ConfigError(f"pretrain request {key!r}: {exc}") from exc
         self.policy = self.snapshot()
 
     # -- plumbing
-
-    def _learn(self, new: frozenset[str], source: str) -> None:
-        """Allow the names in ``new`` not yet allowed, and log them as one
-        entry at the next epoch; raises :class:`DeniedSyscall`, learning
-        nothing, if any of them is deny-listed."""
-        entry = growth_entry(
-            self._allow, self.policy.deny, len(self.policy_log), new, source, self.now
-        )
-        if entry is not None:
-            self._allow.update(entry.added)
-            self.policy_log.append(entry)
 
     def _transition(self, event: ControllerEvent, request_id: int = -1) -> bool:
         """Apply one event through ``step`` and record its row; returns True
@@ -378,7 +371,8 @@ class SessionDriver:
                     self.policy = self.snapshot()
             elif type(action) is UpdatePolicy:
                 try:
-                    self._learn(action.new_syscalls, "oracle")
+                    extend(self._allow, self.config.deny, self.policy_log,
+                           action.new_syscalls, "oracle", self.now)
                 except DeniedSyscall as exc:
                     # Category-4 mitigation: the oracle observed a deny-listed
                     # syscall, so the request is rejected and nothing is learned.

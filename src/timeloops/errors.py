@@ -32,8 +32,10 @@ class ConfigError(TimeloopsError):
 class DeniedSyscall(ConfigError):
     """Attempt to extend a policy with syscalls on the permanent deny-list.
 
-    It reaches the command line only when a pretrain set collides with the
-    deny-list, which is an operator configuration problem.
+    It does not reach the command line: the session driver turns it into
+    an alert for an oracle observation, and into a :class:`ConfigError`
+    naming the key for a pretrain request, and ``replay_log`` into a
+    :class:`ReplayError`.
     """
 
     def __init__(self, names):

@@ -1,14 +1,14 @@
 """Syscall allow-list policies: monotone growth, deny-list, export, logging.
 
 A :class:`SyscallPolicy` value is immutable, like an installed seccomp
-filter, which cannot change while its container runs. :func:`extend`
-returns a new value with the epoch bumped by one. The session driver
-instead learns into one live allow-list and installs an immutable snapshot
-of it each time production starts. Both grow by the same rules, in
-:func:`growth_entry`: validate the new names, refuse deny-listed ones and
-log what was added. Each value that holds names, a deny-list or a log
-entry's ``added``, checks them by :func:`catalog.syscall_names` when it is
-built.
+filter, which cannot change while its container runs. A policy grows in
+one place, :func:`extend`: it validates the new names, refuses
+deny-listed ones, and adds the rest to a live allow-list and a log
+entry to a live log. The session driver learns that way, and installs an
+immutable snapshot of its allow-list each time production starts;
+:func:`replay_log` rebuilds a policy that way. Each value that holds
+names, a deny-list or a log entry's ``added``, checks them by
+:func:`catalog.syscall_names` when it is built.
 """
 
 from __future__ import annotations
@@ -73,69 +73,44 @@ def new_policy(deny: Iterable[str] = ()) -> SyscallPolicy:
     return SyscallPolicy(deny=frozenset(syscall_names(deny, "deny")))
 
 
-def growth_entry(
-    allow: frozenset[str] | set[str],
+def extend(
+    allow: set[str],
     deny: frozenset[str],
-    epoch: int,
+    log: list[PolicyLogEntry],
     new: Iterable[str],
     source: str = "oracle",
     timestamp_ms: float = 0.0,
-) -> PolicyLogEntry | None:
-    """The log entry that grows ``allow`` at ``epoch`` by the new names in ``new``.
+) -> tuple[set[str], PolicyLogEntry | None]:
+    """Grow the live allow-list ``allow`` by the names in ``new`` not yet
+    allowed, logging them in ``log`` as one entry at epoch ``len(log) + 1``.
 
-    Returns None if every name is already allowed. Otherwise ``new`` is
-    checked as a collection of syscall names by :func:`catalog.syscall_names`
-    (raising TypeError or :class:`ParseError`), the names not yet allowed
-    are checked against ``deny`` (raising :class:`DeniedSyscall`), and the
-    entry adds exactly those names at ``epoch + 1``. The caller applies the
-    entry.
+    Returns ``(allow, entry)``, or ``(allow, None)`` if every name is
+    already allowed. Otherwise ``new`` is checked as a collection of syscall
+    names by :func:`catalog.syscall_names` (raising TypeError or
+    :class:`ParseError`), and the names not yet allowed against ``deny``
+    (raising :class:`DeniedSyscall`). When it raises, neither ``allow`` nor
+    ``log`` changes.
 
     Of a frozenset, only the names not yet allowed are checked, and one
-    that is already allowed returns None at once. It holds only hashable
-    items, so the set operations cannot raise, and every name this package
-    puts in an allow-list was checked on the way in. The driver learns each
-    oracle verdict this way.
+    that is already allowed returns at once. It holds only hashable items,
+    so the set operations cannot raise, and every name this package puts in
+    an allow-list was checked on the way in. The driver learns each oracle
+    verdict this way.
     """
     if type(new) is frozenset:
         if allow.issuperset(new):
-            return None
+            return allow, None
         new = new.difference(allow)
     added = frozenset(syscall_names(new, "new")).difference(allow)
     if not added:
-        return None
+        return allow, None
     denied = added & deny
     if denied:
         raise DeniedSyscall(denied)
-    return PolicyLogEntry(
-        epoch=epoch + 1,
-        added=tuple(sorted(added)),
-        source=source,
-        timestamp_ms=timestamp_ms,
-    )
-
-
-def extend(
-    policy: SyscallPolicy,
-    new: Iterable[str],
-    source: str = "oracle",
-    timestamp_ms: float = 0.0,
-) -> tuple[SyscallPolicy, PolicyLogEntry | None]:
-    """Grow the allow-list by the genuinely new syscalls in ``new``.
-
-    Idempotent: if every syscall is already allowed the policy is returned
-    unchanged with no log entry. Raises :class:`DeniedSyscall` (leaving the
-    policy untouched) if any requested syscall is on the deny-list. The
-    rules are those of :func:`growth_entry`.
-    """
-    entry = growth_entry(policy.allow, policy.deny, policy.epoch, new, source, timestamp_ms)
-    if entry is None:
-        return policy, None
-    grown = SyscallPolicy(
-        epoch=entry.epoch,
-        allow=policy.allow.union(entry.added),
-        deny=policy.deny,
-    )
-    return grown, entry
+    entry = PolicyLogEntry(len(log) + 1, tuple(sorted(added)), source, timestamp_ms)
+    log.append(entry)
+    allow.update(added)
+    return allow, entry
 
 
 def diff(a: SyscallPolicy, b: SyscallPolicy) -> PolicyDiff:
@@ -240,10 +215,10 @@ def _parse_log(text: str) -> list[PolicyLogEntry]:
 
 
 def replay_log(entries: Iterable[PolicyLogEntry], deny: Iterable[str] = ()) -> SyscallPolicy:
-    """Reconstruct the final policy by replaying a log, by :func:`growth_entry`'s rules."""
+    """Reconstruct the final policy by replaying a log through :func:`extend`."""
     deny = new_policy(deny).deny
     allow: set[str] = set()
-    epoch = 0
+    log: list[PolicyLogEntry] = []
     for entry in entries:
         readded = allow.intersection(entry.added)
         if readded:
@@ -251,8 +226,7 @@ def replay_log(entries: Iterable[PolicyLogEntry], deny: Iterable[str] = ()) -> S
                 f"epoch {entry.epoch} re-adds allowed syscalls: " + ", ".join(sorted(readded))
             )
         try:
-            produced = growth_entry(allow, deny, epoch, entry.added, entry.source,
-                                    entry.timestamp_ms)
+            _, produced = extend(allow, deny, log, entry.added, entry.source, entry.timestamp_ms)
         except DeniedSyscall as exc:
             raise ReplayError(f"epoch {entry.epoch} adds denied syscalls: {exc}") from exc
         # ``added`` is non-empty and re-adds nothing, so an entry is produced.
@@ -260,6 +234,4 @@ def replay_log(entries: Iterable[PolicyLogEntry], deny: Iterable[str] = ()) -> S
             raise ReplayError(
                 f"epoch mismatch during replay: log says {entry.epoch}, replay produced {produced.epoch}"
             )
-        allow.update(produced.added)
-        epoch = produced.epoch
-    return SyscallPolicy(epoch=epoch, allow=frozenset(allow), deny=deny)
+    return SyscallPolicy(epoch=len(log), allow=frozenset(allow), deny=deny)

@@ -193,7 +193,7 @@ def test_session_that_does_not_converge_exits_1(tmp_path, capsys):
         f"session did not converge: request 0 ('home') failed {MAX_ATTEMPTS} attempts\n")
 
 
-def test_pretrain_conflicting_with_deny_exits_1(tmp_path):
+def test_pretrain_conflicting_with_deny_exits_1(tmp_path, capsys):
     # home's trace is benign, so force a collision through a custom fixture
     # whose podman complement contains a syscall the pretrain set needs
     scenario = tmp_path / "s.json"
@@ -206,6 +206,9 @@ def test_pretrain_conflicting_with_deny_exits_1(tmp_path):
     }))
     assert main(["simulate", "--scenario", str(scenario), "--deny-preset", "podman",
                  "--pretrain", "r", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: pretrain request 'r': denied syscalls: clock_settime\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_pretrain_key_exits_1_in_a_baseline_mode(tmp_path):

@@ -33,6 +33,7 @@ from timeloops.controller import (
 )
 from timeloops.errors import (
     ConfigError,
+    DeniedSyscall,
     ExploitInTrainingSet,
     IllegalTransition,
 )
@@ -679,6 +680,63 @@ def test_pretrain_log_replays_to_final_policy():
     config = ControllerConfig(pretrain_requests=("a",))
     result = run_session(spec, requests("b", "a"), config)
     assert replay_log(result.policy_log).allow == result.final_policy.allow
+
+
+# --- one growth path: controller.extend ---------------------------------------
+
+def _extend_calls(spec, workload, config, mode="timeloops"):
+    """A session, and its calls to ``controller.extend``, wrapped as the
+    bench tracer wraps it: all of them, those that grew the policy, and
+    those that raised :class:`DeniedSyscall`. Checks that they are the
+    pretrain keys plus the benign verdicts, the final epoch, and the alerts
+    for deny-listed observations."""
+    counts = collections.Counter()
+    real = controller.extend
+
+    def counted(*args):
+        counts["calls"] += 1
+        try:
+            result = real(*args)
+        except DeniedSyscall:
+            counts["raised"] += 1
+            raise
+        counts["grew"] += result[1] is not None
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "extend", counted)
+        result = run_session(spec, workload, config, mode)
+    benign = sum(t.event == Benign.label for t in result.transition_trace)
+    denied = sum(a.report.startswith("denied syscalls: ") for a in result.alerts)
+    assert counts["calls"] == len(config.pretrain_requests) + benign
+    assert counts["grew"] == result.final_policy.epoch
+    assert counts["raised"] == denied
+    return counts
+
+
+def test_a_pretrained_session_grows_only_through_controller_extend():
+    # The oracle passes "evil" after it has observed the deny-listed "mount".
+    evil = ExploitSpec(kind="oracle_undetectable", corruption_index=1, injected=("mount",))
+    spec = make_spec({"a": RequestBehavior(trace=("read",)),
+                      "b": RequestBehavior(trace=("write",)),
+                      "evil": RequestBehavior(trace=("openat", "close"), exploit=evil)},
+                     extra={"sigaltstack"})
+    for oracle_mode in ORACLE_MODES:
+        config = ControllerConfig(oracle_mode=oracle_mode, deny={"mount"},
+                                  pretrain_requests=("b",))
+        counts = _extend_calls(spec, requests("evil", "a", "evil", "b", "a"), config)
+        assert (counts["grew"], counts["raised"]) == (2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=spec_workload_deny(), oracle_mode=st.sampled_from(ORACLE_MODES),
+       mode=st.sampled_from(SESSION_MODES), data=st.data())
+def test_every_session_grows_only_through_controller_extend(bundle, oracle_mode, mode, data):
+    spec, workload, deny = _with_exploits(bundle, data)
+    benign = sorted(k for k, b in spec.handlers.items() if b.exploit is None)
+    pretrain = tuple(data.draw(st.lists(st.sampled_from(benign), max_size=2, unique=True)))
+    config = ControllerConfig(oracle_mode=oracle_mode, deny=deny, pretrain_requests=pretrain)
+    _extend_calls(spec, workload, config, mode)
 
 
 # --- randomized sessions -------------------------------------------------------

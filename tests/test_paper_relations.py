@@ -163,10 +163,12 @@ def test_learning_costs_latency_only_until_the_last_restart(case):
     records = learned.latency_records
     latencies = list(map(operator.sub, records.completion_ms, records.first_ms))
     baseline = list(map(operator.sub, unhardened.completion_ms, unhardened.first_ms))
-    for key, outcome, latency, unhardened_latency in zip(
-            records.keys, records.outcomes, latencies, baseline):
+    for request, key, outcome, latency, unhardened_latency in zip(
+            records.ids, records.keys, records.outcomes, latencies, baseline):
         if outcome == "served" and key in spec.handlers:
-            assert latency >= unhardened_latency
+            assert latency >= unhardened_latency, (
+                f"request {request} ({key!r}) took {latency} ms, "
+                f"less than its unhardened {unhardened_latency} ms")
 
     ready_at, last_start = 0.0, "start_production"
     for transition in learned.transition_trace:
@@ -175,6 +177,10 @@ def test_learning_costs_latency_only_until_the_last_restart(case):
                 ready_at = transition.at_ms + spec.cost_model.restart_ms
                 last_start = action
     if last_start == "start_production":
-        for first, latency, unhardened_latency in zip(records.first_ms, latencies, baseline):
+        for request, first, latency, unhardened_latency in zip(
+                records.ids, records.first_ms, latencies, baseline):
             if first >= ready_at:
-                assert latency == unhardened_latency
+                assert latency == unhardened_latency, (
+                    f"request {request}, sent at {first} ms with production ready at "
+                    f"{ready_at} ms, took {latency} ms, "
+                    f"not its unhardened {unhardened_latency} ms")

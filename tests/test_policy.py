@@ -15,7 +15,6 @@ from timeloops.policy import (
     diff,
     export_seccomp,
     extend,
-    growth_entry,
     load_log,
     load_policy,
     new_policy,
@@ -40,10 +39,11 @@ def test_new_policy_empty():
 def test_new_policy_denied_syscall_never_allowed():
     p = new_policy({"clock_settime"})
     assert "clock_settime" not in p.allow
-    p, _ = extend(p, {"read", "write"})
-    assert "clock_settime" not in p.allow
+    allow, log = set(), []
+    extend(allow, p.deny, log, {"read", "write"})
+    assert "clock_settime" not in allow
     with pytest.raises(DeniedSyscall):
-        extend(p, {"clock_settime"})
+        extend(allow, p.deny, log, {"clock_settime"})
 
 
 def test_podman_style_deny_from_fixture(table):
@@ -55,37 +55,60 @@ def test_podman_style_deny_from_fixture(table):
 
 
 def test_extend_disjoint_union():
-    p, entry = extend(new_policy(), {"read", "write"}, source="oracle")
-    assert p.allow == {"read", "write"}
-    assert p.epoch == 1
+    allow, log = set(), []
+    grown, entry = extend(allow, frozenset(), log, {"read", "write"}, source="oracle")
+    assert grown is allow
+    assert allow == {"read", "write"}
+    assert log == [entry]
+    assert entry.epoch == 1
     assert entry.added == ("read", "write")
     assert entry.source == "oracle"
 
 
 def test_extend_empty_is_identity():
-    p0 = new_policy()
-    p, entry = extend(p0, set())
-    assert p is p0
+    allow, log = {"read"}, []
+    grown, entry = extend(allow, frozenset(), log, set())
+    assert grown is allow
     assert entry is None
+    assert allow == {"read"}
+    assert log == []
 
 
 def test_extend_known_syscalls_is_idempotent():
-    p1, _ = extend(new_policy(), {"read"})
-    p2, entry = extend(p1, {"read"})
-    assert p2 is p1
-    assert p2.epoch == 1
-    assert entry is None
-    assert extend(p1, frozenset({"read"})) == (p1, None)
-    assert growth_entry({"read", "write"}, frozenset(), 2, frozenset({"write"})) is None
+    allow, log = set(), []
+    extend(allow, frozenset(), log, {"read"})
+    assert extend(allow, frozenset(), log, {"read"}) == (allow, None)
+    # A frozenset whose names are all allowed takes the subset check and returns at once.
+    assert extend(allow, frozenset(), log, frozenset({"read"})) == (allow, None)
+    assert allow == {"read"}
+    assert len(log) == 1
+    allow = {"read", "write"}
+    assert extend(allow, frozenset(), log, frozenset({"write"})) == (allow, None)
+    assert len(log) == 1
 
 
 def test_extend_denied_leaves_policy_unchanged():
-    p = new_policy({"clock_settime"})
+    allow, log = set(), []
     with pytest.raises(DeniedSyscall) as excinfo:
-        extend(p, {"clock_settime", "read"})
+        extend(allow, frozenset({"clock_settime"}), log, {"clock_settime", "read"})
     assert excinfo.value.names == {"clock_settime"}
-    assert p.allow == frozenset()
-    assert p.epoch == 0
+    assert allow == set()
+    assert log == []
+
+
+@pytest.mark.parametrize("new, error", [
+    ({"clock_settime", "write"}, DeniedSyscall),
+    (frozenset({"clock_settime", "write"}), DeniedSyscall),
+    (["write", "Bad"], ParseError),
+    (frozenset({"write", "Bad"}), ParseError),
+])
+def test_an_extend_that_raises_changes_neither_allow_nor_log(new, error):
+    first = PolicyLogEntry(epoch=1, added=("read",), source="pretrain")
+    allow, log = {"read"}, [first]
+    with pytest.raises(error):
+        extend(allow, frozenset({"clock_settime"}), log, new)
+    assert allow == {"read"}
+    assert log == [first]
 
 
 @pytest.mark.parametrize("allowed", [(), ("read", "write")])
@@ -93,23 +116,23 @@ def test_extend_denied_leaves_policy_unchanged():
     "bad", [7, None, ["read"], {"read"}, "Read", "", "read;", frozenset({1}), frozenset({"Bad"})]
 )
 def test_extend_rejects_a_bad_name_before_a_denied_one(allowed, bad):
-    policy, _ = extend(new_policy({"clock_settime"}), allowed)
+    allow, log, deny = set(), [], frozenset({"clock_settime"})
+    extend(allow, deny, log, allowed)
     with pytest.raises(ParseError):
-        extend(policy, ["clock_settime", *allowed, bad])
+        extend(allow, deny, log, ["clock_settime", *allowed, bad])
     with pytest.raises(ParseError):
-        extend(policy, [bad, "clock_settime"])
+        extend(allow, deny, log, [bad, "clock_settime"])
     if type(bad) is frozenset:
         # Passed whole, it takes the subset check first.
         with pytest.raises(ParseError):
-            extend(policy, bad | {"clock_settime", *allowed})
+            extend(allow, deny, log, bad | {"clock_settime", *allowed})
         with pytest.raises(ParseError):
-            extend(policy, bad | set(allowed))
+            extend(allow, deny, log, bad | set(allowed))
 
 
 def test_allows_membership():
-    p = new_policy()
-    assert "read" not in p.allow
-    p, _ = extend(p, {"read"})
+    assert "read" not in new_policy().allow
+    p = SyscallPolicy(epoch=1, allow=frozenset({"read"}))
     assert "read" in p.allow
     assert "write" not in p.allow
 
@@ -132,28 +155,27 @@ def test_allow_deny_overlap_rejected():
     deny=st.sets(st.sampled_from(["deny_a", "deny_b"]), max_size=2),
 )
 def test_extend_sequences_monotone_and_deny_stable(batches, deny):
-    p = new_policy(deny)
-    seen_epochs = [p.epoch]
-    previous = p
+    deny = frozenset(deny)
+    allow, log = set(), []
     for batch in batches:
-        p, entry = extend(p, batch)
-        assert previous.allow <= p.allow
-        assert p.deny == frozenset(deny)
+        previous, epoch = set(allow), len(log)
+        grown, entry = extend(allow, deny, log, batch)
+        assert grown is allow
+        assert previous <= allow
         for syscall in deny:
-            assert syscall not in p.allow
+            assert syscall not in allow
         if entry is None:
-            assert p.allow == previous.allow
-            assert p.epoch == previous.epoch
+            assert allow == previous
+            assert len(log) == epoch
         else:
-            assert p.epoch == previous.epoch + 1
-            assert set(entry.added) == p.allow - previous.allow
-        seen_epochs.append(p.epoch)
-        previous = p
-    assert seen_epochs == sorted(seen_epochs)
+            assert log == log[:epoch] + [entry]
+            assert entry.epoch == epoch + 1
+            assert set(entry.added) == allow - previous
+    assert [entry.epoch for entry in log] == list(range(1, len(log) + 1))
 
 
 def test_diff_self():
-    p, _ = extend(new_policy(), {"read", "write"})
+    p = SyscallPolicy(epoch=1, allow=frozenset({"read", "write"}))
     d = diff(p, p)
     assert d.only_a == frozenset()
     assert d.only_b == frozenset()
@@ -195,14 +217,14 @@ def test_export_read_write_matches_golden():
 
 
 def test_export_is_deterministic_across_equal_policies():
-    p1, _ = extend(new_policy(), {"write", "read"})
-    p2, _ = extend(new_policy(), {"read", "write"})
+    p1 = SyscallPolicy(epoch=1, allow=frozenset(["write", "read"]))
+    p2 = SyscallPolicy(epoch=1, allow=frozenset(["read", "write"]))
     assert export_seccomp(p1) == export_seccomp(p2)
     assert export_seccomp(p1) == export_seccomp(p1)
 
 
 def test_export_has_no_trailing_newline_and_sorted_names():
-    p, _ = extend(new_policy(), {"write", "accept", "read"})
+    p = SyscallPolicy(epoch=1, allow=frozenset({"write", "accept", "read"}))
     raw = export_seccomp(p)
     assert not raw.endswith(b"\n")
     assert b'["accept","read","write"]' in raw
@@ -322,25 +344,27 @@ def test_replay_of_a_denied_syscall_is_replay_error():
         replay_log(entries, deny={"mount"})
 
 
-def _replay_by_extend(entries, deny=()):
-    """Replay as a fold over ``extend``, one policy value per entry."""
-    policy = new_policy(deny)
+def _replay_by_sets(entries, deny=()):
+    """Replay as a fold over plain sets: each entry adds names that are
+    neither allowed yet nor deny-listed, at the epoch after the last."""
+    allow, epoch = set(), 0
     for entry in entries:
-        readded = set(entry.added) & policy.allow
+        readded = allow & set(entry.added)
         if readded:
             raise ReplayError(
                 f"epoch {entry.epoch} re-adds allowed syscalls: " + ", ".join(sorted(readded))
             )
-        try:
-            policy, produced = extend(policy, entry.added, entry.source, entry.timestamp_ms)
-        except DeniedSyscall as exc:
-            raise ReplayError(f"epoch {entry.epoch} adds denied syscalls: {exc}") from exc
-        if produced is None or produced.epoch != entry.epoch:
+        denied = set(deny) & set(entry.added)
+        if denied:
+            raise ReplayError(f"epoch {entry.epoch} adds denied syscalls: denied syscalls: "
+                              + ", ".join(sorted(denied)))
+        epoch += 1
+        if entry.epoch != epoch:
             raise ReplayError(
-                f"epoch mismatch during replay: log says {entry.epoch}, "
-                f"replay produced {produced.epoch if produced else policy.epoch}"
+                f"epoch mismatch during replay: log says {entry.epoch}, replay produced {epoch}"
             )
-    return policy
+        allow |= set(entry.added)
+    return SyscallPolicy(epoch=epoch, allow=frozenset(allow), deny=frozenset(deny))
 
 
 _LOG_NAMES = ["read", "write", "openat", "close", "mmap", "brk", "futex", "stat", "mount",
@@ -370,9 +394,9 @@ def _logs(draw):
 
 
 @given(entries=_logs(), deny=st.sets(st.sampled_from(_LOG_NAMES), max_size=1))
-def test_replay_matches_a_fold_over_extend(entries, deny):
+def test_replay_matches_a_fold_over_plain_sets(entries, deny):
     try:
-        expected = _replay_by_extend(entries, deny)
+        expected = _replay_by_sets(entries, deny)
     except ReplayError as exc:
         with pytest.raises(ReplayError) as raised:
             replay_log(entries, deny)
@@ -421,9 +445,7 @@ def test_a_timestamp_that_is_not_a_json_number_is_parse_error(tmp_path, timestam
 
 @pytest.mark.parametrize("call, argument", [
     pytest.param(lambda: new_policy("mount"), "deny", id="new_policy"),
-    pytest.param(lambda: growth_entry(frozenset(), frozenset(), 0, "read"), "new",
-                 id="growth_entry"),
-    pytest.param(lambda: extend(new_policy(), "read"), "new", id="extend"),
+    pytest.param(lambda: extend(set(), frozenset(), [], "read"), "new", id="extend"),
     pytest.param(lambda: replay_log([], deny="mount"), "deny", id="replay_log"),
     pytest.param(lambda: PolicyLogEntry(epoch=1, added="adr", source="oracle"), "added",
                  id="PolicyLogEntry"),

@@ -8,21 +8,23 @@ the same five artifacts byte for byte, and the paper's invariants.
 
 Within bound K, a service has one handler whose trace holds at most K
 syscalls, or two handlers whose traces hold at most K - 1 each. Traces are
-over a two-name universe. A service has no exploit, or one of either kind
-with a corruption index at either end of its trace, injecting a benign name
-or a deny-listed one. The deny-list is empty, or holds that deny-listed name
-when an injection issues it. Pretraining is of no key or of one benign key.
-Under the controller, both oracle modes run, with each watchdog of
-``watchdogs``. A workload is every sequence of 1 to K + 1 keys over the
-handler and a key with no handler, or of 1 to K keys over the two
-handlers; a baseline deployment runs each request on its own, so it runs
-the workloads of at most K keys only. A service whose handler neither
-runs nor is pretrained is left to the smaller services.
+over a two-name universe, and every benign oracle run also observes one
+instrumentation name of ``oracle_extra``. A service has no exploit, or one
+of either kind with a corruption index at either end of its trace,
+injecting a benign name or a deny-listed one. The deny-list is empty, or
+holds that deny-listed name when an injection issues it. Pretraining is
+of no key or of one benign key. Under the controller, both oracle modes
+run, with each watchdog of ``watchdogs``. A workload is every sequence of
+1 to K + 1 keys over the handler and a key with no handler, or of 1 to K
+keys over the two handlers; a baseline deployment runs each request on
+its own, so it runs the workloads of at most K keys only. A service
+whose handler neither runs nor is pretrained is left to the smaller
+services.
 
-The sessions under the controller are also checked against two of the
-paper's relations of ``test_paper_relations.py``, order and amortization
-(see :class:`Relations`). ``scripts/small_scope.py --bound K`` runs the
-enumeration and both checks with a larger K.
+The sessions are also checked against the paper's four relations of
+``test_paper_relations.py``: tightness, order, pretraining and
+amortization (see :class:`Relations`). ``scripts/small_scope.py --bound K``
+runs the enumeration and all four checks with a larger K.
 """
 
 import traceback
@@ -31,7 +33,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 import reference
 import test_paper_relations
-from conftest import DENY_POOL, SYSCALL_POOL, make_spec, requests
+from conftest import DENY_POOL, EXTRA_POOL, SYSCALL_POOL, make_spec, requests
 from test_reference import assert_matches_model
 
 from timeloops.controller import ORACLE_MODES, ControllerConfig, run_session
@@ -44,6 +46,7 @@ BOUND = 2
 BOUND_CASES = 12198
 NAMES = tuple(SYSCALL_POOL[:2])
 DENIED = DENY_POOL[0]
+EXTRA = (EXTRA_POOL[0],)
 KEYS = ("k0", "k1")
 
 
@@ -60,13 +63,14 @@ def services(count, max_trace):
     traces = [t for n in range(max_trace + 1) for t in product(NAMES, repeat=n)]
     for chosen in combinations_with_replacement(traces, count):
         plain = [RequestBehavior(trace=t) for t in chosen]
-        yield make_spec(dict(zip(KEYS, plain)))
+        yield make_spec(dict(zip(KEYS, plain)), extra=EXTRA)
         for i, trace in enumerate(chosen):
             if trace in chosen[:i]:
                 continue  # the same service, with the keys swapped
             for exploit in exploits(trace):
                 exploited = RequestBehavior(trace=trace, exploit=exploit)
-                yield make_spec(dict(zip(KEYS, plain[:i] + [exploited] + plain[i + 1:])))
+                yield make_spec(dict(zip(KEYS, plain[:i] + [exploited] + plain[i + 1:])),
+                                extra=EXTRA)
 
 
 def watchdogs(spec, keys):
@@ -137,49 +141,87 @@ amortization = (test_paper_relations.test_learning_costs_latency_only_until_the_
 
 
 class Relations:
-    """The paper's order and amortization relations, as
-    ``test_paper_relations.py`` states them, on the enumeration's sessions
-    under the controller.
+    """The paper's tightness, order, pretraining and amortization relations,
+    as ``test_paper_relations.py`` states them, on the enumeration's
+    sessions.
 
-    Amortization runs the relation's own body on each case, which runs the
-    session and one unhardened session beside it. Order runs no permuted
-    workload: the enumeration holds every permutation of each workload,
-    so the single-mode cases with a 10 s watchdog that share a
-    spec, a key multiset, a deny-list and a pretraining must end with the
-    same final allow-list. ``cases`` yields each spec's cases together, so
-    the groups are kept for the current spec only, which they keep alive.
-    A case that ends in ``AttemptsExhausted`` is skipped.
+    Tightness holds in every mode: the final allow-list is a subset of
+    ``learnable`` over the keys sent and pretrained. Amortization runs the
+    relation's own body on each controller case, which runs the session
+    and one unhardened session beside it.
+
+    Order and pretraining run no permuted or pretrained session of their
+    own: they compare the single-mode controller cases with a 10 s
+    watchdog that the enumeration already yields.
+
+    - Order: the enumeration holds every permutation of each workload, so
+      the cases that share a spec, a key multiset, a deny-list and a
+      pretraining must end with the same final allow-list.
+    - Pretraining: a case that pretrains one benign key of its workload
+      must end with the allow-list of the same case pretraining nothing,
+      plus that key's trace and ``oracle_extra``, and must not consult the
+      oracle more often. ``cases`` yields the case pretraining nothing
+      first.
+
+    ``cases`` yields each spec's cases together, so the cases compared are
+    kept for the current spec only, which they keep alive. A case that
+    ends in ``AttemptsExhausted`` is skipped, and so is a pair with one.
     """
 
     def __init__(self):
         self.spec = None
         self.finals: dict = {}
+        self.unpretrained: dict = {}
 
     def check(self, case) -> None:
         """Check ``case``; a failure names it, and the case it differs from."""
         spec, workload, config, mode = case
+        try:
+            result = run_session(*case)
+        except AttemptsExhausted:
+            result = None
+        sent = tuple(r.key for r in workload)
+        if result is not None:
+            allow = result.final_policy.allow
+            bound = test_paper_relations.learnable(spec, sent + config.pretrain_requests)
+            assert allow <= bound, (
+                f"tightness: {describe(case)} learns {sorted(allow)}, "
+                f"more than the learnable {sorted(bound)}")
         if mode != "timeloops":
             return
         try:
             amortization(case)
         except AssertionError as exc:
-            raise AssertionError(f"amortization: {describe(case)}: {exc!r}") from exc
+            raise AssertionError(f"amortization: {describe(case)}: {exc}") from exc
         if config.oracle_mode != "single" or config.watchdog_ms != 10_000.0:
             return
-        try:
-            allow = run_session(*case).final_policy.allow
-        except AttemptsExhausted:
-            return
         if spec is not self.spec:
-            self.spec, self.finals = spec, {}
-        group = (tuple(sorted(r.key for r in workload)), config.deny, config.pretrain_requests)
+            self.spec, self.finals, self.unpretrained = spec, {}, {}
+        if not config.pretrain_requests:
+            self.unpretrained[sent, config.deny] = case, result
+        if result is None:
+            return
+        group = (tuple(sorted(sent)), config.deny, config.pretrain_requests)
         first, first_allow = self.finals.setdefault(group, (case, allow))
         assert allow == first_allow, (
             f"order: {describe(case)} learns {sorted(allow)}, "
             f"but {describe(first)} learns {sorted(first_allow)}")
+        if config.pretrain_requests and config.pretrain_requests[0] in sent:
+            key, = config.pretrain_requests
+            base, base_result = self.unpretrained[sent, config.deny]
+            if base_result is None:
+                return
+            base_allow = base_result.final_policy.allow
+            expected = base_allow.union(spec.handlers[key].trace, spec.oracle_extra)
+            assert allow == expected, (
+                f"pretraining: {describe(case)} learns {sorted(allow)}, not {sorted(expected)}: "
+                f"{describe(base)} learns {sorted(base_allow)}, plus the observation of {key!r}")
+            assert result.consultations <= base_result.consultations, (
+                f"pretraining: {describe(case)} consults the oracle {result.consultations} "
+                f"times, but {describe(base)} only {base_result.consultations}")
 
 
-def test_every_small_session_keeps_the_order_and_amortization_relations():
+def test_every_small_session_keeps_the_paper_relations():
     relations = Relations()
     for case in cases(BOUND):
         relations.check(case)
