@@ -12,11 +12,10 @@ reported as a failing claim rather than silently patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation
+from .catalog import COLUMNS, PolicyComparisonTable, SyscallAnnotation, record
 from .policy import PolicyDiff, SyscallPolicy, diff
 from .simruntime import ServiceSpec, request_keys, training_handler
 
@@ -53,8 +52,8 @@ def crossover(learned: Sequence[float], hardened: Sequence[float]) -> int | None
     return next((i for i, (a, b) in enumerate(zip(learned, hardened)) if a < b), None)
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
+@record
+class ComparisonEntry(NamedTuple):
     name_a: str
     name_b: str
     size_a: int
@@ -64,8 +63,8 @@ class ComparisonEntry:
     cve_annotated: tuple[SyscallAnnotation, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+@record
+class ComparisonReport(NamedTuple):
     entries: tuple[ComparisonEntry, ...]
 
     def to_json_dict(self) -> dict:
@@ -141,8 +140,8 @@ def compare(
     return ComparisonReport(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class ClaimRow:
+@record
+class ClaimRow(NamedTuple):
     claim_id: str
     expected: object
     actual: object
@@ -152,8 +151,8 @@ class ClaimRow:
         return self.actual == self.expected
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+@record
+class ClaimReport(NamedTuple):
     claims: tuple[ClaimRow, ...]
     notes: tuple[str, ...] = ()
 

@@ -4,7 +4,8 @@ Two input rules live here and nowhere else. ``syscall_names`` decides what
 holds syscall names: a list, tuple, set or frozenset of valid names, never a
 bare ``str``. Every value that holds names is checked by it when it is
 built. ``read_input`` turns every failure to read, decode or parse an input
-file into a :class:`ParseError` that names the file.
+file into a :class:`ParseError` that names the file. ``record`` gives each
+plain record of the package, a named tuple, a dataclass's equality.
 
 The table compares, per syscall, which of seven policies allow it: for each
 of the two reference programs (nginx, composepost) a runtime-profile
@@ -119,6 +120,19 @@ def json_float(value) -> float:
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
     return float(value)
+
+
+def record(cls):
+    """Give the named tuple ``cls`` a record's equality, as a frozen
+    dataclass has: a value equals only a value of its own type with equal
+    fields, never a plain tuple or a record of another type, and hashes as
+    the tuple of its fields. The package's plain records are named tuples,
+    which are far cheaper to define than dataclasses; without this,
+    ``Benign(x) == UpdatePolicy(x)`` would hold."""
+    cls.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: not cls.__eq__(self, other)
+    cls.__hash__ = tuple.__hash__
+    return cls
 
 
 class SyscallAnnotation(NamedTuple):

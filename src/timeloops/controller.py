@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import workload as workload_mod
+from .catalog import record
 from .errors import (
     ConfigError,
     DeniedSyscall,
@@ -76,18 +77,18 @@ START_ORACLE = Marker("start_oracle")
 LOG_EVENT = Marker("log_event")
 
 
-@dataclass(frozen=True)
-class UpdatePolicy:
+@record
+class UpdatePolicy(NamedTuple):
     """Ensure the observed syscalls are allowed; known ones are skipped."""
 
     new_syscalls: frozenset[str]
-    label: ClassVar[str] = "update_policy"
+    label = "update_policy"
 
 
-@dataclass(frozen=True)
-class RaiseAlert:
+@record
+class RaiseAlert(NamedTuple):
     report: str
-    label: ClassVar[str] = "raise_alert"
+    label = "raise_alert"
 
 
 ControllerEvent = ExitReason | OracleOutcome
@@ -162,8 +163,8 @@ _SERVED_ROW = _row(PRODUCTION_RUNNING, COMPLETED,
 
 # --- session results ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Alert:
+@record
+class Alert(NamedTuple):
     request: int
     report: str
     at_ms: float
@@ -245,7 +246,9 @@ class SessionResult:
         table is rendered once, as what lies between ``at_ms`` and
         ``epoch``, each distinct epoch once, and the separator is one
         string, so the render peaks at about the document plus four
-        pointers and one ``at_ms`` string per transition.
+        pointers and one ``at_ms`` string per transition. An ``at_ms`` text
+        is the float's ``repr``; only a trace that holds a non-finite time
+        has them rewritten to what ``json`` writes for it.
         """
         text = json.dumps({
             "final_policy": policy_object(self.final_policy),
@@ -263,7 +266,9 @@ class SessionResult:
         head, tail = text.split('\n  "transitions": []', 1)
         parts = [None] * (4 * len(trace) + 1)
         parts[0] = head + '\n  "transitions": [\n    {\n      "at_ms": '
-        parts[1::4] = [_JSON_FLOATS.get(at, at) for at in map(float.__repr__, trace.at_ms)]
+        parts[1::4] = map(float.__repr__, trace.at_ms)
+        if not all(map(math.isfinite, trace.at_ms)):
+            parts[1::4] = [_JSON_FLOATS.get(at, at) for at in parts[1::4]]
         parts[2::4] = map([_transition_fragment(*row) for row in trace.rows].__getitem__,
                           trace.row_ids)
         parts[3::4] = map({e: str(e) for e in set(trace.epochs)}.__getitem__, trace.epochs)

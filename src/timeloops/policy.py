@@ -17,9 +17,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .catalog import json_float, json_int, read_input, syscall_names
+from .catalog import json_float, json_int, read_input, record, syscall_names
 from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
@@ -60,8 +60,8 @@ class PolicyLogEntry:
             raise ValueError(f"unknown log source: {self.source!r}")
 
 
-@dataclass(frozen=True)
-class PolicyDiff:
+@record
+class PolicyDiff(NamedTuple):
     only_a: frozenset[str]
     only_b: frozenset[str]
     both: frozenset[str]

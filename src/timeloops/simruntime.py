@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import ClassVar, Mapping
+from typing import Mapping, NamedTuple
 
-from .catalog import json_float, json_int, read_input, syscall_names
-from .errors import ExploitInTrainingSet, ParseError, ScenarioError
+from .catalog import json_float, json_int, read_input, record, syscall_names
+from .errors import ConfigError, ExploitInTrainingSet, ParseError, ScenarioError
 from .policy import SyscallPolicy
 
 EXPLOIT_KINDS = ("oracle_detectable", "oracle_undetectable")
@@ -192,8 +192,8 @@ class Marker:
 COMPLETED = Marker("prod_exited:completed")
 
 
-@dataclass(frozen=True)
-class PolicyViolation:
+@record
+class PolicyViolation(NamedTuple):
     syscall: str
     at_index: int
 
@@ -202,8 +202,8 @@ class PolicyViolation:
         return f"prod_exited:policy_violation:{self.syscall}"
 
 
-@dataclass(frozen=True)
-class DeniedSyscallHit:
+@record
+class DeniedSyscallHit(NamedTuple):
     syscall: str
 
     @property
@@ -214,16 +214,16 @@ class DeniedSyscallHit:
 ExitReason = Marker | PolicyViolation | DeniedSyscallHit
 
 
-@dataclass(frozen=True)
-class Benign:
+@record
+class Benign(NamedTuple):
     observed: frozenset[str]
-    label: ClassVar[str] = "oracle_finished:benign"
+    label = "oracle_finished:benign"
 
 
-@dataclass(frozen=True)
-class Malicious:
+@record
+class Malicious(NamedTuple):
     report: str
-    label: ClassVar[str] = "oracle_finished:malicious"
+    label = "oracle_finished:malicious"
 
 
 #: the oracle's lifetime expired mid-run; nothing is learned from a partial run
@@ -415,9 +415,13 @@ def load_scenario(path: str | Path) -> list[ServiceSpec]:
 
 
 def pick_service(specs: list[ServiceSpec], name: str | None) -> ServiceSpec:
+    """The service named ``name``, or the first if ``name`` is None. A name
+    the scenario does not hold is a :class:`ConfigError` naming the services
+    it does: the file is well formed, the choice is not."""
     if name is None:
         return specs[0]
     for spec in specs:
         if spec.name == name:
             return spec
-    raise ScenarioError(f"no service named {name!r} in scenario")
+    raise ConfigError(f"no service named {name!r} in scenario; it has: "
+                      + ", ".join(spec.name for spec in specs))

@@ -96,9 +96,14 @@ def test_each_oracle_mode_choice_is_the_config_value(tmp_path, monkeypatch, orac
     assert [config.oracle_mode for config in configs] == [oracle_mode]
 
 
-def test_simulate_unknown_service_exits_2(tmp_path):
-    assert main(["simulate", "--scenario", STATICSITE, "--service", "bogus",
-                 "--out", str(tmp_path)]) == 2
+def test_an_unknown_service_exits_1_naming_the_services(tmp_path, capsys):
+    # The scenario is well formed; only the choice of service is wrong.
+    for argv in (["simulate", "--scenario", STATICSITE, "--out", str(tmp_path / "out")],
+                 ["attack-scenarios", "--scenario", ATTACKS]):
+        assert main([*argv, "--service", "nope"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: no service named 'nope' in scenario; it has: staticsite\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_with_podman_preset_and_pretrain(tmp_path):
@@ -357,7 +362,7 @@ def test_simulate_runs_no_collection_before_its_first_request(tmp_path, monkeypa
     ([], 0),
     (["--mix", "home=x"], 1),
     (["--watchdog-ms", "30"], 1),
-    (["--service", "nosuch"], 2),
+    (["--service", "nosuch"], 1),
 ], ids=["served", "bad_mix", "no_convergence", "unknown_service"])
 def test_simulate_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled, extra, status):
     (gc.enable if enabled else gc.disable)()

@@ -12,15 +12,27 @@ from conftest import REPO_ROOT, make_spec, spec_workload_deny
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timeloops.analysis import ClaimReport, ClaimRow, ComparisonEntry, ComparisonReport
 from timeloops.controller import (
     ORACLE_MODES,
     SESSION_MODES,
+    Alert,
     ControllerConfig,
+    RaiseAlert,
     Transition,
+    UpdatePolicy,
     run_session,
 )
 from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
-from timeloops.simruntime import CostModel, RequestBehavior
+from timeloops.policy import PolicyDiff
+from timeloops.simruntime import (
+    Benign,
+    CostModel,
+    DeniedSyscallHit,
+    Malicious,
+    PolicyViolation,
+    RequestBehavior,
+)
 from timeloops import workload
 from timeloops.workload import (
     MAX_ATTEMPTS,
@@ -412,10 +424,51 @@ def test_records_keep_their_fields_and_reject_assignment():
                             "first_attempt_ms=0.0, completion_ms=21.0, outcome='served')")
     assert record == LatencyRecord(3, "home", 1, 0.0, 21.0, "served")
     assert Transition._fields == ("at_ms", "from_state", "event", "to_state", "actions", "epoch")
+    assert repr(Benign(frozenset({"read"}))) == "Benign(observed=frozenset({'read'}))"
+    assert repr(ClaimReport(claims=())) == "ClaimReport(claims=(), notes=())"
     for value, field in ((request, "key"), (record, "key"), (record, "latency_ms"),
                          (row, "epoch"), (request, "extra"), (record, "extra"), (row, "extra")):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
+
+
+_DIFF = PolicyDiff(only_a=frozenset(), only_b=frozenset({"read"}), both=frozenset())
+
+# Each plain record, and its fields in the order they have always had. Records
+# of different types share their contents where they can, as Malicious("r"),
+# RaiseAlert("r") and DeniedSyscallHit("r") do.
+_PLAIN_RECORDS = {
+    PolicyViolation("read", 0): ("syscall", "at_index"),
+    DeniedSyscallHit("r"): ("syscall",),
+    Benign(frozenset({"read"})): ("observed",),
+    Malicious("r"): ("report",),
+    UpdatePolicy(frozenset({"read"})): ("new_syscalls",),
+    RaiseAlert("r"): ("report",),
+    Alert(request=3, report="r", at_ms=2.5): ("request", "report", "at_ms"),
+    _DIFF: ("only_a", "only_b", "both"),
+    ComparisonEntry("A", "B", 2, 1, 1.0, _DIFF, ()): (
+        "name_a", "name_b", "size_a", "size_b", "pct_larger", "diff", "cve_annotated"),
+    ComparisonReport(entries=()): ("entries",),
+    ClaimRow("c", 1, 1): ("claim_id", "expected", "actual"),
+    ClaimReport(claims=()): ("claims", "notes"),
+}
+
+
+@pytest.mark.parametrize("value", list(_PLAIN_RECORDS), ids=lambda value: type(value).__name__)
+def test_plain_records_are_named_tuples_that_equal_only_their_own_type(value):
+    fields = _PLAIN_RECORDS[value]
+    assert isinstance(value, tuple) and type(value)._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], None)
+    assert repr(value) == type(value).__name__ + "(" + ", ".join(
+        f"{name}={getattr(value, name)!r}" for name in fields) + ")"
+    same = type(value)(*value)
+    assert same == value and not same != value and hash(same) == hash(value)
+    # A tuple of the same fields, and every other record, is a different value.
+    for other in (tuple(value), *_PLAIN_RECORDS):
+        if other is not value:
+            assert value != other and other != value
+            assert not (value == other or other == value)
 
 
 def _columns(rows):
