@@ -13,7 +13,7 @@ from pathlib import Path
 from timeloops.analysis import crossover
 from timeloops.cli import _parse_mix
 from timeloops.controller import ControllerConfig, run_session
-from timeloops.errors import ConfigError
+from timeloops.errors import TimeloopsError
 from timeloops.simruntime import load_scenario, pick_service
 from timeloops.workload import (
     generate_workload,
@@ -25,22 +25,9 @@ from timeloops.workload import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", default=str(REPO_ROOT / "scenarios" / "staticsite.json"))
-    parser.add_argument("--service", default=None)
-    parser.add_argument("--n", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--mix", default="home=8,search=1,upload=1")
-    parser.add_argument("--out", default=str(REPO_ROOT / "out" / "latency_comparison"))
-    args = parser.parse_args()
-
+def run(args):
     spec = pick_service(load_scenario(args.scenario), args.service)
-    try:
-        mix = _parse_mix(args.mix)
-    except ConfigError as exc:
-        parser.error(str(exc))
-    workload = generate_workload(spec, args.n, args.seed, mix)
+    workload = generate_workload(spec, args.n, args.seed, _parse_mix(args.mix))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -60,6 +47,21 @@ def main():
     else:
         print(f"cumulative learning curve crosses below hardened at request {index}")
     print(f"CSV series written to {out}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--scenario", default=str(REPO_ROOT / "scenarios" / "staticsite.json"))
+    parser.add_argument("--service", default=None)
+    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--mix", default="home=8,search=1,upload=1")
+    parser.add_argument("--out", default=str(REPO_ROOT / "out" / "latency_comparison"))
+    args = parser.parse_args()
+    try:
+        run(args)
+    except TimeloopsError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

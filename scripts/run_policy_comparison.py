@@ -13,6 +13,7 @@ from pathlib import Path
 from timeloops.analysis import compare, dynamic_baseline, static_baseline
 from timeloops.catalog import load_default_fixture
 from timeloops.controller import ControllerConfig, run_session
+from timeloops.errors import TimeloopsError
 from timeloops.policy import export_seccomp
 from timeloops.simruntime import load_scenario, pick_service
 from timeloops.workload import default_mix, generate_workload
@@ -20,15 +21,7 @@ from timeloops.workload import default_mix, generate_workload
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", default=str(REPO_ROOT / "scenarios" / "staticsite.json"))
-    parser.add_argument("--service", default=None)
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=str(REPO_ROOT / "out" / "policy_comparison"))
-    args = parser.parse_args()
-
+def run(args):
     spec = pick_service(load_scenario(args.scenario), args.service)
     mix = default_mix(spec)
     workload = generate_workload(spec, args.n, args.seed, mix)
@@ -47,6 +40,20 @@ def main():
     for name, policy in policies:
         (out / f"profile_{name}.json").write_bytes(export_seccomp(policy))
     print(f"seccomp profiles written to {out}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--scenario", default=str(REPO_ROOT / "scenarios" / "staticsite.json"))
+    parser.add_argument("--service", default=None)
+    parser.add_argument("--n", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", default=str(REPO_ROOT / "out" / "policy_comparison"))
+    args = parser.parse_args()
+    try:
+        run(args)
+    except TimeloopsError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

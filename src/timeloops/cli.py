@@ -92,9 +92,10 @@ def _parse_mix(text: str) -> dict[str, float]:
 
 def cmd_simulate(args) -> tuple[int, str]:
     # The spec, the deny-list and the workload are tens of thousands of
-    # objects for a large scenario, and none is part of a cycle. So the
-    # collector is paused while they are built, and they are frozen out of
-    # its scans while the session runs.
+    # objects for a large scenario, and neither they nor the session make a
+    # cycle, so a collector pass before the renders would free nothing. The
+    # collector is paused until the session ends and is back on for the
+    # renders, whose JSON encoder leaves cycles behind.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -112,14 +113,10 @@ def cmd_simulate(args) -> tuple[int, str]:
         )
         mix = _parse_mix(args.mix) if args.mix is not None else workload.default_mix(spec)
         requests = workload.generate_workload(spec, args.n, args.seed, mix)
-        gc.freeze()
+        result = run_session(spec, requests, config, mode=args.mode)
     finally:
         if enabled:
             gc.enable()
-    try:
-        result = run_session(spec, requests, config, mode=args.mode)
-    finally:
-        gc.unfreeze()
     # The summary needs only the name; the spec and the requests are freed
     # before the renders.
     service = spec.name

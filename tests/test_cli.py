@@ -331,19 +331,32 @@ def _large_scenario(path):
 
 
 def test_simulate_runs_no_collection_before_its_first_request(tmp_path, monkeypatch):
-    passes, at_first = [], []
-    send = workload.send_with_retry
+    passes, seen = [], {}
+    send, session, render = workload.send_with_retry, cli.run_session, workload.write_latency_csv
+
+    def look(when):
+        seen.setdefault(when, (len(passes), gc.isenabled(), gc.get_freeze_count()))
 
     def first(request, driver):
-        if not at_first:
-            at_first.append((len(passes), gc.isenabled(), gc.get_freeze_count() > 0))
+        look("first_request")
         return send(request, driver)
+
+    def ended(*args, **kwargs):
+        result = session(*args, **kwargs)
+        look("session_end")
+        return result
+
+    def rendered(records, path):
+        look("render")
+        return render(records, path)
 
     def started(phase, info):
         if phase == "start":
             passes.append(info["generation"])
 
     monkeypatch.setattr(workload, "send_with_retry", first)
+    monkeypatch.setattr(cli, "run_session", ended)
+    monkeypatch.setattr(workload, "write_latency_csv", rendered)
     scenario = _large_scenario(tmp_path / "scenario.json")
     gc.collect()
     gc.callbacks.append(started)
@@ -352,9 +365,10 @@ def test_simulate_runs_no_collection_before_its_first_request(tmp_path, monkeypa
                      "--out", str(tmp_path / "out")]) == 0
     finally:
         gc.callbacks.remove(started)
-    # No pass before the first request; the session runs with the collector
-    # on and what set-up built frozen.
-    assert at_first == [(0, True, True)]
+    # No pass and nothing frozen from set-up to the session's end, which runs
+    # with the collector paused; the renders run with it back on.
+    assert seen["first_request"] == seen["session_end"] == (0, False, 0)
+    assert seen["render"][1:] == (True, 0)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -617,15 +631,35 @@ def test_script_runs_and_writes_its_files(tmp_path, script, files):
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
-def test_latency_script_reports_a_malformed_mix(tmp_path):
+_PACKAGE_ERRORS = {
+    "empty": (["--n", "0"], "workload must not be empty"),
+    "negative_n": (["--n", "-2"], "n must not be negative: -2"),
+    "missing_scenario": (["--scenario", "{missing}"],
+                         "scenario {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    "unknown_service": (["--service", "nope"],
+                        "no service named 'nope' in scenario; it has: staticsite"),
+}
+
+
+@pytest.mark.parametrize("script, args, message", [
+    pytest.param(script, *case, id=f"{script[:-3]}-{name}")
+    for script in ("run_latency_comparison.py", "run_policy_comparison.py")
+    for name, case in _PACKAGE_ERRORS.items()
+] + [
+    pytest.param("run_latency_comparison.py", ["--mix", "home"],
+                 "malformed mix entry: 'home' (want key=weight)",
+                 id="run_latency_comparison-malformed_mix"),
+])
+def test_a_comparison_script_reports_a_package_error(tmp_path, script, args, message):
+    missing = str(tmp_path / "missing.json")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "run_latency_comparison.py"),
-         "--mix", "home", "--out", str(tmp_path)],
+        [sys.executable, str(REPO_ROOT / "scripts" / script),
+         *(arg.format(missing=missing) for arg in args), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
-    assert "malformed mix entry: 'home' (want key=weight)" in proc.stderr
+    assert proc.stderr.endswith(f"{script}: error: {message.format(missing=missing)}\n")
     assert "Traceback" not in proc.stderr
 
 

@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import json
 import math
@@ -36,6 +37,7 @@ from timeloops.errors import (
     DeniedSyscall,
     ExploitInTrainingSet,
     IllegalTransition,
+    TimeloopsError,
 )
 from timeloops.policy import new_policy, render_log, replay_log
 from timeloops.simruntime import (
@@ -633,6 +635,34 @@ def test_a_controller_session_of_a_one_shot_iterable_is_the_session_of_the_list(
     assert render_latency_csv(streamed.latency_records) == render_latency_csv(
         listed.latency_records)
     assert render_log(streamed.policy_log) == render_log(listed.policy_log)
+
+
+@settings(max_examples=26, deadline=None)
+@given(bundle=spec_workload_deny(),
+       # The shortest watchdog can cut even a fresh tenure's one request.
+       watchdog_ms=st.sampled_from([8.0, 25.0, 60.0, 10_000.0]), data=st.data())
+def test_a_session_makes_no_reference_cycles(bundle, watchdog_ms, data):
+    # ``simulate`` pauses the collector through the session, which frees
+    # nothing only while a session leaves no cycle behind, whether it ends
+    # or raises.
+    spec, workload, deny = _with_exploits(bundle, data)
+    benign = sorted(k for k, b in spec.handlers.items() if b.exploit is None)
+    pretrain = tuple(data.draw(st.lists(st.sampled_from(benign), max_size=3)))
+    for mode, oracle_mode in itertools.product(SESSION_MODES, ORACLE_MODES):
+        config = ControllerConfig(oracle_mode=oracle_mode, watchdog_ms=watchdog_ms, deny=deny,
+                                  pretrain_requests=pretrain)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                run_session(spec, workload, config, mode=mode)
+            except TimeloopsError:
+                pass
+            assert gc.collect() == 0, (mode, oracle_mode)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # --- pretraining ---------------------------------------------------------------
