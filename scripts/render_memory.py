@@ -84,8 +84,9 @@ def main():
     parser.add_argument("--n", type=int, required=True, help="number of logical requests")
     parser.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     parser.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
-    parser.add_argument("--oracle-mode", choices=ORACLE_MODES, default=ControllerConfig.oracle_mode)
-    parser.add_argument("--watchdog-ms", type=float, default=ControllerConfig.watchdog_ms)
+    defaults = ControllerConfig()
+    parser.add_argument("--oracle-mode", choices=ORACLE_MODES, default=defaults.oracle_mode)
+    parser.add_argument("--watchdog-ms", type=float, default=defaults.watchdog_ms)
     parser.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     args = parser.parse_args()
 

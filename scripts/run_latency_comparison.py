@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from timeloops.analysis import crossover
-from timeloops.cli import _parse_mix
+from timeloops.cli import _parse_mix, output_dir
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.simruntime import load_scenario, pick_service
@@ -28,8 +28,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def run(args):
     spec = pick_service(load_scenario(args.scenario), args.service)
     workload = generate_workload(spec, args.n, args.seed, _parse_mix(args.mix))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
 
     stats = {}
     for mode in ("timeloops", "unhardened", "hardened"):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from timeloops.analysis import compare, dynamic_baseline, static_baseline
 from timeloops.catalog import load_default_fixture
+from timeloops.cli import output_dir
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.policy import export_seccomp
@@ -25,6 +26,8 @@ def run(args):
     spec = pick_service(load_scenario(args.scenario), args.service)
     mix = default_mix(spec)
     workload = generate_workload(spec, args.n, args.seed, mix)
+    # Made before the session, so that a run that cannot write prints no report.
+    out = output_dir(args.out)
     session = run_session(spec, workload, ControllerConfig())
 
     policies = [
@@ -35,8 +38,6 @@ def run(args):
     report = compare(policies, table=load_default_fixture())
     print(report.to_text())
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, policy in policies:
         (out / f"profile_{name}.json").write_bytes(export_seccomp(policy))
     print(f"seccomp profiles written to {out}")

@@ -5,7 +5,8 @@ holds syscall names: a list, tuple, set or frozenset of valid names, never a
 bare ``str``. Every value that holds names is checked by it when it is
 built. ``read_input`` turns every failure to read, decode or parse an input
 file into a :class:`ParseError` that names the file. ``record`` gives each
-plain record of the package, a named tuple, a dataclass's equality.
+plain record of the package, a named tuple, a record's equality, and
+:class:`Frozen` is the base of every other immutable value.
 
 The table compares, per syscall, which of seven policies allow it: for each
 of the two reference programs (nginx, composepost) a runtime-profile
@@ -21,7 +22,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -123,16 +123,67 @@ def json_float(value) -> float:
 
 
 def record(cls):
-    """Give the named tuple ``cls`` a record's equality, as a frozen
-    dataclass has: a value equals only a value of its own type with equal
-    fields, never a plain tuple or a record of another type, and hashes as
-    the tuple of its fields. The package's plain records are named tuples,
-    which are far cheaper to define than dataclasses; without this,
-    ``Benign(x) == UpdatePolicy(x)`` would hold."""
+    """Give the named tuple ``cls`` a record's equality, as :class:`Frozen`
+    has: a value equals only a value of its own type with equal fields,
+    never a plain tuple or a record of another type, and hashes as the
+    tuple of its fields. Without this, ``Benign(x) == UpdatePolicy(x)``
+    would hold."""
     cls.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
     cls.__ne__ = lambda self, other: not cls.__eq__(self, other)
     cls.__hash__ = tuple.__hash__
     return cls
+
+
+class Frozen:
+    """Base of the package's immutable values that are not named tuples.
+
+    A subclass names its fields in ``_fields``, in the order its
+    ``__init__`` takes them, and keeps them in ``__slots__``, or in its
+    ``__dict__`` if it declares no slots. The interpreter specialises a
+    read of either, but not of a named tuple's field, which takes about
+    twice as long, so every value read once per request or transition is
+    of this kind.
+
+    ``__init__`` checks and normalises the arguments and stores them with
+    ``_set``. It is the one way a value is built: ``_replace``, copies and
+    pickles go through it too. Assigning or deleting an attribute raises
+    AttributeError. A value equals only a value of its own type with equal
+    fields, hashes as the tuple of its fields and has a repr that names
+    each field. It may be weakly referenced.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A value of this type with ``changes`` to its fields."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SyscallAnnotation(NamedTuple):
@@ -142,38 +193,34 @@ class SyscallAnnotation(NamedTuple):
     cve: str
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Frozen):
     """One syscall row: CVE annotation plus a flag per policy column."""
 
-    syscall: str
-    cve: str | None
-    flags: tuple[bool, ...]
+    __slots__ = _fields = ("syscall", "cve", "flags")
 
-    def __post_init__(self):
-        validate_syscall_name(self.syscall)
-        if self.cve is not None and not CVE_RE.fullmatch(self.cve):
-            raise ParseError(f"invalid CVE identifier: {self.cve!r}")
-        if len(self.flags) != len(COLUMNS):
-            raise ParseError(
-                f"row {self.syscall!r} has {len(self.flags)} flags, expected {len(COLUMNS)}"
-            )
+    def __init__(self, syscall: str, cve: str | None, flags: tuple[bool, ...]):
+        validate_syscall_name(syscall)
+        if cve is not None and not CVE_RE.fullmatch(cve):
+            raise ParseError(f"invalid CVE identifier: {cve!r}")
+        if len(flags) != len(COLUMNS):
+            raise ParseError(f"row {syscall!r} has {len(flags)} flags, expected {len(COLUMNS)}")
+        self._set(syscall, cve, flags)
 
 
-@dataclass(frozen=True)
-class PolicyComparisonTable:
+class PolicyComparisonTable(Frozen):
     """Immutable comparison table keyed by syscall name."""
 
-    rows: tuple[TableRow, ...] = field(default_factory=tuple)
-    # Each row's CVE annotation by syscall, for ``cve_for``.
-    _cves: dict[str, str | None] = field(init=False, repr=False, compare=False)
+    # ``_cves`` holds each row's CVE annotation by syscall, for ``cve_for``.
+    __slots__ = ("rows", "_cves")
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        cves = {r.syscall: r.cve for r in self.rows}
-        if len(cves) != len(self.rows):
-            names = [r.syscall for r in self.rows]
+    def __init__(self, rows: tuple[TableRow, ...] = ()):
+        cves = {r.syscall: r.cve for r in rows}
+        if len(cves) != len(rows):
+            names = [r.syscall for r in rows]
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ParseError("duplicate syscall rows: " + ", ".join(dupes))
+        self._set(rows)
         object.__setattr__(self, "_cves", cves)
 
     def syscalls(self) -> frozenset[str]:

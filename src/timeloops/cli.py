@@ -14,7 +14,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, catalog, workload
@@ -45,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="workload sampling seed")
     sim.add_argument("--mix", default=None, help="key=weight[,key=weight...] request mix")
     sim.add_argument("--mode", choices=SESSION_MODES, default="timeloops")
-    sim.add_argument("--oracle-mode", choices=ORACLE_MODES, default=ControllerConfig.oracle_mode,
+    defaults = ControllerConfig()
+    sim.add_argument("--oracle-mode", choices=ORACLE_MODES, default=defaults.oracle_mode,
                      help="the oracle serves one request, or every request until its watchdog")
-    sim.add_argument("--watchdog-ms", type=float, default=ControllerConfig.watchdog_ms)
+    sim.add_argument("--watchdog-ms", type=float, default=defaults.watchdog_ms)
     sim.add_argument("--deny-preset", choices=("none", "podman"), default="none")
     sim.add_argument("--pretrain", default=None, help="key[,key...] pretraining requests")
     sim.add_argument("--out", default="./out", help="output directory")
@@ -88,6 +88,17 @@ def _parse_mix(text: str) -> dict[str, float]:
     return mix
 
 
+def output_dir(path: str) -> Path:
+    """``path`` as a directory, made with its parents if it is missing. One
+    that cannot be made is a :class:`ConfigError`."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    return out
+
+
 # Each command returns its exit status and what it prints; ``main`` prints it.
 
 def cmd_simulate(args) -> tuple[int, str]:
@@ -122,11 +133,7 @@ def cmd_simulate(args) -> tuple[int, str]:
     service = spec.name
     del specs, spec, requests
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    out = output_dir(args.out)
     writers = {
         # session.json is the largest artifact, so it is written first, while
         # the least else is held.
@@ -194,17 +201,18 @@ def cmd_verify_paper(args) -> tuple[int, str]:
 
 # --- attack-scenario harness ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CategoryVerdict:
-    category: int
-    key: str
-    deny: tuple[str, ...]
-    probe_outcome: str
-    alerts: int
-    exploit_syscalls_learned: tuple[str, ...]
-    exploit_sourced_entries: int
-    confined: bool
-    as_expected: bool
+class CategoryVerdict(catalog.Frozen):
+    """One probe's verdict. Its fields are kept in its ``__dict__``, in
+    order, so that ``vars`` gives them as a mapping."""
+
+    _fields = ("category", "key", "deny", "probe_outcome", "alerts", "exploit_syscalls_learned",
+               "exploit_sourced_entries", "confined", "as_expected")
+
+    def __init__(self, category: int, key: str, deny: tuple[str, ...], probe_outcome: str,
+                 alerts: int, exploit_syscalls_learned: tuple[str, ...],
+                 exploit_sourced_entries: int, confined: bool, as_expected: bool):
+        self._set(category, key, deny, probe_outcome, alerts, exploit_syscalls_learned,
+                  exploit_sourced_entries, confined, as_expected)
 
 
 def _pick_exploits(spec: ServiceSpec) -> dict[int, str]:

@@ -24,14 +24,13 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import workload as workload_mod
-from .catalog import record
+from .catalog import Frozen, record
 from .errors import (
     ConfigError,
     DeniedSyscall,
@@ -95,27 +94,23 @@ ControllerEvent = ExitReason | OracleOutcome
 ControllerAction = Marker | UpdatePolicy | RaiseAlert
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(Frozen):
     """A session's settings, each checked and normalised here, once: ``deny``
     is any collection of syscall names, kept as the frozenset ``new_policy``
     makes of it, and ``pretrain_requests`` a list or tuple of request keys,
     kept as a tuple (see ``simruntime.request_keys``). A bare ``str`` for
     either raises TypeError. The driver uses the fields as they are."""
 
-    oracle_mode: str = "single"
-    watchdog_ms: float = 10_000.0
-    deny: frozenset[str] = field(default_factory=frozenset)
-    pretrain_requests: tuple[str, ...] = ()
+    __slots__ = _fields = ("oracle_mode", "watchdog_ms", "deny", "pretrain_requests")
 
-    def __post_init__(self):
-        if self.oracle_mode not in ORACLE_MODES:
-            raise ConfigError(f"unknown oracle mode: {self.oracle_mode!r}")
-        if not (math.isfinite(self.watchdog_ms) and self.watchdog_ms > 0):
-            raise ConfigError(f"watchdog_ms must be positive and finite, got {self.watchdog_ms!r}")
-        object.__setattr__(self, "deny", new_policy(self.deny).deny)
-        object.__setattr__(self, "pretrain_requests",
-                           request_keys(self.pretrain_requests, "pretrain_requests"))
+    def __init__(self, oracle_mode: str = "single", watchdog_ms: float = 10_000.0,
+                 deny: frozenset[str] = frozenset(), pretrain_requests: tuple[str, ...] = ()):
+        if oracle_mode not in ORACLE_MODES:
+            raise ConfigError(f"unknown oracle mode: {oracle_mode!r}")
+        if not (math.isfinite(watchdog_ms) and watchdog_ms > 0):
+            raise ConfigError(f"watchdog_ms must be positive and finite, got {watchdog_ms!r}")
+        self._set(oracle_mode, watchdog_ms, new_policy(deny).deny,
+                  request_keys(pretrain_requests, "pretrain_requests"))
 
 
 def step(
@@ -224,14 +219,19 @@ _JSON_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _WRITE_CHARS = 1 << 18
 
 
-@dataclass
 class SessionResult:
-    final_policy: SyscallPolicy
-    policy_log: list[PolicyLogEntry]
-    latency_records: "workload_mod.LatencyTable"
-    alerts: list[Alert]
-    transition_trace: TransitionTrace
-    consultations: int
+    """What a session leaves: its final policy, policy log, latency table,
+    alerts, transition trace and count of oracle consultations."""
+
+    def __init__(self, final_policy: SyscallPolicy, policy_log: list[PolicyLogEntry],
+                 latency_records: "workload_mod.LatencyTable", alerts: list[Alert],
+                 transition_trace: TransitionTrace, consultations: int):
+        self.final_policy = final_policy
+        self.policy_log = policy_log
+        self.latency_records = latency_records
+        self.alerts = alerts
+        self.transition_trace = transition_trace
+        self.consultations = consultations
 
     def to_json(self) -> str:
         """The session document; always equal, byte for byte, to

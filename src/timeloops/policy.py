@@ -15,49 +15,44 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .catalog import json_float, json_int, read_input, record, syscall_names
+from .catalog import Frozen, json_float, json_int, read_input, record, syscall_names
 from .errors import DeniedSyscall, ParseError, ReplayError
 
 LOG_SOURCES = ("oracle", "pretrain")
 
 
-@dataclass(frozen=True)
-class SyscallPolicy:
-    epoch: int = 0
-    allow: frozenset[str] = field(default_factory=frozenset)
-    deny: frozenset[str] = field(default_factory=frozenset)
+class SyscallPolicy(Frozen):
+    __slots__ = _fields = ("epoch", "allow", "deny")
 
-    def __post_init__(self):
-        if self.epoch < 0:
+    def __init__(self, epoch: int = 0, allow: frozenset[str] = frozenset(),
+                 deny: frozenset[str] = frozenset()):
+        if epoch < 0:
             raise ValueError("epoch must be non-negative")
-        overlap = self.allow & self.deny
+        overlap = allow & deny
         if overlap:
             raise ValueError("allow and deny overlap: " + ", ".join(sorted(overlap)))
+        self._set(epoch, allow, deny)
 
 
-@dataclass(frozen=True)
-class PolicyLogEntry:
+class PolicyLogEntry(Frozen):
     """One learned extension: which syscalls entered the policy, and when.
     ``added`` is a non-empty collection of syscall names, kept as a tuple,
     that is strictly increasing: sorted, each name once."""
 
-    epoch: int
-    added: tuple[str, ...]
-    source: str
-    timestamp_ms: float = 0.0
+    __slots__ = _fields = ("epoch", "added", "source", "timestamp_ms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "added", syscall_names(self.added, "added"))
-        if not self.added:
+    def __init__(self, epoch: int, added: tuple[str, ...], source: str, timestamp_ms: float = 0.0):
+        added = syscall_names(added, "added")
+        if not added:
             raise ValueError("log entry must add at least one syscall")
-        if any(b <= a for a, b in zip(self.added, self.added[1:])):
+        if any(b <= a for a, b in zip(added, added[1:])):
             raise ValueError("added syscalls must be sorted and distinct")
-        if self.source not in LOG_SOURCES:
-            raise ValueError(f"unknown log source: {self.source!r}")
+        if source not in LOG_SOURCES:
+            raise ValueError(f"unknown log source: {source!r}")
+        self._set(epoch, added, source, timestamp_ms)
 
 
 @record

@@ -10,11 +10,10 @@ identical inputs give identical outcomes and timings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .catalog import json_float, json_int, read_input, record, syscall_names
+from .catalog import Frozen, json_float, json_int, read_input, record, syscall_names
 from .errors import ConfigError, ExploitInTrainingSet, ParseError, ScenarioError
 from .policy import SyscallPolicy
 
@@ -44,8 +43,7 @@ def request_keys(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Frozen):
     """Virtual-time parameters for a simulated service.
 
     A production run costs the base cost plus the per-syscall cost for each
@@ -55,31 +53,31 @@ class CostModel:
     it observes (see ``run_oracle``).
     """
 
-    base_request_ms: float = 1.0
-    production_per_syscall_ms: float = 1.0
-    oracle_slowdown_factor: float = 3.0
-    restart_ms: float = 50.0
+    __slots__ = _fields = (
+        "base_request_ms", "production_per_syscall_ms", "oracle_slowdown_factor", "restart_ms")
 
-    def __post_init__(self):
-        for f in fields(self):
+    def __init__(self, base_request_ms: float = 1.0, production_per_syscall_ms: float = 1.0,
+                 oracle_slowdown_factor: float = 3.0, restart_ms: float = 50.0):
+        values = base_request_ms, production_per_syscall_ms, oracle_slowdown_factor, restart_ms
+        for name, value in zip(self._fields, values):
             # NaN fails every comparison below, and would silently drop costs.
-            if not math.isfinite(getattr(self, f.name)):
-                raise ScenarioError(f"{f.name} must be finite")
-        if self.base_request_ms < 0:
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite")
+        if base_request_ms < 0:
             raise ScenarioError("base_request_ms must be non-negative")
-        if self.production_per_syscall_ms <= 0:
+        if production_per_syscall_ms <= 0:
             raise ScenarioError("production_per_syscall_ms must be positive")
-        if self.oracle_slowdown_factor <= 1:
+        if oracle_slowdown_factor <= 1:
             raise ScenarioError("oracle_slowdown_factor must exceed 1")
-        if self.restart_ms <= 0:
+        if restart_ms <= 0:
             raise ScenarioError("restart_ms must be positive")
+        self._set(*values)
 
     def production_elapsed(self, executed: int) -> float:
         return self.base_request_ms + self.production_per_syscall_ms * executed
 
 
-@dataclass(frozen=True)
-class ExploitSpec:
+class ExploitSpec(Frozen):
     """Exploit annotation on a handler.
 
     The corruption happens at ``corruption_index`` within the benign trace;
@@ -87,29 +85,26 @@ class ExploitSpec:
     syscalls execute instead of the remainder of the trace.
     """
 
-    kind: str
-    corruption_index: int
-    injected: tuple[str, ...] = ()
+    __slots__ = _fields = ("kind", "corruption_index", "injected")
 
-    def __post_init__(self):
-        if self.kind not in EXPLOIT_KINDS:
-            raise ScenarioError(f"unknown exploit kind: {self.kind!r}")
-        if self.corruption_index < 0:
+    def __init__(self, kind: str, corruption_index: int, injected: tuple[str, ...] = ()):
+        if kind not in EXPLOIT_KINDS:
+            raise ScenarioError(f"unknown exploit kind: {kind!r}")
+        if corruption_index < 0:
             raise ScenarioError("corruption_index must be non-negative")
-        object.__setattr__(self, "injected", _check_names(self.injected, "injected"))
+        self._set(kind, corruption_index, _check_names(injected, "injected"))
 
 
-@dataclass(frozen=True)
-class RequestBehavior:
-    trace: tuple[str, ...] = ()
-    exploit: ExploitSpec | None = None
+class RequestBehavior(Frozen):
+    __slots__ = _fields = ("trace", "exploit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "trace", _check_names(self.trace, "trace"))
-        if self.exploit is not None and self.exploit.corruption_index > len(self.trace):
+    def __init__(self, trace: tuple[str, ...] = (), exploit: ExploitSpec | None = None):
+        trace = _check_names(trace, "trace")
+        if exploit is not None and exploit.corruption_index > len(trace):
             raise ScenarioError(
-                f"corruption_index {self.exploit.corruption_index} exceeds trace length {len(self.trace)}"
+                f"corruption_index {exploit.corruption_index} exceeds trace length {len(trace)}"
             )
+        self._set(trace, exploit)
 
     def effective_trace(self) -> tuple[str, ...]:
         """The syscalls a run of this handler would actually issue."""
@@ -122,8 +117,7 @@ class RequestBehavior:
 _NO_HANDLER = RequestBehavior()
 
 
-@dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(Frozen):
     """A declared service: handlers, reachable-code universe, oracle extras.
     The universe and the extras are collections of syscall names, kept as
     frozensets.
@@ -135,34 +129,31 @@ class ServiceSpec:
     non-finite time under the cost model is a :class:`ScenarioError`.
     """
 
-    name: str
-    handlers: Mapping[str, RequestBehavior]
-    static_universe: frozenset[str] = field(default_factory=frozenset)
-    oracle_extra: frozenset[str] = field(default_factory=frozenset)
-    cost_model: CostModel = field(default_factory=CostModel)
-    #: request key -> (effective trace, the shared ``(COMPLETED, elapsed)``
-    #: result of a run that completes it, the ``(outcome, elapsed)`` of its
-    #: oracle run with no watchdog)
-    runs: Mapping[str, Run] = field(init=False, repr=False, compare=False)
-    #: the run of a request key with no declared handler
-    unknown_run: Run = field(init=False, repr=False, compare=False)
+    # Besides the fields: ``runs``, request key -> (effective trace, the
+    # shared ``(COMPLETED, elapsed)`` result of a run that completes it, the
+    # ``(outcome, elapsed)`` of its oracle run with no watchdog), and
+    # ``unknown_run``, the run of a request key with no declared handler.
+    __slots__ = ("name", "handlers", "static_universe", "oracle_extra", "cost_model",
+                 "runs", "unknown_run")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
-        for attr in ("static_universe", "oracle_extra"):
-            names = _check_names(getattr(self, attr), f"service {self.name!r}: {attr}")
-            object.__setattr__(self, attr, frozenset(names))
-        cost = self.cost_model
+    def __init__(self, name: str, handlers: Mapping[str, RequestBehavior],
+                 static_universe: frozenset[str] = frozenset(),
+                 oracle_extra: frozenset[str] = frozenset(), cost_model: CostModel = CostModel()):
+        universe = frozenset(_check_names(static_universe, f"service {name!r}: static_universe"))
+        extra = frozenset(_check_names(oracle_extra, f"service {name!r}: oracle_extra"))
+        self._set(name, handlers, universe, extra, cost_model)
         runs = {}
         # None stands for every key with no handler, which runs as an empty one.
-        for key, behavior in [*self.handlers.items(), (None, _NO_HANDLER)]:
-            stray = set(behavior.trace) - self.static_universe
+        for key, behavior in [*handlers.items(), (None, _NO_HANDLER)]:
+            stray = set(behavior.trace) - universe
             if stray:
                 raise ScenarioError(
                     f"handler {key!r} uses syscalls outside the static universe: "
                     + ", ".join(sorted(stray))
                 )
             trace = behavior.effective_trace()
-            elapsed, oracle = cost.production_elapsed(len(trace)), _walk_oracle(self, key)
+            elapsed, oracle = cost_model.production_elapsed(len(trace)), _walk_oracle(self, key)
             if not (math.isfinite(elapsed) and math.isfinite(oracle[1])):
                 who = "a request with no handler" if key is None else f"handler {key!r}"
                 raise ScenarioError(f"{who}: its production or oracle run takes a non-finite time")
@@ -180,13 +171,16 @@ class ServiceSpec:
 # controller's events as they are. Each carries the ``label`` that names it
 # in the transition trace; one that carries nothing else is a shared marker.
 
-@dataclass(frozen=True, eq=False)
-class Marker:
+class Marker(Frozen):
     """A state, event or action that carries nothing but its label. Each one
     is a single shared value, compared with ``is``: a marker equals only
     itself."""
 
-    label: str
+    __slots__ = _fields = ("label",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, label: str):
+        self._set(label)
 
 
 COMPLETED = Marker("prod_exited:completed")
@@ -365,7 +359,7 @@ def parse_service(obj: dict) -> ServiceSpec:
     cost_obj = obj.get("cost_model", {})
     if not isinstance(cost_obj, dict):
         raise ScenarioError("cost_model must be an object")
-    unknown_cost = set(cost_obj) - {f.name for f in fields(CostModel)}
+    unknown_cost = set(cost_obj) - set(CostModel._fields)
     if unknown_cost:
         raise ScenarioError("unknown cost_model fields: " + ", ".join(sorted(unknown_cost)))
     try:

@@ -19,13 +19,14 @@ import math
 import operator
 import random
 import re
+import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .catalog import Frozen
 from .errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
 from .simruntime import ServiceSpec
 
@@ -35,8 +36,8 @@ LATENCY_CSV_HEADER = "logical_id,key,attempts,first_attempt_ms,completion_ms,lat
 
 
 # Requests and latency records are tuple-backed: a long session makes one of
-# each per logical request, and a tuple is far cheaper to build than a frozen
-# dataclass. A session keeps its records in a LatencyTable's columns.
+# each per logical request, and a tuple is the cheapest record to build. A
+# session keeps its records in a LatencyTable's columns.
 
 class Request(NamedTuple):
     logical_id: int
@@ -179,16 +180,15 @@ class LatencyTable(Sequence[LatencyRecord]):
         return "".join(rows), "".join(sums)
 
 
-@dataclass(frozen=True)
-class LatencyStats:
+class LatencyStats(Frozen):
     """Latency statistics of ``latencies``, in the order the session ran
-    them. The cumulative series is built when it is first read."""
+    them. The cumulative series is built when it is first read, into the
+    ``__dict__`` that holds the fields."""
 
-    mean: float
-    p50: float
-    p99: float
-    max: float
-    latencies: list[float] = field(repr=False, hash=False)
+    _fields = ("mean", "p50", "p99", "max", "latencies")
+
+    def __init__(self, mean: float, p50: float, p99: float, max: float, latencies: list[float]):
+        self._set(mean, p50, p99, max, latencies)
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
@@ -238,9 +238,11 @@ def generate_workload(
     spec: ServiceSpec, n: int, seed: int, mix: Mapping[str, float]
 ) -> list[Request]:
     """Seeded weighted sampling of request keys; ids run 0..n-1. A negative
-    ``n`` raises :class:`ConfigError`."""
+    ``n``, and one too large to be a list's length, raise :class:`ConfigError`."""
     if n < 0:
         raise ConfigError(f"n must not be negative: {n}")
+    if n > sys.maxsize:
+        raise ConfigError(f"n must not exceed {sys.maxsize}: {n}")
     keys = sorted(mix)
     weights = [float(mix[k]) for k in keys]
     bad = [k for k, w in zip(keys, weights) if not (math.isfinite(w) and w >= 0)]

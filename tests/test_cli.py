@@ -154,6 +154,20 @@ def test_a_negative_workload_size_exits_1_naming_it(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+# Larger than any list can hold, so no workload of this size is drawn. A
+# representable but huge size would allocate the whole workload, and is not
+# tested.
+_UNREPRESENTABLE_N = "99999999999999999999"
+
+
+def test_an_unrepresentable_workload_size_exits_1_naming_it(tmp_path, capsys):
+    assert main(["simulate", "--scenario", STATICSITE, "--n", _UNREPRESENTABLE_N,
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: n must not exceed {sys.maxsize}: {_UNREPRESENTABLE_N}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_service_with_no_benign_handler_needs_a_mix(tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
     handlers = scenario["services"][0]["handlers"]
@@ -638,6 +652,8 @@ _PACKAGE_ERRORS = {
                          "scenario {missing}: [Errno 2] No such file or directory: '{missing}'"),
     "unknown_service": (["--service", "nope"],
                         "no service named 'nope' in scenario; it has: staticsite"),
+    "unrepresentable_n": (["--n", _UNREPRESENTABLE_N],
+                          f"n must not exceed {sys.maxsize}: {_UNREPRESENTABLE_N}"),
 }
 
 
@@ -661,6 +677,25 @@ def test_a_comparison_script_reports_a_package_error(tmp_path, script, args, mes
     assert proc.returncode == 2
     assert proc.stderr.endswith(f"{script}: error: {message.format(missing=missing)}\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["run_latency_comparison.py", "run_policy_comparison.py"])
+def test_a_comparison_script_reports_an_output_directory_it_cannot_create(tmp_path, script):
+    # Either script checks its output directory before it runs a session,
+    # so it prints no report, and leaves the file in its place as it was.
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / script), "--n", "30", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"{script}: error: cannot create output directory {out}: {os.strerror(errno.EEXIST)}\n")
+    assert "Traceback" not in proc.stderr
+    assert out.read_text() == "kept\n"
 
 
 def test_render_memory_reports_each_renderer():

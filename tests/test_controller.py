@@ -467,6 +467,11 @@ def test_hardened_mode_detects_exploits_and_pays_oracle_cost():
     )
 
 
+def _slot_values(spec):
+    """Every attribute ``spec`` stores, by name, as ``vars`` gives them for a class with no slots."""
+    return {name: getattr(spec, name) for name in type(spec).__slots__}
+
+
 def test_no_session_mutates_its_spec_or_walks_an_unbounded_run(monkeypatch):
     exploit = ExploitSpec(kind="oracle_detectable", corruption_index=1, injected=("ptrace",))
     spec = make_spec({
@@ -474,7 +479,7 @@ def test_no_session_mutates_its_spec_or_walks_an_unbounded_run(monkeypatch):
         "other": RequestBehavior(trace=("read", "openat")),
         "evil": RequestBehavior(trace=("read",), exploit=exploit),
     }, extra={"sigaltstack"})
-    fields, runs, unknown_run = dict(vars(spec)), spec.runs, spec.unknown_run
+    fields, runs, unknown_run = _slot_values(spec), spec.runs, spec.unknown_run
     contents = dict(runs)
     budgets = []
     real_walk = simruntime._walk_oracle
@@ -499,8 +504,8 @@ def test_no_session_mutates_its_spec_or_walks_an_unbounded_run(monkeypatch):
     # Only cut-short runs are walked, and each session found the spec as
     # it was built.
     assert budgets and math.inf not in budgets
-    assert vars(spec).keys() == fields.keys()
-    assert all(vars(spec)[name] is value for name, value in fields.items())
+    assert _slot_values(spec).keys() == fields.keys()
+    assert all(_slot_values(spec)[name] is value for name, value in fields.items())
     assert spec.runs is runs and spec.runs == contents
     assert all(spec.runs[key] is run for key, run in contents.items())
     assert spec.unknown_run is unknown_run

@@ -4,7 +4,6 @@ misreading shared by the program and the model passes the parity tests,
 but not these."""
 
 import operator
-from dataclasses import replace
 
 from conftest import SCENARIO_DIR, make_spec, requests
 from hypothesis import example, given, settings
@@ -81,7 +80,7 @@ def test_the_final_allow_list_does_not_depend_on_the_order_of_requests(case, ord
     already allowed completes in production, the paper's category 2, so
     whether it raises an alert depends on what was learned before it ran."""
     spec, workload, config, _ = case
-    config = replace(config, oracle_mode="single", watchdog_ms=10_000.0)
+    config = config._replace(oracle_mode="single", watchdog_ms=10_000.0)
     # A workload holds at most 25 requests; ``order`` permutes their indices.
     permuted = [workload[i].key for i in order if i < len(workload)]
     try:
@@ -119,12 +118,12 @@ def test_pretraining_a_benign_key_adds_its_observation_and_no_consultation(case,
     if not benign:
         return
     key = benign[index % len(benign)]
-    config = replace(config, oracle_mode="single", watchdog_ms=10_000.0, pretrain_requests=tuple(
+    config = config._replace(oracle_mode="single", watchdog_ms=10_000.0, pretrain_requests=tuple(
         k for k in config.pretrain_requests if k != key))
     try:
         sent = run_session(spec, workload, config)
-        pretrained = run_session(spec, workload, replace(
-            config, pretrain_requests=config.pretrain_requests + (key,)))
+        pretrained = run_session(spec, workload, config._replace(
+            pretrain_requests=config.pretrain_requests + (key,)))
     except AttemptsExhausted:
         return
     observation = frozenset(spec.handlers[key].trace) | spec.oracle_extra

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -386,10 +385,10 @@ def _logs(draw):
         index = draw(st.integers(0, len(entries) - 1))
         entry = entries[index]
         if fault == "readd" and index > 0:
-            entries[index] = replace(
-                entry, added=tuple(sorted({*entry.added, entries[0].added[0]})))
+            entries[index] = entry._replace(
+                added=tuple(sorted({*entry.added, entries[0].added[0]})))
         else:
-            entries[index] = replace(entry, epoch=entry.epoch + draw(st.sampled_from([-1, 1])))
+            entries[index] = entry._replace(epoch=entry.epoch + draw(st.sampled_from([-1, 1])))
     return entries
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from functools import partial
 
@@ -83,8 +82,8 @@ def _specs_with_exploits(draw):
                 injected=tuple(draw(st.lists(st.sampled_from(SYSCALL_POOL + DENY_POOL),
                                              max_size=3))),
             )
-        handlers[key] = dataclasses.replace(behavior, exploit=exploit)
-    return dataclasses.replace(spec, handlers=handlers)
+        handlers[key] = behavior._replace(exploit=exploit)
+    return spec._replace(handlers=handlers)
 
 
 @given(spec=_specs_with_exploits(), data=st.data())
@@ -250,7 +249,7 @@ def test_oracle_run_within_its_budget_equals_the_unbounded_run(spec, data):
 
 @given(spec=oracle_specs(), data=st.data())
 def test_no_oracle_run_overruns_a_finite_budget(spec, data):
-    spec = dataclasses.replace(spec, handlers={**spec.handlers, "empty": RequestBehavior()})
+    spec = spec._replace(handlers={**spec.handlers, "empty": RequestBehavior()})
     key = data.draw(st.sampled_from(sorted(spec.handlers) + ["unknown"]))
     watchdog_ms = data.draw(st.floats(min_value=0.0, max_value=run_oracle(spec, key)[1]))
     _, elapsed = run_oracle(spec, key, watchdog_ms)

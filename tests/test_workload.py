@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeloops.analysis import ClaimReport, ClaimRow, ComparisonEntry, ComparisonReport
+from timeloops.catalog import COLUMNS, Frozen, PolicyComparisonTable, TableRow
+from timeloops.cli import CategoryVerdict
 from timeloops.controller import (
     ORACLE_MODES,
     SESSION_MODES,
@@ -23,21 +27,34 @@ from timeloops.controller import (
     UpdatePolicy,
     run_session,
 )
-from timeloops.errors import AttemptsExhausted, ConfigError, EmptyMix, EmptyRecords
-from timeloops.policy import PolicyDiff
+from timeloops.errors import (
+    AttemptsExhausted,
+    ConfigError,
+    EmptyMix,
+    EmptyRecords,
+    ParseError,
+    ScenarioError,
+)
+from timeloops.policy import PolicyDiff, PolicyLogEntry, SyscallPolicy
 from timeloops.simruntime import (
+    COMPLETED,
+    WATCHDOG_TIMEOUT,
     Benign,
     CostModel,
     DeniedSyscallHit,
+    ExploitSpec,
     Malicious,
+    Marker,
     PolicyViolation,
     RequestBehavior,
+    ServiceSpec,
 )
 from timeloops import workload
 from timeloops.workload import (
     MAX_ATTEMPTS,
     OUTCOMES,
     LatencyRecord,
+    LatencyStats,
     LatencyTable,
     Request,
     generate_workload,
@@ -464,11 +481,152 @@ def test_plain_records_are_named_tuples_that_equal_only_their_own_type(value):
         f"{name}={getattr(value, name)!r}" for name in fields) + ")"
     same = type(value)(*value)
     assert same == value and not same != value and hash(same) == hash(value)
-    # A tuple of the same fields, and every other record, is a different value.
-    for other in (tuple(value), *_PLAIN_RECORDS):
+    # A tuple of the same fields, and every other record or value, is a different value.
+    for other in (tuple(value), *_PLAIN_RECORDS, *(v for v, _ in _FROZEN_VALUES), COMPLETED):
         if other is not value:
             assert value != other and other != value
             assert not (value == other or other == value)
+
+
+_ROW = TableRow("read", None, (True,) * len(COLUMNS))
+_VERDICT_FIELDS = ("category", "key", "deny", "probe_outcome", "alerts",
+                   "exploit_syscalls_learned", "exploit_sourced_entries", "confined",
+                   "as_expected")
+
+# A value of each immutable type that is no named tuple, and a change to one
+# of its fields that gives another value of that type.
+_FROZEN_VALUES = [
+    (CostModel(), {"restart_ms": 60.0}),
+    (ExploitSpec("oracle_detectable", 1, ("ptrace",)), {"corruption_index": 0}),
+    (RequestBehavior(("read",)), {"trace": ("write",)}),
+    (ServiceSpec("svc", {"r": RequestBehavior(("read",))}, static_universe=("read",)),
+     {"oracle_extra": ("read",)}),
+    (SyscallPolicy(1, frozenset({"read"})), {"epoch": 2}),
+    (PolicyLogEntry(1, ("read",), "oracle"), {"source": "pretrain"}),
+    (ControllerConfig(), {"oracle_mode": "watchdog"}),
+    (_ROW, {"cve": "CVE-2024-1086"}),
+    (PolicyComparisonTable((_ROW,)), {"rows": ()}),
+    (LatencyStats(1.0, 1.0, 1.0, 1.0, [1.0]), {"max": 2.0}),
+    (CategoryVerdict(1, "r", (), "served", 0, (), 0, True, True), {"confined": False}),
+]
+
+
+@pytest.mark.parametrize("value, change", _FROZEN_VALUES,
+                         ids=[type(value).__name__ for value, _ in _FROZEN_VALUES])
+def test_frozen_values_equal_only_their_own_type(value, change):
+    cls = type(value)
+    fields = {name: getattr(value, name) for name in cls._fields}
+    assert repr(value) == cls.__name__ + "(" + ", ".join(
+        f"{name}={field!r}" for name, field in fields.items()) + ")"
+    same = cls(**fields)
+    assert same == value and not same != value
+    if cls not in (ServiceSpec, LatencyStats):  # a dict or a list field hashes as neither does
+        assert hash(same) == hash(value)
+    # A value with another field, a tuple of the same fields, a value of a
+    # subclass or of another type with the same fields, and every value of
+    # another type, is a different value.
+    twin = type("Twin", (Frozen,), {"_fields": cls._fields, "__init__": Frozen._set})
+    for other in (value._replace(**change), tuple(fields.values()),
+                  type("Sub", (cls,), {})(**fields), twin(*fields.values()),
+                  *(v for v, _ in _FROZEN_VALUES), *_PLAIN_RECORDS, COMPLETED):
+        if other is not value:
+            assert value != other and other != value
+            assert not (value == other or other == value)
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == same
+
+
+def test_a_marker_equals_only_itself():
+    same_label = Marker(COMPLETED.label)
+    assert COMPLETED == COMPLETED and hash(COMPLETED) == hash(COMPLETED)
+    assert COMPLETED != same_label and not COMPLETED == same_label
+    assert repr(COMPLETED) == "Marker(label='prod_exited:completed')"
+    assert COMPLETED != WATCHDOG_TIMEOUT and COMPLETED != (COMPLETED.label,)
+    with pytest.raises(AttributeError):
+        COMPLETED.label = "other"
+
+
+def test_a_verdict_and_latency_stats_keep_their_fields_in_a_dict():
+    # A sweep writes ``vars`` of each verdict; the statistics cache their
+    # cumulative series beside their fields.
+    verdict = CategoryVerdict(4, "evil", ("ptrace",), "served", 0, ("ptrace",), 1, False, True)
+    assert vars(verdict) == dict(zip(_VERDICT_FIELDS, (
+        4, "evil", ("ptrace",), "served", 0, ("ptrace",), 1, False, True)))
+    assert list(vars(verdict)) == list(_VERDICT_FIELDS) == list(CategoryVerdict._fields)
+    stats = LatencyStats(2.0, 2.0, 3.0, 3.0, [1.0, 3.0])
+    assert stats.cumulative == (1.0, 4.0) and stats.cumulative is stats.cumulative
+    assert stats == LatencyStats(2.0, 2.0, 3.0, 3.0, [1.0, 3.0])
+
+
+# Each type that checks what it is built from: a valid value, one field
+# changed to a bad value, and the exception and message that change raises.
+_BAD_VALUES = [
+    (CostModel(), {"restart_ms": 0.0}, ScenarioError, "restart_ms must be positive"),
+    (CostModel(), {"oracle_slowdown_factor": math.nan}, ScenarioError,
+     "oracle_slowdown_factor must be finite"),
+    (ExploitSpec("oracle_detectable", 1), {"kind": "sneaky"}, ScenarioError,
+     "unknown exploit kind: 'sneaky'"),
+    (RequestBehavior(("read",)), {"exploit": ExploitSpec("oracle_detectable", 2)},
+     ScenarioError, "corruption_index 2 exceeds trace length 1"),
+    (ServiceSpec("svc", {"r": RequestBehavior(("read",))}, static_universe=("read",)),
+     {"static_universe": ("write",)}, ScenarioError,
+     "handler 'r' uses syscalls outside the static universe: read"),
+    (ControllerConfig(), {"watchdog_ms": -1.0}, ConfigError,
+     "watchdog_ms must be positive and finite, got -1.0"),
+    (SyscallPolicy(allow=frozenset({"read"})), {"deny": frozenset({"read"})}, ValueError,
+     "allow and deny overlap: read"),
+    (PolicyLogEntry(1, ("read",), "oracle"), {"added": ("write", "read")}, ValueError,
+     "added syscalls must be sorted and distinct"),
+    (_ROW, {"cve": "CVE-1"}, ParseError, "invalid CVE identifier: 'CVE-1'"),
+    (PolicyComparisonTable((_ROW,)), {"rows": (_ROW, _ROW)}, ParseError,
+     "duplicate syscall rows: read"),
+]
+
+
+@pytest.mark.parametrize("value, bad, error, message", _BAD_VALUES,
+                         ids=[type(value).__name__ for value, *_ in _BAD_VALUES])
+def test_every_way_to_build_a_value_checks_it(value, bad, error, message):
+    # The constructor, by keyword or position, ``_replace``, and what copies
+    # and pickles rebuild a value with. A value is no tuple, so
+    # ``tuple.__new__`` cannot build one either.
+    cls = type(value)
+    fields = {name: getattr(value, name) for name in cls._fields}
+    rebuild, args = value.__reduce__()
+    assert rebuild is cls and args == tuple(fields.values())
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    assert not isinstance(value, tuple)
+    changed = {**fields, **bad}
+    for build in (lambda: cls(**changed), lambda: cls(*changed.values()),
+                  lambda: value._replace(**bad), lambda: rebuild(*changed.values())):
+        with pytest.raises(error) as raised:
+            build()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_every_way_to_build_a_value_normalises_it():
+    # Names are kept as the one interned string of their text.
+    read = "".join(["re", "ad"])
+    assert read is not sys.intern("read")
+    config = ControllerConfig(deny=[read], pretrain_requests=["r"])
+    for built in (config, ControllerConfig()._replace(deny=[read], pretrain_requests=["r"]),
+                  pickle.loads(pickle.dumps(config))):
+        assert type(built.deny) is frozenset and [*built.deny][0] is sys.intern("read")
+        assert type(built.pretrain_requests) is tuple and built.pretrain_requests == ("r",)
+    behavior = RequestBehavior([read])
+    spec = ServiceSpec("svc", {"r": behavior}, static_universe=[read], oracle_extra={read})
+    for built in (spec, spec._replace(static_universe=[read, read])):
+        assert type(built.static_universe) is frozenset and type(built.oracle_extra) is frozenset
+        assert [*built.static_universe][0] is sys.intern("read")
+    exploit = ExploitSpec("oracle_undetectable", 0, [read])
+    entry = PolicyLogEntry(1, [read], "oracle")
+    for names in (behavior.trace, behavior._replace(trace=[read]).trace, exploit.injected,
+                  exploit._replace(injected=[read]).injected, entry.added,
+                  entry._replace(added=[read]).added):
+        assert type(names) is tuple and names[0] is sys.intern("read")
 
 
 def _columns(rows):
