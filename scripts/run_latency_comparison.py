@@ -28,11 +28,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def run(args):
     spec = pick_service(load_scenario(args.scenario), args.service)
     workload = generate_workload(spec, args.n, args.seed, _parse_mix(args.mix))
+    results = {mode: run_session(spec, workload, ControllerConfig(), mode=mode)
+               for mode in ("timeloops", "unhardened", "hardened")}
+    # Made once every session has run, so that a failed one leaves no new
+    # directory.
     out = output_dir(args.out)
 
     stats = {}
-    for mode in ("timeloops", "unhardened", "hardened"):
-        result = run_session(spec, workload, ControllerConfig(), mode=mode)
+    for mode, result in results.items():
         write_latency_csv(result.latency_records, out / f"latency_{mode}.csv")
         write_cumulative_csv(result.latency_records, out / f"cumulative_{mode}.csv")
         stats[mode] = summarize(result.latency_records)

@@ -26,9 +26,11 @@ def run(args):
     spec = pick_service(load_scenario(args.scenario), args.service)
     mix = default_mix(spec)
     workload = generate_workload(spec, args.n, args.seed, mix)
-    # Made before the session, so that a run that cannot write prints no report.
-    out = output_dir(args.out)
     session = run_session(spec, workload, ControllerConfig())
+    # Made after the session, so that a failed session leaves no new
+    # directory, and before the report, so that a run that cannot write
+    # prints none.
+    out = output_dir(args.out)
 
     policies = [
         ("static", static_baseline(spec)),

@@ -238,11 +238,15 @@ def generate_workload(
     spec: ServiceSpec, n: int, seed: int, mix: Mapping[str, float]
 ) -> list[Request]:
     """Seeded weighted sampling of request keys; ids run 0..n-1. A negative
-    ``n``, and one too large to be a list's length, raise :class:`ConfigError`."""
+    ``n``, one too large to be a list's length, and a negative ``seed``
+    raise :class:`ConfigError`; :mod:`random` seeds with a negative
+    integer's absolute value, so it would repeat that seed's workload."""
     if n < 0:
         raise ConfigError(f"n must not be negative: {n}")
     if n > sys.maxsize:
         raise ConfigError(f"n must not exceed {sys.maxsize}: {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative: {seed}")
     keys = sorted(mix)
     weights = [float(mix[k]) for k in keys]
     bad = [k for k, w in zip(keys, weights) if not (math.isfinite(w) and w >= 0)]

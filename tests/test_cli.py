@@ -168,6 +168,19 @@ def test_an_unrepresentable_workload_size_exits_1_naming_it(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--scenario", STATICSITE], id="simulate"),
+    pytest.param(["attack-scenarios", "--scenario", ATTACKS], id="attack-scenarios"),
+])
+def test_a_negative_seed_exits_1_naming_it(tmp_path, capsys, argv):
+    # random.seed takes a negative seed's absolute value, so -5 would
+    # silently repeat the workload of 5.
+    out = ["--out", str(tmp_path / "run")] if argv[0] == "simulate" else []
+    assert main([*argv, "--seed", "-5", *out]) == 1
+    assert capsys.readouterr() == ("", "config error: seed must not be negative: -5\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_service_with_no_benign_handler_needs_a_mix(tmp_path, capsys):
     scenario = json.loads((SCENARIO_DIR / "staticsite_attacks.json").read_text())
     handlers = scenario["services"][0]["handlers"]
@@ -654,6 +667,7 @@ _PACKAGE_ERRORS = {
                         "no service named 'nope' in scenario; it has: staticsite"),
     "unrepresentable_n": (["--n", _UNREPRESENTABLE_N],
                           f"n must not exceed {sys.maxsize}: {_UNREPRESENTABLE_N}"),
+    "negative_seed": (["--seed", "-5"], "seed must not be negative: -5"),
 }
 
 
@@ -677,6 +691,8 @@ def test_a_comparison_script_reports_a_package_error(tmp_path, script, args, mes
     assert proc.returncode == 2
     assert proc.stderr.endswith(f"{script}: error: {message.format(missing=missing)}\n")
     assert "Traceback" not in proc.stderr
+    # No session ran to its end, so no output directory was made.
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("script", ["run_latency_comparison.py", "run_policy_comparison.py"])
@@ -721,6 +737,18 @@ def test_render_memory_reports_an_empty_mix():
     )
     assert proc.returncode == 2
     assert proc.stderr.endswith("error: empty mix\n")
+
+
+def test_render_memory_reports_a_negative_seed():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "render_memory.py"),
+         "--scenario", STATICSITE, "--n", "50", "--seed", "-5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("render_memory.py: error: seed must not be negative: -5\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_count_lines_skips_blanks_comments_and_docstrings(tmp_path):

@@ -179,6 +179,16 @@ def test_same_seed_same_sequence():
     assert generate_workload(spec, 50, 123, mix) != generate_workload(spec, 50, 124, mix)
 
 
+def test_a_negative_seed_is_refused_not_taken_as_its_absolute_value():
+    spec = make_spec({
+        "a": RequestBehavior(trace=("read",)),
+        "b": RequestBehavior(trace=("write",)),
+    })
+    with pytest.raises(ConfigError, match=r"^seed must not be negative: -5$"):
+        generate_workload(spec, 20, -5, {"a": 1.0, "b": 1.0})
+    assert generate_workload(spec, 20, 0, {"a": 1.0, "b": 1.0})
+
+
 def test_weight_fidelity_over_fixed_seed_corpus():
     spec = make_spec({
         "a": RequestBehavior(trace=("read",)),
