@@ -8,10 +8,11 @@ learning system's cumulative curve drops below the hardened one.
 """
 
 import argparse
+from functools import partial
 from pathlib import Path
 
 from timeloops.analysis import crossover
-from timeloops.cli import _parse_mix, output_dir
+from timeloops.cli import _parse_mix, write_staged
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.simruntime import load_scenario, pick_service
@@ -30,14 +31,16 @@ def run(args):
     workload = generate_workload(spec, args.n, args.seed, _parse_mix(args.mix))
     results = {mode: run_session(spec, workload, ControllerConfig(), mode=mode)
                for mode in ("timeloops", "unhardened", "hardened")}
-    # Made once every session has run, so that a failed one leaves no new
-    # directory.
-    out = output_dir(args.out)
+    # Written once every session has run, so that a failed one leaves no
+    # new directory, and before the report, so that a run that cannot write
+    # prints none.
+    out = write_staged(args.out, {
+        f"{kind}_{mode}.csv": partial(write, result.latency_records)
+        for mode, result in results.items()
+        for kind, write in (("latency", write_latency_csv), ("cumulative", write_cumulative_csv))})
 
     stats = {}
     for mode, result in results.items():
-        write_latency_csv(result.latency_records, out / f"latency_{mode}.csv")
-        write_cumulative_csv(result.latency_records, out / f"cumulative_{mode}.csv")
         stats[mode] = summarize(result.latency_records)
         s = stats[mode]
         print(f"{mode:<11} mean={s.mean:8.3f}ms  p50={s.p50:8.3f}ms  "

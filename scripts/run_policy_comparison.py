@@ -12,7 +12,7 @@ from pathlib import Path
 
 from timeloops.analysis import compare, dynamic_baseline, static_baseline
 from timeloops.catalog import load_default_fixture
-from timeloops.cli import output_dir
+from timeloops.cli import write_staged
 from timeloops.controller import ControllerConfig, run_session
 from timeloops.errors import TimeloopsError
 from timeloops.policy import export_seccomp
@@ -27,10 +27,6 @@ def run(args):
     mix = default_mix(spec)
     workload = generate_workload(spec, args.n, args.seed, mix)
     session = run_session(spec, workload, ControllerConfig())
-    # Made after the session, so that a failed session leaves no new
-    # directory, and before the report, so that a run that cannot write
-    # prints none.
-    out = output_dir(args.out)
 
     policies = [
         ("static", static_baseline(spec)),
@@ -38,10 +34,13 @@ def run(args):
         ("dynamic", dynamic_baseline(spec, sorted(mix))),
     ]
     report = compare(policies, table=load_default_fixture())
+    # Written after the session, so that a failed session leaves no new
+    # directory, and before the report, so that a run that cannot write
+    # prints none.
+    out = write_staged(args.out, {
+        f"profile_{name}.json": lambda path, policy=policy: path.write_bytes(export_seccomp(policy))
+        for name, policy in policies})
     print(report.to_text())
-
-    for name, policy in policies:
-        (out / f"profile_{name}.json").write_bytes(export_seccomp(policy))
     print(f"seccomp profiles written to {out}")
 
 

@@ -15,6 +15,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from . import analysis, catalog, workload
 from .controller import ORACLE_MODES, SESSION_MODES, ControllerConfig, SessionResult, run_session
@@ -88,14 +89,37 @@ def _parse_mix(text: str) -> dict[str, float]:
     return mix
 
 
-def output_dir(path: str) -> Path:
-    """``path`` as a directory, made with its parents if it is missing. One
-    that cannot be made is a :class:`ConfigError`."""
+def write_staged(path: str, writers: dict[str, Callable[[Path], object]]) -> Path:
+    """Write each file of ``writers``, a name and a function that writes it
+    to a given path, into the directory ``path``, made with its parents if
+    it is missing, and return the directory.
+
+    The files are written into a new directory in it and moved into place
+    once all are written, so a failed write leaves it as it was. A
+    directory in a file's place would fail only its move, so it is refused
+    before anything is written. Each failure is a :class:`ConfigError`."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    for name in writers:
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write artifact {out / name}: {os.strerror(errno.EISDIR)}")
+    try:
+        staging = Path(tempfile.mkdtemp(dir=out))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out}: {exc.strerror}") from exc
+    try:
+        for name, write in writers.items():
+            write(staging / name)
+        for name in writers:
+            os.replace(staging / name, out / name)
+    except OSError as exc:
+        # An output problem, not malformed input: the inputs were all read.
+        raise ConfigError(f"cannot write artifact {out / name}: {exc.strerror}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return out
 
 
@@ -133,8 +157,7 @@ def cmd_simulate(args) -> tuple[int, str]:
     service = spec.name
     del specs, spec, requests
 
-    out = output_dir(args.out)
-    writers = {
+    out = write_staged(args.out, {
         # session.json is the largest artifact, so it is written first, while
         # the least else is held.
         "session.json": result.write_json,
@@ -142,27 +165,7 @@ def cmd_simulate(args) -> tuple[int, str]:
         "cumulative.csv": lambda path: workload.write_cumulative_csv(result.latency_records, path),
         "policy.log": lambda path: save_log(result.policy_log, path),
         "profile.json": lambda path: path.write_bytes(export_seccomp(result.final_policy)),
-    }
-    # The artifacts are written into a new directory in ``out`` and moved
-    # into place once all are written, so a failed write leaves ``out`` as it
-    # was. A directory in an artifact's place would fail only its move.
-    for name in writers:
-        if (out / name).is_dir():
-            raise ConfigError(f"cannot write artifact {out / name}: {os.strerror(errno.EISDIR)}")
-    try:
-        staging = Path(tempfile.mkdtemp(dir=out))
-    except OSError as exc:
-        raise ConfigError(f"cannot write to output directory {out}: {exc.strerror}") from exc
-    try:
-        for name, write in writers.items():
-            write(staging / name)
-        for name in writers:
-            os.replace(staging / name, out / name)
-    except OSError as exc:
-        # An output problem, not malformed input: the inputs were all read.
-        raise ConfigError(f"cannot write artifact {out / name}: {exc.strerror}") from exc
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    })
 
     records = result.latency_records
     served = records.outcomes.count("served")

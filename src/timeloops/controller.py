@@ -10,8 +10,9 @@ oracle run's outcome, as ``simruntime`` returns them, plus the watchdog and
 shutdown; each event's ``label`` names it in the transition trace.
 ``SessionDriver`` applies it to a workload on a shared virtual clock,
 recording a completed production run, to which ``step`` always gives the
-same answer, without calling it; it pretrains by learning the oracle's
-verdicts on known-safe requests as it learns any benign verdict.
+same answer, by its time alone, without calling it; it pretrains by
+learning the oracle's verdicts on known-safe requests as it learns any
+benign verdict.
 ``run_session`` also runs the two deployments the controller is compared
 with, unhardened and hardened; they have no controller, so a request's
 run depends only on its key, and each distinct key runs once into the
@@ -150,8 +151,8 @@ def _row(before: Marker, event: ControllerEvent, after: Marker, actions: tuple) 
 
 
 # A completed production run is the common case, and ``step`` answers it the
-# same way every time, so ``SessionDriver.attempt`` records it as this one
-# row, built here from ``step``, without calling ``step``.
+# same way every time, so ``SessionDriver`` records it as this one row, built
+# here from ``step``, without calling ``step``.
 _SERVED_ROW = _row(PRODUCTION_RUNNING, COMPLETED,
                    *step(PRODUCTION_RUNNING, COMPLETED, ControllerConfig()))
 
@@ -181,7 +182,13 @@ class TransitionTrace(Sequence[Transition]):
     columns: each row's ``at_ms``, ``epochs`` and ``row_ids``, its index into
     ``rows``, the table of distinct (from, event, to, actions) rows. A
     transition is added by ``append``, or by appending to the three columns
-    a row id that ``row_id`` gave."""
+    a row id that ``row_id`` gave.
+
+    ``SessionDriver`` appends a served request's time alone: its row is
+    pending until the driver's next transition fills the row id and the
+    epoch of every pending row, ``len(at_ms) - len(row_ids)`` of them, so
+    the sequence holds the rows filled so far, and a finished session's
+    trace holds every row."""
 
     def __init__(self):
         self.at_ms, self.epochs, self.row_ids = array("d"), array("q"), array("I")
@@ -304,8 +311,13 @@ class SessionDriver:
     ``attempt`` processes one client attempt, advancing the clock by run
     costs, restart costs and any queueing delay while a container starts.
     A completed production run, the common case, is recorded by ``attempt``
-    itself as the one constant served row; every other event goes through
-    ``_transition`` and so through ``step``. ``_transition`` records the
+    itself: it appends only the run's completion time to the trace's
+    ``at_ms``. Its row, ``_SERVED_ROW``, and its epoch are the same for
+    every such run between two transitions, since only ``_transition``
+    grows the policy log, so ``_transition`` fills them for all the pending
+    runs at once, before it applies its own event. Every other event goes
+    through ``_transition`` and so through ``step``; ``shutdown`` is one,
+    so a finished session's trace is complete. ``_transition`` records the
     one alert an event can raise, from a ``RaiseAlert`` action or a
     deny-listed oracle observation, against the request that sent it.
     ``ready_at`` is when the last container started is ready; every way out
@@ -342,8 +354,10 @@ class SessionDriver:
         self.policy_log: list[PolicyLogEntry] = []
         self.alerts: list[Alert] = []
         self.transition_trace = TransitionTrace()
-        # A served request's transition is appended without hashing its row.
+        # A served request appends its time alone; ``_transition`` fills its
+        # row id and epoch.
         self._served_row_id = self.transition_trace.row_id(_SERVED_ROW)
+        self._served_at = self.transition_trace.at_ms.append
         self.consultations = 0
         for key in config.pretrain_requests:
             if training_handler(spec, key, "pretrain request") is None:
@@ -365,6 +379,12 @@ class SessionDriver:
 
         A transition raises at most one alert: ``step`` never gives
         ``UpdatePolicy`` and ``RaiseAlert`` together."""
+        trace = self.transition_trace
+        pending = len(trace.at_ms) - len(trace.row_ids)
+        if pending:
+            # Served under the epoch the log has before this event grows it.
+            trace.row_ids.extend(array("I", [self._served_row_id]) * pending)
+            trace.epochs.extend(array("q", [len(self.policy_log)]) * pending)
         before = self.state
         self.state, actions = step(before, event, self.config)
         report = None
@@ -386,8 +406,7 @@ class SessionDriver:
                 report = action.report
         if report is not None:
             self.alerts.append(Alert(request=request_id, report=report, at_ms=self.now))
-        self.transition_trace.append(
-            self.now, _row(before, event, self.state, actions), len(self.policy_log))
+        trace.append(self.now, _row(before, event, self.state, actions), len(self.policy_log))
         return report is not None
 
     def snapshot(self) -> SyscallPolicy:
@@ -403,9 +422,9 @@ class SessionDriver:
         """Process one attempt; returns the request's outcome, "served" or
         "rejected_malicious", or None if the attempt failed and is retried.
 
-        A completed production run appends ``_SERVED_ROW`` to the trace here,
-        by its id, and is served; every other event is applied by
-        ``_transition``."""
+        A completed production run appends its completion time to the
+        trace here, its row pending, and is served; every other event is
+        applied by ``_transition``."""
         # Requests queue while a container starts.
         if self.now < self.ready_at:
             self.now = self.ready_at
@@ -419,10 +438,7 @@ class SessionDriver:
             event, elapsed = run_production(self.spec, self.policy, request.key)
             if event is COMPLETED:
                 self.now += elapsed
-                trace = self.transition_trace
-                trace.at_ms.append(self.now)
-                trace.row_ids.append(self._served_row_id)
-                trace.epochs.append(len(self.policy_log))
+                self._served_at(self.now)
                 return "served"
             # The audit log names the blocked syscall, so the controller can
             # spot a deny-list hit without consulting the oracle.

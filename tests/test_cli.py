@@ -714,6 +714,37 @@ def test_a_comparison_script_reports_an_output_directory_it_cannot_create(tmp_pa
     assert out.read_text() == "kept\n"
 
 
+def _tree(path):
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in path.rglob("*")}
+
+
+@pytest.mark.parametrize("script, name", [
+    ("run_latency_comparison.py", "latency_timeloops.csv"),
+    ("run_latency_comparison.py", "cumulative_hardened.csv"),
+    ("run_policy_comparison.py", "profile_static.json"),
+    ("run_policy_comparison.py", "profile_dynamic.json"),
+])
+def test_a_comparison_script_refuses_a_directory_in_a_files_place(tmp_path, script, name):
+    # Refused before anything is written: no file, first or last, is left.
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    (out / name / "kept.txt").write_text("kept\n")
+    (out / "kept.txt").write_text("kept\n")
+    before = _tree(out)
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / script), "--n", "30", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"{script}: error: cannot write artifact {out / name}: {os.strerror(errno.EISDIR)}\n")
+    assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+    assert _tree(out) == before
+
+
 def test_render_memory_reports_each_renderer():
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
@@ -749,6 +780,18 @@ def test_render_memory_reports_a_negative_seed():
     assert proc.returncode == 2
     assert proc.stderr.endswith("render_memory.py: error: seed must not be negative: -5\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bound", ["7", "99999999999999999999"])
+def test_small_scope_refuses_a_bound_above_its_cap(bound):
+    # Refused by the parser, before the enumeration lists a trace.
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "small_scope.py"), "--bound", bound],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("small_scope.py: error: --bound must be at most 6\n")
+    assert proc.stdout == ""
 
 
 def test_count_lines_skips_blanks_comments_and_docstrings(tmp_path):

@@ -366,6 +366,33 @@ def test_step_runs_once_per_transition_that_is_not_served(attacks_spec, monkeypa
         assert COMPLETED not in calls
 
 
+def test_served_rows_are_filled_by_the_next_transition_with_the_epoch_served_under():
+    spec = make_spec({"r": RequestBehavior(trace=("read",))})
+    driver = SessionDriver(spec, ControllerConfig(pretrain_requests=("r",)))
+    trace, epoch, k = driver.transition_trace, len(driver.policy_log), 5
+    served_at = []
+    for i in range(k):
+        assert driver.attempt(Request(i, "r")) == "served"
+        served_at.append(driver.now)
+    # Each served request appended its time alone.
+    assert list(trace.at_ms) == served_at
+    assert len(trace.at_ms) - len(trace.row_ids) == k and len(trace.epochs) == 0
+    # A benign verdict grows the log, but only after the pending rows are filled.
+    driver.state = ORACLE_RUNNING
+    driver._transition(Benign(frozenset({"write"})))
+    assert len(driver.policy_log) == epoch + 1
+    assert len(trace.at_ms) == len(trace.row_ids) == len(trace.epochs) == k + 1
+    rows = list(trace)
+    assert [t.at_ms for t in rows[:k]] == served_at
+    assert all(t[1:5] == controller._SERVED_ROW and t.epoch == epoch for t in rows[:k])
+    assert rows[k].event == Benign.label and rows[k].epoch == epoch + 1
+    # Shutdown is a transition too, so a finished session holds every row.
+    assert driver.attempt(Request(k, "r")) == "served"
+    driver.shutdown()
+    assert len(trace.at_ms) == len(trace.row_ids) == len(trace.epochs) == k + 3
+    assert trace[k + 1].epoch == epoch + 1 and trace[k + 2].event == SHUTDOWN.label
+
+
 def test_a_served_request_makes_four_python_frames(staticsite):
     # Pretrained on every handler, production serves every request at once.
     config = ControllerConfig(pretrain_requests=tuple(staticsite.handlers))

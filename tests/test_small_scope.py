@@ -146,7 +146,9 @@ class Relations:
     sessions.
 
     Tightness holds in every mode: the final allow-list is a subset of
-    ``learnable`` over the keys sent and pretrained. Amortization runs the
+    ``learnable`` over the keys sent and pretrained. In every mode, too, the
+    finished session's transition trace has columns of one length, every
+    served row filled. Amortization runs the
     relation's own body on each controller case, which runs the session
     and one unhardened session beside it.
 
@@ -182,6 +184,11 @@ class Relations:
             result = None
         sent = tuple(r.key for r in workload)
         if result is not None:
+            # A finished session has filled every served row it deferred.
+            trace = result.transition_trace
+            assert len(trace.at_ms) == len(trace.row_ids) == len(trace.epochs), (
+                f"trace: {describe(case)} ends with columns of {len(trace.at_ms)}, "
+                f"{len(trace.row_ids)} and {len(trace.epochs)} rows")
             allow = result.final_policy.allow
             bound = test_paper_relations.learnable(spec, sent + config.pretrain_requests)
             assert allow <= bound, (
