@@ -60,7 +60,9 @@ def validate_syscall_name(name: str) -> str:
 
     Each distinct name is checked once per process: a ``str`` that passed
     before returns its interned string at once. A ``str`` subclass, which
-    may compare or hash as it likes, is checked every time.
+    may compare, hash or convert by ``str()`` as it likes, is checked every
+    time, and held as its text: a ``(str, Enum)`` member's ``str()`` is its
+    qualified member name, not the text the rule checked.
     """
     if type(name) is str:
         valid = _VALID_NAMES.get(name)
@@ -68,8 +70,9 @@ def validate_syscall_name(name: str) -> str:
             return valid
     if not isinstance(name, str) or not SYSCALL_NAME_RE.fullmatch(name):
         raise ParseError(f"invalid syscall name: {name!r}")
-    # str() makes an exact str of a subclass, which sys.intern refuses.
-    valid = sys.intern(str(name))
+    # str.__str__ makes an exact str of a subclass's text, which sys.intern
+    # needs; str() would call the subclass's own __str__.
+    valid = sys.intern(str.__str__(name))
     _VALID_NAMES[valid] = valid
     return valid
 
@@ -199,7 +202,7 @@ class TableRow(Frozen):
     __slots__ = _fields = ("syscall", "cve", "flags")
 
     def __init__(self, syscall: str, cve: str | None, flags: tuple[bool, ...]):
-        validate_syscall_name(syscall)
+        syscall = validate_syscall_name(syscall)
         if cve is not None and not CVE_RE.fullmatch(cve):
             raise ParseError(f"invalid CVE identifier: {cve!r}")
         if len(flags) != len(COLUMNS):

@@ -25,7 +25,20 @@ LOG_SOURCES = ("oracle", "pretrain")
 
 
 class SyscallPolicy(Frozen):
-    __slots__ = _fields = ("epoch", "allow", "deny")
+    """An installed allow-list and deny-list, at the epoch of its log.
+
+    Besides the fields, a policy carries ``passed``: a cache, from request
+    key to the trace object that :func:`simruntime.run_production` last
+    found within ``allow`` for that key. ``allow`` never changes, so an
+    entry never goes stale, and an entry answers only for the identical
+    trace object, so a policy shared by two services never answers one
+    with the other's trace. It is no field: equality, hashing, the repr,
+    ``_replace``, copies and pickles ignore it, and every value built
+    starts with it empty.
+    """
+
+    __slots__ = ("epoch", "allow", "deny", "passed")
+    _fields = __slots__[:3]
 
     def __init__(self, epoch: int = 0, allow: frozenset[str] = frozenset(),
                  deny: frozenset[str] = frozenset()):
@@ -35,6 +48,7 @@ class SyscallPolicy(Frozen):
         if overlap:
             raise ValueError("allow and deny overlap: " + ", ".join(sorted(overlap)))
         self._set(epoch, allow, deny)
+        object.__setattr__(self, "passed", {})
 
 
 class PolicyLogEntry(Frozen):

@@ -1,3 +1,4 @@
+import enum
 import json
 import sys
 
@@ -26,11 +27,23 @@ def test_a_valid_name_is_its_interned_text():
     class Name(str):
         pass
 
+    class Sys(str, enum.Enum):
+        MMAP = "mmap"
+
+    class Loud(str):
+        def __str__(self):
+            return "LOUD"
+
     # Built at run time, so that the text is not a constant the compiler interned.
     text = "".join(["mm", "ap"])
     assert validate_syscall_name(text) is sys.intern("mmap")
-    # A str subclass, as an enum of names would give, is held as the str of its text.
-    assert validate_syscall_name(Name("mmap")) is sys.intern("mmap")
+    # A str subclass, as an enum of names would give, is held as the str of
+    # its text, whatever its str() gives.
+    for name in (Name("mmap"), Sys.MMAP, Loud("mmap")):
+        assert validate_syscall_name(name) is sys.intern("mmap")
+    assert str(Sys.MMAP) == "Sys.MMAP" and str(Loud("mmap")) == "LOUD"
+    row = TableRow(Sys.MMAP, None, (False,) * len(COLUMNS))
+    assert type(row.syscall) is str and row.syscall is sys.intern("mmap")
 
 
 class _CountingPattern:

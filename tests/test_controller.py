@@ -1,4 +1,5 @@
 import collections
+import enum
 import gc
 import itertools
 import json
@@ -218,6 +219,22 @@ def test_oracle_denied_syscall_mid_trace_alerts_without_update():
     assert result.final_policy.epoch == 0
     assert result.latency_records[0].outcome == "rejected_malicious"
     assert result.consultations == 1
+
+
+def test_a_str_enum_deny_list_denies_the_text_of_its_members():
+    # A (str, Enum) member's str() is "Sys.MOUNT"; the deny-list holds the
+    # member's text, so the oracle's observation of mount is denied.
+    class Sys(str, enum.Enum):
+        MOUNT = "mount"
+
+    config = ControllerConfig(deny=[Sys.MOUNT])
+    assert config.deny == frozenset({"mount"})
+    assert all(type(name) is str for name in config.deny)
+    exploit = ExploitSpec(kind="oracle_undetectable", corruption_index=1, injected=("mount",))
+    spec = make_spec({"evil": RequestBehavior(trace=("read",), exploit=exploit)})
+    result = run_session(spec, requests("evil"), config)
+    assert result.latency_records[0].outcome == "rejected_malicious"
+    assert len(result.alerts) == 1 and "mount" not in result.final_policy.allow
 
 
 def test_production_denied_hit_skips_oracle():

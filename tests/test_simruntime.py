@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -106,6 +110,118 @@ def test_passing_runs_share_one_result(spec, data):
     assert run_unrestricted(spec, request) is run_unrestricted(spec, request) is first
     # Every handler's completed run, and that of a key with no handler, share COMPLETED.
     assert all(run[1][0] is first[0] for run in [*spec.runs.values(), spec.unknown_run])
+
+
+class _CountedNames(frozenset):
+    """An allow-list that counts its whole-trace checks and the names a walk tests."""
+
+    checks = tested = 0
+
+    def issuperset(self, names):
+        self.checks += 1
+        return frozenset.issuperset(self, names)
+
+    def __contains__(self, name):
+        self.tested += 1
+        return frozenset.__contains__(self, name)
+
+
+def test_a_policy_shared_by_two_specs_answers_each_with_its_own_trace():
+    # Both services have a key "r"; the policy allows a's trace, not b's.
+    a = _spec({"r": RequestBehavior(trace=("read", "write"))})
+    b = _spec({"r": RequestBehavior(trace=("read", "openat", "write"))})
+    completes = a, (COMPLETED, 1.0 + 2 * 2.0)
+    violates = b, (PolicyViolation("openat", 1), 1.0 + 2.0)
+    for order in ((completes, violates) * 2, (violates, completes) * 2,
+                  (completes, completes, violates, violates, completes, violates, violates)):
+        policy = _allow("read", "write")
+        for spec, expected in order:
+            assert run_production(spec, policy, "r") == expected
+        assert policy.passed == {"r": a.runs["r"][0]}
+
+
+def test_a_passing_key_is_checked_once_and_a_violating_key_is_walked_every_time():
+    spec = _spec({"good": RequestBehavior(trace=("read", "write")),
+                  "bad": RequestBehavior(trace=("read", "openat"))})
+    allow = _CountedNames({"read", "write"})
+    policy = SyscallPolicy(allow=allow)
+    for calls in range(1, 4):
+        assert run_production(spec, policy, "good") is spec.runs["good"][1]
+        assert run_production(spec, policy, "nope") is spec.unknown_run[1]
+        assert run_production(spec, policy, "bad") == (PolicyViolation("openat", 1), 3.0)
+        # The first round checks all three keys; each later one only "bad",
+        # whose walk tests "read" and then "openat".
+        assert (allow.checks, allow.tested) == (calls + 2, 2 * calls)
+    assert policy.passed == {"good": spec.runs["good"][0], "nope": ()}
+
+
+def test_threads_sharing_a_policy_each_get_their_own_specs_verdict():
+    # Four threads race on one policy's cache, with a switch interval short
+    # enough to interleave them between a read and a store; an entry that
+    # answered for the other spec's trace would give a wrong verdict.
+    a = _spec({"r": RequestBehavior(trace=("read", "write"))})
+    b = _spec({"r": RequestBehavior(trace=("read", "openat"))})
+    expected = [(a, (COMPLETED, 5.0)), (b, (PolicyViolation("openat", 1), 3.0))]
+    policy, wrong = _allow("read", "write"), []
+
+    def run(offset):
+        for i in range(2000):
+            spec, result = expected[(i + offset) % 2]
+            if run_production(spec, policy, "r") != result:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and policy.passed == {"r": a.runs["r"][0]}
+
+
+def test_the_cache_is_no_field_and_every_rebuilt_policy_starts_it_empty():
+    spec = _spec({"r": RequestBehavior(trace=("read",))})
+    policy = SyscallPolicy(2, frozenset({"read", "write"}), frozenset({"mount"}))
+    fresh = SyscallPolicy(2, frozenset({"read", "write"}), frozenset({"mount"}))
+    run_production(spec, policy, "r")
+    assert policy.passed == {"r": spec.runs["r"][0]} and fresh.passed == {}
+    assert policy == fresh and hash(policy) == hash(fresh) and repr(policy) == repr(fresh)
+    assert "passed" not in repr(policy)
+    for rebuilt in (policy._replace(), policy._replace(epoch=3), copy.copy(policy),
+                    copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+        assert rebuilt.passed == {} and rebuilt.passed is not policy.passed
+    with pytest.raises(AttributeError):
+        policy.passed = {}
+
+
+@st.composite
+def _shared_policy_calls(draw):
+    """Up to three services, policies shared across them, and a sequence of
+    production runs, each of a service, a policy and a key. The policies
+    are one that allows every name, one that allows none, and up to three
+    that allow some of the services' traces and a few names more."""
+    specs = draw(st.lists(_specs_with_exploits(), min_size=1, max_size=3))
+    traces = [run[0] for spec in specs for run in spec.runs.values()]
+    pool = SYSCALL_POOL + DENY_POOL
+    policies = [SyscallPolicy(allow=frozenset(pool)), SyscallPolicy()] + [
+        SyscallPolicy(allow=frozenset().union(*draw(st.lists(st.sampled_from(traces))),
+                                              draw(st.lists(st.sampled_from(pool)))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    keys = sorted({key for spec in specs for key in spec.handlers}) + ["nope"]
+    return draw(st.lists(st.tuples(st.sampled_from(specs), st.sampled_from(policies),
+                                   st.sampled_from(keys)), max_size=30))
+
+
+@given(calls=_shared_policy_calls())
+def test_a_run_with_the_cache_warm_or_cold_equals_a_trace_walk(calls):
+    for spec, policy, key in calls:
+        assert run_production(spec, policy, key) == reference.production_run(spec, policy.allow, key)
 
 
 def test_oracle_observes_trace_plus_instrumentation_extras():
